@@ -3,8 +3,7 @@
 Exit codes: 0 success, 1 a mathematical certification failed, 2 usage
 or invalid input, 3 I/O failure.  All randomized commands are seeded
 and deterministic; `sweep` additionally keeps wall-clock time out of
-stdout (it goes to stderr) so equal configs give byte-identical output
-regardless of ICCI_THREADS.
+stdout (it goes to stderr) so equal configs give byte-identical output.
 """
 
 from __future__ import annotations

@@ -13,16 +13,22 @@ comprehensive: lowering any coordinate of a feasible point keeps it
 feasible, because every c_k is nonnegative.  Those facts drive both the
 enumeration and the gap test.
 
-Vertex enumeration is brute force and exact for this size: with at most
-13 content planes plus 3 coordinate planes there are at most C(16, 3) =
-560 triples.  Each triple is solved by 3x3 Gaussian elimination with
-partial pivoting, batched across all triples in numpy; triples whose
-pivot falls below ``PIVOT_TOL`` are discarded as singular, solutions
-violating any constraint by more than ``tol`` are discarded as
-infeasible, and survivors are deduplicated in triple order at radius
-``DEDUP_TOL`` in the max norm.  Every surviving point is a true vertex
-and every vertex of the region is found (it lies on at least three
-independent planes, so some triple produces it).
+Vertex enumeration is brute force over plane triples: with 13 content
+planes plus 3 coordinate planes there are C(16, 3) = 560 of them.  The
+coefficients never depend on the channel, only the right-hand sides do,
+so the triples are solved once per pattern tuple.  ``HalfSpace`` admits
+only coefficients in {0, 1, 2}, so each entry of a triple's adjugate is
+a difference of two products of such entries and its determinant a sum
+of six products of three: small integers that float64 holds exactly.  A
+triple is therefore singular exactly when its determinant is 0, with no
+pivot threshold (385 of the 560 triples of the bound families' 13 rows
+are nonsingular).  A region's candidates are then adj . b / det for its
+right-hand sides b; those violating any constraint by more than
+``MEMBERSHIP_TOL`` are discarded as infeasible, and the survivors are
+deduplicated in triple order at radius ``DEDUP_TOL`` in the max norm,
+one pass per kept vertex rather than per candidate.  Every kept point is
+a true vertex and every vertex of the region is found (it lies on at
+least three independent planes, so some triple produces it).
 
 Two bit-gap tests compare a target region with a cover region: the
 clipped shift ``within_bits_slack``, which lowers each target vertex by
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -47,11 +53,8 @@ from .bounds import BoundCoeffs
 __all__ = [
     "MEMBERSHIP_TOL",
     "DEDUP_TOL",
-    "PIVOT_TOL",
-    "RateTriple",
     "HalfSpace",
     "RateRegion",
-    "VertexSet",
     "GapCertificate",
     "build_inner",
     "build_outer",
@@ -67,9 +70,8 @@ __all__ = [
 
 MEMBERSHIP_TOL = 1e-9   # absolute slack allowed on any constraint
 DEDUP_TOL = 1e-8        # max-norm radius identifying two candidate vertices
-PIVOT_TOL = 1e-12       # pivot magnitude below which a triple is singular
 
-_REGION_LABELS = ("inner", "outer", "gdof", "symmetric-gdof", "custom")
+_REGION_LABELS = ("inner", "outer", "gdof")
 
 # Constraint patterns shared by the inner and outer bound families, in
 # the fixed documented order.  Row k weights (r0, r1, r2) and is paired
@@ -89,24 +91,6 @@ BOUND_PATTERNS: tuple[tuple[int, int, int], ...] = (
     (1, 2, 1),
     (1, 1, 2),
 )
-
-
-@dataclass(frozen=True)
-class RateTriple:
-    """A nonnegative point (r0, r1, r2) in rate space."""
-
-    r0: float
-    r1: float
-    r2: float
-
-    def __post_init__(self) -> None:
-        for name in ("r0", "r1", "r2"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"rate {name} must be finite and >= 0, got {value!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.r0, self.r1, self.r2], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -140,26 +124,11 @@ class RateRegion:
         object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
 
     def coefficient_matrix(self) -> np.ndarray:
-        return np.array([hs.c for hs in self.halfspaces], dtype=float)
+        """The (n, 3) coefficients, shared per pattern tuple and read-only."""
+        return _plane_solver(tuple(hs.c for hs in self.halfspaces))[0]
 
     def rhs_vector(self) -> np.ndarray:
         return np.array([hs.rhs for hs in self.halfspaces], dtype=float)
-
-
-@dataclass(frozen=True, eq=False)
-class VertexSet:
-    """Deduplicated vertices plus, per vertex, the indices of its tight
-    planes: content half-spaces first (by position in the region), then
-    n, n+1, n+2 for the coordinate planes r0 = 0, r1 = 0, r2 = 0."""
-
-    points: np.ndarray
-    active: tuple[tuple[int, ...], ...] = field(repr=False)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def as_triples(self) -> list[RateTriple]:
-        return [RateTriple(*np.maximum(p, 0.0)) for p in self.points]
 
 
 @dataclass(frozen=True)
@@ -217,10 +186,7 @@ def build_outer(coeffs: BoundCoeffs) -> RateRegion:
 
 
 def _as_points(points) -> np.ndarray:
-    if isinstance(points, RateTriple):
-        arr = points.as_array()[None, :]
-    else:
-        arr = np.atleast_2d(np.asarray(points, dtype=float))
+    arr = np.atleast_2d(np.asarray(points, dtype=float))
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError(f"expected points of shape (3,) or (n, 3), got {arr.shape}")
     return arr
@@ -246,84 +212,48 @@ def contains(region: RateRegion, point, tol: float = MEMBERSHIP_TOL) -> bool:
 
 
 @lru_cache(maxsize=8)
-def _plane_triples(n_planes: int) -> np.ndarray:
-    return np.array(list(itertools.combinations(range(n_planes), 3)), dtype=np.intp)
+def _plane_solver(patterns: tuple[tuple[int, int, int], ...]):
+    """Fixed-shape solver for one tuple of constraint patterns.
 
-
-def _solve_triples(a: np.ndarray, b: np.ndarray, pivot_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a batch of 3x3 systems by Gaussian elimination with partial
-    pivoting.  Returns (solutions, ok); ok is False where any pivot fell
-    below pivot_tol (singular or ill-conditioned triple)."""
-    a = a.astype(float, copy=True)
-    b = b.astype(float, copy=True)
-    t = a.shape[0]
-    ok = np.ones(t, dtype=bool)
-    rows = np.arange(t)
-    for k in range(3):
-        pivot_row = np.argmax(np.abs(a[:, k:, k]), axis=1) + k
-        a_k = a[rows, k, :].copy()
-        a[rows, k, :] = a[rows, pivot_row, :]
-        a[rows, pivot_row, :] = a_k
-        b_k = b[rows, k].copy()
-        b[rows, k] = b[rows, pivot_row]
-        b[rows, pivot_row] = b_k
-        pivot = a[:, k, k]
-        ok &= np.abs(pivot) > pivot_tol
-        safe = np.where(np.abs(pivot) > pivot_tol, pivot, 1.0)
-        for i in range(k + 1, 3):
-            factor = a[:, i, k] / safe
-            a[:, i, k:] -= factor[:, None] * a[:, k, k:]
-            b[:, i] -= factor * b[:, k]
-    x = np.empty((t, 3))
-    safe2 = np.where(ok, a[:, 2, 2], 1.0)
-    safe1 = np.where(ok, a[:, 1, 1], 1.0)
-    safe0 = np.where(ok, a[:, 0, 0], 1.0)
-    x[:, 2] = b[:, 2] / safe2
-    x[:, 1] = (b[:, 1] - a[:, 1, 2] * x[:, 2]) / safe1
-    x[:, 0] = (b[:, 0] - a[:, 0, 1] * x[:, 1] - a[:, 0, 2] * x[:, 2]) / safe0
-    return x, ok
-
-
-def vertices(
-    region: RateRegion,
-    tol: float = MEMBERSHIP_TOL,
-    dedup_tol: float = DEDUP_TOL,
-    pivot_tol: float = PIVOT_TOL,
-) -> VertexSet:
-    """Enumerate all vertices of the region.
-
-    Candidate points are intersections of every plane triple (content
-    half-spaces as equalities plus the three coordinate planes); kept if
-    feasible within tol, deduplicated at dedup_tol in triple order.
-    Active sets are recomputed per kept vertex against every plane at
-    tol.
+    Returns the read-only coefficient matrix, the nonsingular plane
+    triples in ``itertools.combinations`` order (content planes first,
+    then r0 = 0, r1 = 0, r2 = 0), and each triple's adjugate and
+    determinant, both exact integers (see the module docstring).
     """
-    c = region.coefficient_matrix()
-    r = region.rhs_vector()
-    n = len(region.halfspaces)
+    c = np.array(patterns, dtype=float).reshape(-1, 3)
     planes = np.vstack([c, np.eye(3)])
+    triples = np.array(list(itertools.combinations(range(len(planes)), 3)), dtype=np.intp)
+    m = planes[triples]
+    # M^-1 = adj / det, and the columns of adj are the cross products of row pairs
+    adj = np.stack([np.cross(m[:, 1], m[:, 2]), np.cross(m[:, 2], m[:, 0]),
+                    np.cross(m[:, 0], m[:, 1])], axis=2)
+    det = np.einsum("tk,tk->t", m[:, 0], adj[:, :, 0])
+    keep = det != 0
+    out = (c, triples[keep], adj[keep], det[keep])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def vertices(region: RateRegion) -> np.ndarray:
+    """Enumerate all vertices of the region as a (k, 3) array.
+
+    Candidate points are the intersections of the nonsingular plane
+    triples; kept if feasible within ``MEMBERSHIP_TOL``, deduplicated at
+    ``DEDUP_TOL`` in triple order.
+    """
+    c, triples, adj, det = _plane_solver(tuple(hs.c for hs in region.halfspaces))
+    r = region.rhs_vector()
     offsets = np.concatenate([r, np.zeros(3)])
-    triples = _plane_triples(n + 3)
-    x, ok = _solve_triples(planes[triples], offsets[triples], pivot_tol)
-
-    feasible = ok.copy()
-    feasible &= (x >= -tol).all(axis=1)
-    feasible &= (x @ c.T <= r[None, :] + tol).all(axis=1)
+    # + 0.0 maps -0.0 to 0.0, so displayed vertices never read -0.0
+    x = np.einsum("tij,tj->ti", adj, offsets[triples]) / det[:, None] + 0.0
+    feasible = (x >= -MEMBERSHIP_TOL).all(axis=1) & (x @ c.T <= r + MEMBERSHIP_TOL).all(axis=1)
     candidates = x[feasible]
-
-    kept: list[np.ndarray] = []
-    for point in candidates:
-        if not kept or np.max(np.abs(np.array(kept) - point), axis=1).min() > dedup_tol:
-            kept.append(point)
-    points = np.array(kept) if kept else np.empty((0, 3))
-
-    active: list[tuple[int, ...]] = []
-    for point in points:
-        residual_content = np.abs(c @ point - r) <= tol
-        residual_axes = np.abs(point) <= tol
-        tight = np.concatenate([residual_content, residual_axes])
-        active.append(tuple(int(i) for i in np.flatnonzero(tight)))
-    return VertexSet(points=points, active=tuple(active))
+    kept = []
+    while len(candidates):
+        kept.append(candidates[0])
+        candidates = candidates[np.abs(candidates - candidates[0]).max(axis=1) > DEDUP_TOL]
+    return np.array(kept).reshape(-1, 3)
 
 
 def _check_bits(bits: float) -> None:
@@ -332,7 +262,7 @@ def _check_bits(bits: float) -> None:
 
 
 def _target_points(target: RateRegion, target_vertices) -> np.ndarray:
-    points = vertices(target).points if target_vertices is None else _as_points(target_vertices)
+    points = vertices(target) if target_vertices is None else _as_points(target_vertices)
     if len(points) == 0:
         raise ValueError(f"target region {target.label!r} has no vertices; is it bounded?")
     return points
@@ -356,7 +286,7 @@ def within_bits_slack(
     """Worst slack of the clipped-shift test of target against cover.
 
     target_vertices, if given, are the points tested in place of
-    ``vertices(target).points``; a caller that already holds the
+    ``vertices(target)``; a caller that already holds the
     target's vertices passes them to spare a second enumeration.
     """
     _check_bits(bits)
@@ -419,5 +349,5 @@ def region_as_dict(region: RateRegion, include_vertices: bool = True) -> dict:
         "halfspaces": [hs.as_dict() for hs in region.halfspaces],
     }
     if include_vertices:
-        out["vertices"] = [[float(v) for v in p] for p in vertices(region).points]
+        out["vertices"] = [[float(v) for v in p] for p in vertices(region)]
     return out

@@ -1,22 +1,20 @@
 """Randomized certification sweep.
 
 Channels are drawn with log-uniform link magnitudes from keyed Philox
-substreams, so sample i of a sweep depends only on (seed, i) and never
-on how many workers ran or in what order.  Each channel is rebuilt into
-its two bound families and checked three ways: the per-coefficient gap
-limits, containment of the achievable region's vertices in the converse
-region, and the clipped-shift bit-gap certificate.  The per-rate bit-gap
-certificate is computed alongside, from the same converse vertices, and
-carried in each channel's result without entering its verdict.
-Reduction happens in sample-index order, so reports are deterministic
-for a given config regardless of the ICCI_THREADS worker pool size.
+substreams, so sample i of a sweep depends only on (seed, i).  Each
+channel is rebuilt into its two bound families and checked three ways:
+the per-coefficient gap limits, containment of the achievable region's
+vertices in the converse region, and the clipped-shift bit-gap
+certificate.  The per-rate bit-gap certificate is computed alongside,
+from the same converse vertices, and carried in each channel's result
+without entering its verdict.  Channels are checked one after another in
+one thread and reduced in sample-index order, so a config always gives
+the same report.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +38,6 @@ __all__ = [
     "sample_gains",
     "check_channel",
     "run_gap_sweep",
-    "worker_count",
 ]
 
 MAG_LIMIT = 1e6  # validated operating envelope for link magnitudes
@@ -161,9 +158,9 @@ def check_channel(
     inner = build_inner(inner_coeffs(gains))
     outer = build_outer(outer_coeffs(gains))
     deltas_ok = deltas_within_limits(gap_deltas(gains), tol=tol)
-    inner_pts = vertices(inner).points
+    inner_pts = vertices(inner)
     cont_slack = float(containment_slack(outer, inner_pts).min())
-    outer_pts = vertices(outer).points
+    outer_pts = vertices(outer)
     cert = within_bits_slack(cover=inner, target=outer, bits=bits, target_vertices=outer_pts)
     per_rate = within_bits_unclipped_slack(cover=inner, target=outer, bits=bits, target_vertices=outer_pts)
     return ChannelCheck(
@@ -177,30 +174,13 @@ def check_channel(
     )
 
 
-def worker_count() -> int:
-    """Worker pool size: ICCI_THREADS if set (min 1), else 1."""
-    raw = os.environ.get("ICCI_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
-def run_gap_sweep(config: SweepConfig, threads: int | None = None) -> SweepReport:
+def run_gap_sweep(config: SweepConfig) -> SweepReport:
     """Sample, check, and reduce in index order."""
-    if threads is None:
-        threads = worker_count()
-
-    def job(index: int) -> ChannelCheck:
-        gains = sample_gains(config.seed, index, config.mag_min, config.mag_max)
-        return check_channel(index, gains, bits=config.bits, tol=config.tol)
-
-    indices = range(config.samples)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            checks = list(pool.map(job, indices))
-    else:
-        checks = [job(i) for i in indices]
+    checks = [
+        check_channel(i, sample_gains(config.seed, i, config.mag_min, config.mag_max),
+                      bits=config.bits, tol=config.tol)
+        for i in range(config.samples)
+    ]
 
     pass_count = 0
     failed: list[int] = []

@@ -175,11 +175,3 @@ class TestSweep:
         assert data["failed_indices"]
         assert data["worst"]["slack"] < 0
         assert data["worst"]["constraint"] in range(13)
-
-    def test_stdout_deterministic_across_threads(self, capsys, monkeypatch):
-        argv = ["sweep", "--samples", "12", "--seed", "42", "--bits", "2"]
-        monkeypatch.setenv("ICCI_THREADS", "1")
-        _, first, _ = run(capsys, argv)
-        monkeypatch.setenv("ICCI_THREADS", "8")
-        _, second, _ = run(capsys, argv)
-        assert first == second

@@ -59,7 +59,7 @@ class TestGdofRegion:
         assert len(region.halfspaces) == 9
         assert contains(region, (0.2, 0.6, 0.6))
         assert not contains(region, (0.2 + 1e-6, 0.6, 0.6))
-        pts = vertices(region).points
+        pts = vertices(region)
         target = np.array([0.2, 0.6, 0.6])
         assert np.min(np.max(np.abs(pts - target), axis=1)) < 1e-9
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,11 +7,12 @@ from scipy.optimize import linprog
 
 from icci.bounds import inner_coeffs, outer_coeffs
 from icci.channel import ChannelGains
+from icci.gdof import GDOF_PATTERNS
 from icci.region import (
     BOUND_PATTERNS,
     HalfSpace,
     RateRegion,
-    RateTriple,
+    _plane_solver,
     build_inner,
     build_outer,
     containment_slack,
@@ -62,7 +64,7 @@ def test_degenerate_region_is_origin():
     region = build_inner(inner_coeffs(ChannelGains(0, 0, 0, 0)))
     vs = vertices(region)
     assert len(vs) == 1
-    assert np.allclose(vs.points[0], 0.0)
+    assert np.allclose(vs[0], 0.0)
     assert contains(region, (0, 0, 0))
     assert not contains(region, (0.1, 0, 0))
 
@@ -74,13 +76,13 @@ def test_worked_inner_r1_axis_reach(worked_channel):
     assert not contains(region, (0, d1 + 1e-6, 0))
     assert lp_max(region, (0, 1, 0)) == pytest.approx(d1, abs=1e-9)
     # and it is an enumerated vertex
-    vs = vertices(region).points
+    vs = vertices(region)
     assert np.min(np.max(np.abs(vs - np.array([0, d1, 0])), axis=1)) < 1e-9
 
 
 def test_interference_free_vertices():
     gains = ChannelGains(math.sqrt(3), 0, 0, math.sqrt(3))
-    vs = vertices(build_inner(inner_coeffs(gains))).points
+    vs = vertices(build_inner(inner_coeffs(gains)))
     for expected in ((0, 2, 2), (2, 0, 0)):
         assert np.min(np.max(np.abs(vs - np.array(expected, dtype=float)), axis=1)) < 1e-9
 
@@ -93,22 +95,36 @@ def test_unit_outer_r0_reach(unit_channel):
 def test_inner_vertices_inside_outer(worked_channel):
     inner = build_inner(inner_coeffs(worked_channel))
     outer = build_outer(outer_coeffs(worked_channel))
-    slack = containment_slack(outer, vertices(inner).points)
+    slack = containment_slack(outer, vertices(inner))
     assert slack.min() >= -1e-9
+
+
+@pytest.mark.parametrize("patterns", [BOUND_PATTERNS, GDOF_PATTERNS])
+def test_solver_keeps_exactly_the_rank3_triples(patterns):
+    c, triples, adj, det = _plane_solver(patterns)
+    planes = np.vstack([np.array(patterns, dtype=float), np.eye(3)])
+    combos = list(itertools.combinations(range(len(planes)), 3))
+    rank3 = [t for t in combos if np.linalg.matrix_rank(planes[list(t)]) == 3]
+    assert [tuple(t) for t in triples] == rank3
+    if patterns == BOUND_PATTERNS:
+        assert (len(rank3), len(combos)) == (385, 560)
+    # the adjugates and determinants are exact: adj . M = det * I with no rounding
+    m = planes[triples]
+    assert np.array_equal(adj @ m, det[:, None, None] * np.eye(3))
+    assert np.array_equal(c, np.array(patterns, dtype=float))
 
 
 def test_vertex_set_invariants():
     for gains in seeded_channels(seed=11, count=20):
         for region in (build_inner(inner_coeffs(gains)), build_outer(outer_coeffs(gains))):
-            vs = vertices(region)
-            pts = vs.points
+            pts = vertices(region)
             assert containment_slack(region, pts).min() >= -1e-9
-            n = len(region.halfspaces)
-            for point, act in zip(pts, vs.active):
-                assert len(act) >= 3
-                planes = np.vstack([region.coefficient_matrix(), np.eye(3)])
-                assert np.linalg.matrix_rank(planes[list(act)]) == 3
-                assert all(0 <= i < n + 3 for i in act)
+            planes = np.vstack([region.coefficient_matrix(), np.eye(3)])
+            offsets = np.concatenate([region.rhs_vector(), np.zeros(3)])
+            for point in pts:
+                tight = np.abs(planes @ point - offsets) <= 1e-9
+                assert tight.sum() >= 3
+                assert np.linalg.matrix_rank(planes[tight]) == 3
             if len(pts) > 1:
                 diff = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
                 diff[np.diag_indices(len(pts))] = np.inf
@@ -119,7 +135,7 @@ def test_vertex_lp_duality():
     rng = np.random.default_rng(5)
     for gains in seeded_channels(seed=3, count=5):
         for region in (build_inner(inner_coeffs(gains)), build_outer(outer_coeffs(gains))):
-            pts = vertices(region).points
+            pts = vertices(region)
             for _ in range(20):
                 w = rng.random(3)
                 assert lp_max(region, w) == pytest.approx(float((pts @ w).max()), abs=1e-9)
@@ -130,7 +146,7 @@ def test_downward_comprehensive():
     checked = 0
     for gains in seeded_channels(seed=23, count=10):
         region = build_outer(outer_coeffs(gains))
-        pts = vertices(region).points
+        pts = vertices(region)
         for _ in range(100):
             lam = rng.random(len(pts))
             p = lam @ pts / lam.sum()
@@ -195,7 +211,7 @@ def test_unclipped_equals_clipped_without_clip():
         # every region here has the origin as a vertex, so test points
         # with all coordinates at least bits: the outer vertices raised by bits
         for bits in (0.5, 1.0, 2.0):
-            raised = vertices(outer).points + bits
+            raised = vertices(outer) + bits
             assert raised.min() >= bits
             assert within_bits_unclipped_slack(inner, outer, bits, target_vertices=raised) == (
                 within_bits_slack(inner, outer, bits, target_vertices=raised)
@@ -244,8 +260,6 @@ def test_region_as_dict_shape(worked_channel):
 
 
 def test_type_validation():
-    with pytest.raises(ValueError):
-        RateTriple(-0.1, 0, 0)
     with pytest.raises(ValueError):
         HalfSpace((1, 3, 0), 1.0)
     with pytest.raises(ValueError):

@@ -1,6 +1,3 @@
-import os
-from unittest import mock
-
 import pytest
 
 from icci.bounds import inner_coeffs, outer_coeffs
@@ -11,7 +8,6 @@ from icci.sweep import (
     check_channel,
     run_gap_sweep,
     sample_gains,
-    worker_count,
 )
 
 
@@ -92,18 +88,3 @@ class TestSweep:
         assert report.worst_slack < 0
         assert report.worst_index in report.failed_indices
         assert isinstance(report.worst_gains, ChannelGains)
-
-    def test_thread_count_does_not_change_report(self):
-        cfg = SweepConfig(samples=30, seed=11, bits=1.0)
-        serial = run_gap_sweep(cfg, threads=1)
-        threaded = run_gap_sweep(cfg, threads=4)
-        assert serial.as_dict() == threaded.as_dict()
-
-    def test_worker_count_env(self):
-        with mock.patch.dict(os.environ, {"ICCI_THREADS": "5"}):
-            assert worker_count() == 5
-        with mock.patch.dict(os.environ, {"ICCI_THREADS": "0"}):
-            assert worker_count() == 1
-        env = {k: v for k, v in os.environ.items() if k != "ICCI_THREADS"}
-        with mock.patch.dict(os.environ, env, clear=True):
-            assert worker_count() == 1
