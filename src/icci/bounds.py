@@ -33,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import ChannelGains
 
 __all__ = [
@@ -42,14 +44,18 @@ __all__ = [
     "power_split",
     "inner_coeffs",
     "outer_coeffs",
+    "coeff_rows",
     "coeff_deltas",
     "gap_deltas",
     "deltas_within_limits",
+    "delta_rows_within_limits",
 ]
 
 _LN2 = math.log(2.0)
 _COEFF_FIELDS = ("a1", "a2", "d1", "d2", "e1", "e2", "g1", "g2", "g1p", "g2p")
 _COEFF_KEYS = ("A1", "A2", "D1", "D2", "E1", "E2", "G1", "G2", "G1p", "G2p")
+# gap budget of each coefficient, in _COEFF_FIELDS order, as a column
+_DELTA_BUDGETS = np.array([[1.0]] * 8 + [[2.0]] * 2)
 
 
 def cap(p: float) -> float:
@@ -169,6 +175,58 @@ def outer_coeffs(gains: ChannelGains) -> BoundCoeffs:
     )
 
 
+def coeff_rows(gains: np.ndarray) -> np.ndarray:
+    """Both coefficient families for an (N, 4) array of gains, columns
+    (m11, m12, m21, m22) each finite and >= 0.
+
+    Returns a (2, 10, N) array: the inner family in [0], the outer in
+    [1], rows in ``BoundCoeffs`` field order (a1, a2, ..., g2p).  The
+    expressions are those of ``inner_coeffs`` and ``outer_coeffs`` term
+    by term, in the same order of operations, and cap goes through
+    libm's log1p as ``cap`` does (numpy's SIMD log1p may differ from it
+    in the last bit), so every value is bit-identical to the scalar
+    family's.
+    """
+    m11, m12, m21, m22 = np.asarray(gains, dtype=float).T
+    s1 = m11 * m11
+    s2 = m22 * m22
+    i1 = m12 * m12
+    i2 = m21 * m21
+    # power_split: 1 / max(i, 1) is 1.0 exactly where i <= 1
+    x12 = 1.0 / np.maximum(i1, 1.0)
+    x21 = 1.0 / np.maximum(i2, 1.0)
+    n1 = 1.0 + i1 * x12
+    n2 = 1.0 + i2 * x21
+    args = np.array([
+        # inner
+        s1 * x21 / n1,
+        s2 * x12 / n2,
+        s1 / n1,
+        s2 / n2,
+        (s1 * x21 + i1 * (1.0 - x12)) / n1,
+        (s2 * x12 + i2 * (1.0 - x21)) / n2,
+        (s1 + i1 * (1.0 - x12)) / n1,
+        (s2 + i2 * (1.0 - x21)) / n2,
+        (1.0 + s1 + i1) / n1 - 1.0,
+        (1.0 + s2 + i2) / n2 - 1.0,
+        # outer
+        s1 / (1.0 + i2),
+        s2 / (1.0 + i1),
+        s1,
+        s2,
+        i1 + s1 / (1.0 + i2),
+        i2 + s2 / (1.0 + i1),
+        s1 + i1,
+        s2 + i2,
+        # Python's float power, as in outer_coeffs: libm's pow(t, 2) is
+        # not always the correctly rounded t * t of numpy's power
+        [t ** 2 for t in (m11 + m12).tolist()],
+        [t ** 2 for t in (m22 + m21).tolist()],
+    ])
+    caps = np.fromiter(map(math.log1p, args.ravel().tolist()), float, args.size) / _LN2
+    return caps.reshape(2, len(_COEFF_FIELDS), len(m11))
+
+
 def coeff_deltas(inner: BoundCoeffs, outer: BoundCoeffs) -> GapDeltas:
     if inner.side != "inner" or outer.side != "outer":
         raise ValueError(
@@ -201,10 +259,11 @@ def deltas_within_limits(deltas: GapDeltas, tol: float = 1e-9) -> bool:
     the real-arithmetic statement without manufacturing boundary
     failures out of rounding.
     """
-    one_bit = (
-        deltas.a1, deltas.a2, deltas.d1, deltas.d2,
-        deltas.e1, deltas.e2, deltas.g1, deltas.g2,
-    )
-    if any(d > 1.0 + tol for d in one_bit):
-        return False
-    return deltas.g1p <= 2.0 + tol and deltas.g2p <= 2.0 + tol
+    rows = np.array([[getattr(deltas, name)] for name in _COEFF_FIELDS])
+    return bool(delta_rows_within_limits(rows, tol)[0])
+
+
+def delta_rows_within_limits(deltas: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """``deltas_within_limits`` for a batch: deltas is (10, N), rows in
+    ``BoundCoeffs`` field order; returns an (N,) boolean array."""
+    return (deltas <= _DELTA_BUDGETS + tol).all(axis=0)

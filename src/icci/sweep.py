@@ -2,33 +2,41 @@
 
 Channels are drawn with log-uniform link magnitudes from keyed Philox
 substreams, so sample i of a sweep depends only on (seed, i).  Each
-channel is rebuilt into its two bound families and checked three ways:
-the per-coefficient gap limits, containment of the achievable region's
-vertices in the converse region, and the clipped-shift bit-gap
-certificate.  The per-rate bit-gap certificate is computed alongside,
-from the same converse vertices, and carried in each channel's result
-without entering its verdict.  Channels are checked one after another in
-one thread and reduced in sample-index order, so a config always gives
+channel is checked three ways: the per-coefficient gap limits,
+containment of the achievable region's vertices in the converse region,
+and the clipped-shift bit-gap certificate.  The per-rate bit-gap
+certificate is computed alongside, from the same converse vertices, and
+carried in each channel's result without entering its verdict.
+
+All of it runs in one array-first core over an (N, 4) gains array: both
+coefficient families as column expressions, the (13, N) right-hand
+sides, every channel's 385 plane-triple vertex candidates, and minima
+over the feasible ones with no deduplication (duplicates do not change
+a minimum).  A sweep feeds the core fixed-size chunks of channels and
+reduces the chunks in sample-index order; ``check_channels`` runs the
+same chunks, and ``check_channel`` is the core at N = 1.  The core only
+computes elementwise or within one channel, so every channel's results
+are bit-identical whatever the chunk size, and a config always gives
 the same report.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import deltas_within_limits, gap_deltas, inner_coeffs, outer_coeffs
+from .bounds import coeff_rows, delta_rows_within_limits
 from .channel import ChannelGains
 from .region import (
+    BOUND_PATTERNS,
     MEMBERSHIP_TOL,
-    build_inner,
-    build_outer,
-    containment_slack,
-    vertices,
-    within_bits_slack,
-    within_bits_unclipped_slack,
+    _bound_candidates,
+    _check_bits,
+    _row_reach,
+    bound_rhs,
 )
 
 __all__ = [
@@ -37,10 +45,19 @@ __all__ = [
     "SweepReport",
     "sample_gains",
     "check_channel",
+    "check_channels",
     "run_gap_sweep",
 ]
 
 MAG_LIMIT = 1e6  # validated operating envelope for link magnitudes
+# Channels per pass of the core.  Its largest temporaries are
+# (2 * chunk, 385) float arrays: 98 KiB at 16 channels, under glibc's
+# default 128 KiB mmap threshold, so they are recycled from the heap
+# rather than mapped and faulted in again on every pass.  Measured on
+# 50-channel sweeps, peak RSS stays within 1% of the per-channel path's
+# at 16 and grows 3% at 32, for little gain in speed.
+_CHUNK = 16
+_ROW_WEIGHT = np.sum(BOUND_PATTERNS, axis=1)[:, None]   # sum(c) of each row
 
 
 @dataclass(frozen=True)
@@ -83,12 +100,16 @@ class ChannelCheck:
     """Outcome of the three checks for one sampled channel.
 
     gap_slack and gap_constraint come from the clipped-shift certificate
-    (``within_bits_slack``); per_rate_gap_slack from the per-rate one
-    (``within_bits_unclipped_slack``) at the same budget.  ``passed()``
-    uses the clipped slack, so the verdicts that ``run_gap_sweep`` and
-    ``icci sweep`` report keep the meaning and the values they have
-    always had; the per-rate slack is what acceptance criterion 1
-    certifies.
+    (the quantity of ``within_bits_slack``); per_rate_gap_slack from the
+    per-rate one (``within_bits_unclipped_slack``) at the same budget.
+    gap_constraint is the lowest-numbered inner row whose slack equals
+    gap_slack: where rows tie, it may differ from the
+    ``halfspace_index`` of ``within_bits_slack``, which takes the row
+    of the first deduplicated vertex attaining the minimum.
+    ``passed()`` uses the clipped slack, so the verdicts that
+    ``run_gap_sweep`` and ``icci sweep`` report keep the meaning and the
+    values they have always had; the per-rate slack is what acceptance
+    criterion 1 certifies.
     """
 
     index: int
@@ -100,11 +121,12 @@ class ChannelCheck:
     per_rate_gap_slack: float
 
     def passed(self, tol: float = MEMBERSHIP_TOL) -> bool:
-        return (
-            self.deltas_ok
-            and self.containment_slack >= -tol
-            and self.gap_slack >= -tol
-        )
+        return _passed(self.deltas_ok, self.containment_slack, self.gap_slack, tol)
+
+
+def _passed(deltas_ok, containment_slack, gap_slack, tol):
+    """The sweep verdict, for one channel or elementwise for arrays."""
+    return deltas_ok & (containment_slack >= -tol) & (gap_slack >= -tol)
 
 
 @dataclass(frozen=True)
@@ -150,56 +172,90 @@ def sample_gains(seed: int, index: int, mag_min: float = 1e-3, mag_max: float = 
                         m21=float(mags[2]), m22=float(mags[3]))
 
 
+def _certify(gains: np.ndarray, bits: float, tol: float) -> tuple[np.ndarray, ...]:
+    """The certification core for an (N, 4) array of gains (m11, m12,
+    m21, m22).
+
+    Returns (N,) arrays: deltas_ok, containment_slack, gap_slack,
+    gap_constraint and per_rate_gap_slack, as in ``ChannelCheck``.  A
+    region's slack against a row is rhs - max over vertices of c . v:
+    rounding is monotone, so this equals the minimum over the vertices
+    of the per-vertex slack.  The per-rate shift lowers every c . v by
+    bits * sum(c), so it reuses the converse region's row reach.
+    """
+    inner, outer = coeff_rows(gains)
+    deltas_ok = delta_rows_within_limits(outer - inner, tol=tol)
+    inner_rhs = bound_rhs(inner)
+    outer_rhs = bound_rhs(outer)
+    # both regions of every channel in one pass: inner runs first, then outer
+    n = len(gains)
+    x, starts = _bound_candidates(np.concatenate([inner_rhs, outer_rhs], axis=1))
+    reach = _row_reach(x, starts)
+
+    # inner vertices against the outer rows and the coordinate planes;
+    # + 0.0 turns a -0.0 coordinate into 0.0
+    lowest = np.minimum.reduceat(x[:, :starts[n]].min(axis=0), starts[:n])
+    containment = np.minimum((outer_rhs - reach[:, :n]).min(axis=0), lowest) + 0.0
+
+    # outer vertices, shifted down by bits, against the inner rows
+    per_rate = (inner_rhs - (reach[:, n:] - bits * _ROW_WEIGHT)).min(axis=0)
+    shifted = x[:, starts[n]:] - bits
+    rows = inner_rhs - _row_reach(np.maximum(shifted, 0.0, out=shifted), starts[n:] - starts[n])
+    return deltas_ok, containment, rows.min(axis=0), rows.argmin(axis=0), per_rate
+
+
+def _gain_rows(gains: Sequence[ChannelGains]) -> np.ndarray:
+    return np.array([(g.m11, g.m12, g.m21, g.m22) for g in gains], dtype=float)
+
+
+def _chunks(count: int):
+    return (range(start, min(start + _CHUNK, count)) for start in range(0, count, _CHUNK))
+
+
+def _check_chunk(indices, gains: Sequence[ChannelGains], bits: float, tol: float) -> list[ChannelCheck]:
+    results = (r.tolist() for r in _certify(_gain_rows(gains), bits, tol))
+    return [ChannelCheck(*fields) for fields in zip(indices, gains, *results)]
+
+
+def check_channels(
+    gains: Sequence[ChannelGains], bits: float = 1.0, tol: float = MEMBERSHIP_TOL
+) -> list[ChannelCheck]:
+    """``check_channel`` on every channel, indexed by position, in
+    batched passes of the certification core."""
+    _check_bits(bits)
+    return [check for part in _chunks(len(gains))
+            for check in _check_chunk(part, gains[part.start:part.stop], bits, tol)]
+
+
 def check_channel(
     index: int, gains: ChannelGains, bits: float = 1.0, tol: float = MEMBERSHIP_TOL
 ) -> ChannelCheck:
     """Run all three certifications on one channel, plus the per-rate
-    gap certificate; each region is enumerated once."""
-    inner = build_inner(inner_coeffs(gains))
-    outer = build_outer(outer_coeffs(gains))
-    deltas_ok = deltas_within_limits(gap_deltas(gains), tol=tol)
-    inner_pts = vertices(inner)
-    cont_slack = float(containment_slack(outer, inner_pts).min())
-    outer_pts = vertices(outer)
-    cert = within_bits_slack(cover=inner, target=outer, bits=bits, target_vertices=outer_pts)
-    per_rate = within_bits_unclipped_slack(cover=inner, target=outer, bits=bits, target_vertices=outer_pts)
-    return ChannelCheck(
-        index=index,
-        gains=gains,
-        deltas_ok=deltas_ok,
-        containment_slack=cont_slack,
-        gap_slack=cert.slack,
-        gap_constraint=cert.halfspace_index,
-        per_rate_gap_slack=per_rate.slack,
-    )
+    gap certificate: the certification core at N = 1."""
+    _check_bits(bits)
+    return _check_chunk([index], [gains], bits, tol)[0]
 
 
 def run_gap_sweep(config: SweepConfig) -> SweepReport:
-    """Sample, check, and reduce in index order."""
-    checks = [
-        check_channel(i, sample_gains(config.seed, i, config.mag_min, config.mag_max),
-                      bits=config.bits, tol=config.tol)
-        for i in range(config.samples)
-    ]
-
-    pass_count = 0
+    """Sample, certify chunk by chunk, and reduce in index order."""
     failed: list[int] = []
-    worst: ChannelCheck | None = None
-    for check in checks:
-        if check.passed(config.tol):
-            pass_count += 1
-        else:
-            failed.append(check.index)
-        if worst is None or check.gap_slack < worst.gap_slack:
-            worst = check
-    assert worst is not None
+    worst = None   # (slack, index, constraint, gains), the first channel of least slack
+    for part in _chunks(config.samples):
+        gains = [sample_gains(config.seed, i, config.mag_min, config.mag_max) for i in part]
+        deltas_ok, containment, gap, constraint, _ = _certify(_gain_rows(gains), config.bits, config.tol)
+        passed = _passed(deltas_ok, containment, gap, config.tol)
+        failed.extend((part.start + np.flatnonzero(~passed)).tolist())
+        k = int(gap.argmin())
+        if worst is None or gap[k] < worst[0]:
+            worst = (float(gap[k]), part.start + k, int(constraint[k]), gains[k])
+    worst_slack, worst_index, worst_constraint, worst_gains = worst
     return SweepReport(
         config=config,
-        pass_count=pass_count,
+        pass_count=config.samples - len(failed),
         fail_count=len(failed),
-        worst_index=worst.index,
-        worst_gains=worst.gains,
-        worst_slack=worst.gap_slack,
-        worst_constraint=worst.gap_constraint,
+        worst_index=worst_index,
+        worst_gains=worst_gains,
+        worst_slack=worst_slack,
+        worst_constraint=worst_constraint,
         failed_indices=tuple(failed),
     )

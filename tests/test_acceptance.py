@@ -31,7 +31,7 @@ from icci.gdof import (
     multiplexing_targets,
 )
 from icci.region import BOUND_PATTERNS, build_inner, build_outer, within_bits_slack
-from icci.sweep import check_channel, sample_gains
+from icci.sweep import check_channels, sample_gains
 
 GAP_CHANNEL_COUNT = 10_000
 GAP_SEED = 42
@@ -51,10 +51,8 @@ def report(capfd, number: int, label: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def channel_checks():
     lo, hi = GAP_MAG_RANGE
-    return [
-        check_channel(i, sample_gains(GAP_SEED, i, lo, hi), bits=1.0, tol=TOL)
-        for i in range(GAP_CHANNEL_COUNT)
-    ]
+    gains = [sample_gains(GAP_SEED, i, lo, hi) for i in range(GAP_CHANNEL_COUNT)]
+    return check_channels(gains, bits=1.0, tol=TOL)
 
 
 def test_criterion_1_one_bit_gap(channel_checks, capfd):

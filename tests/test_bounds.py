@@ -1,12 +1,16 @@
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from icci.bounds import (
+    BoundCoeffs,
     cap,
     coeff_deltas,
+    coeff_rows,
     deltas_within_limits,
     gap_deltas,
     inner_coeffs,
@@ -14,6 +18,8 @@ from icci.bounds import (
     power_split,
 )
 from icci.channel import ChannelGains
+
+from conftest import seeded_channels
 
 mags = st.floats(min_value=1e-3, max_value=1e3)
 gains_st = st.builds(ChannelGains, mags, mags, mags, mags)
@@ -146,3 +152,16 @@ def test_coeff_dict_shape(worked_channel):
     d = inner_coeffs(worked_channel).as_dict()
     assert list(d) == ["A1", "A2", "D1", "D2", "E1", "E2", "G1", "G2", "G1p", "G2p", "side"]
     assert d["side"] == "inner"
+
+
+def test_coeff_rows_are_the_scalar_families_bit_for_bit():
+    gains = seeded_channels(3, 300, 1e-6, 1e6) + [
+        ChannelGains(0, 0, 0, 0),
+        ChannelGains(1, 1, 1, 1),
+        ChannelGains(1e6, float(np.nextafter(1.0, 2.0)), 0, 1e-6),
+    ]
+    rows = coeff_rows(np.array([(g.m11, g.m12, g.m21, g.m22) for g in gains]))
+    names = [f.name for f in fields(BoundCoeffs) if f.name != "side"]
+    for n, g in enumerate(gains):
+        for side, coeffs in enumerate((inner_coeffs(g), outer_coeffs(g))):
+            assert rows[side, :, n].tolist() == [getattr(coeffs, name) for name in names], g

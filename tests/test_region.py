@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from icci.bounds import inner_coeffs, outer_coeffs
+from icci.bounds import BoundCoeffs, inner_coeffs, outer_coeffs
 from icci.channel import ChannelGains
 from icci.gdof import GDOF_PATTERNS
 from icci.region import (
@@ -51,6 +51,20 @@ def test_constraint_patterns_fixed_order(worked_channel):
     assert [hs.c for hs in region.halfspaces] == EXPECTED_PATTERNS
     assert list(BOUND_PATTERNS) == EXPECTED_PATTERNS
     assert region.label == "inner"
+
+
+def test_build_equals_the_validated_half_spaces(worked_channel):
+    for region in (build_inner(inner_coeffs(worked_channel)), build_outer(outer_coeffs(worked_channel))):
+        validated = tuple(HalfSpace(c=hs.c, rhs=hs.rhs) for hs in region.halfspaces)
+        assert region == RateRegion(label=region.label, halfspaces=validated)
+        assert all(type(k) is int for hs in region.halfspaces for k in hs.c)
+
+
+def test_build_rejects_an_infinite_rhs():
+    # finite coefficients whose row sums overflow
+    coeffs = BoundCoeffs(*[1e308] * 10, side="outer")
+    with pytest.raises(ValueError):
+        build_outer(coeffs)
 
 
 def test_build_rejects_wrong_side(worked_channel):
