@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = ["ChannelGains", "SnrView", "GdofExponents"]
@@ -27,11 +28,18 @@ __all__ = ["ChannelGains", "SnrView", "GdofExponents"]
 _GAIN_KEYS = ("m11", "m12", "m21", "m22")
 
 
-def _check_nonneg_finite(label: str, value: float) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{label} must be a real number, got {value!r}")
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"{label} must be finite and nonnegative, got {value!r}")
+def _set_nonneg_finite(obj, names: tuple[str, ...]) -> None:
+    """Check that each named field is a finite nonnegative real number (a
+    Python or numpy int or float, but not a bool) and store it as a
+    Python float."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not float:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(obj, name, float(value))
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,8 +52,7 @@ class SnrView:
     inr2: float
 
     def __post_init__(self) -> None:
-        for name in ("snr1", "snr2", "inr1", "inr2"):
-            _check_nonneg_finite(name, getattr(self, name))
+        _set_nonneg_finite(self, ("snr1", "snr2", "inr1", "inr2"))
 
 
 @dataclass(frozen=True)
@@ -58,8 +65,7 @@ class GdofExponents:
     a22: float
 
     def __post_init__(self) -> None:
-        for name in ("a11", "a12", "a21", "a22"):
-            _check_nonneg_finite(name, getattr(self, name))
+        _set_nonneg_finite(self, ("a11", "a12", "a21", "a22"))
 
 
 @dataclass(frozen=True)
@@ -72,8 +78,7 @@ class ChannelGains:
     m22: float
 
     def __post_init__(self) -> None:
-        for name in _GAIN_KEYS:
-            _check_nonneg_finite(name, getattr(self, name))
+        _set_nonneg_finite(self, _GAIN_KEYS)
 
     @classmethod
     def from_snr(cls, view: SnrView) -> "ChannelGains":

@@ -13,30 +13,38 @@ comprehensive: lowering any coordinate of a feasible point keeps it
 feasible, because every c_k is nonnegative.  Those facts drive both the
 enumeration and the gap test.
 
-Vertex enumeration is brute force over plane triples: with 13 content
-planes plus 3 coordinate planes there are C(16, 3) = 560 of them.  The
-coefficients never depend on the channel, only the right-hand sides do,
-so the triples are solved once per pattern tuple.  ``HalfSpace`` admits
-only coefficients in {0, 1, 2}, so each entry of a triple's adjugate is
-a difference of two products of such entries and its determinant a sum
-of six products of three: small integers that float64 holds exactly.  A
+Vertex enumeration is brute force over plane triples.  The coefficients
+never depend on the channel, only the right-hand sides do, so the
+triples are solved once per pattern tuple, and only over its distinct
+patterns: of the 13 rows of the bound families, rows 4-6 and rows 7-8
+share a pattern, so they span 10 distinct planes.  A row whose
+parallel twin has a smaller rhs lies outside that twin's half-space and
+carries no vertex, and a twin of equal rhs is the same plane, so each
+distinct pattern is solved at its least rhs.  With the 3 coordinate
+planes that gives C(13, 3) = 286 triples, 216 of them nonsingular (the
+13 rows themselves would give 385 of 560).  ``HalfSpace`` admits only
+coefficients in {0, 1, 2}, so each entry of a triple's adjugate is a
+difference of two products of such entries and its determinant a sum of
+six products of three: small integers that float64 holds exactly.  A
 triple is therefore singular exactly when its determinant is 0, with no
-pivot threshold (385 of the 560 triples of the bound families' 13 rows
-are nonsingular).  A region's candidates are then adj . b / det for its
-right-hand sides b; those violating any constraint by more than
-``MEMBERSHIP_TOL`` are discarded as infeasible, and the survivors are
-deduplicated in triple order at radius ``DEDUP_TOL`` in the max norm,
-one pass per kept vertex rather than per candidate.  Every kept point is
-a true vertex and every vertex of the region is found (it lies on at
-least three independent planes, so some triple produces it).
+pivot threshold.  A region's candidates are then adj . b / det for the
+least right-hand sides b.  Those violating any constraint by more than
+``_CANDIDATE_RTOL`` times the region's largest rhs B are discarded as
+infeasible.  Every vertex of the region is found (it lies on at least
+three independent planes, so some triple produces it).  A kept
+candidate need not be a true vertex: it may be an intersection up to
+about 1e-13 B outside the region, next to a vertex (see
+``_bound_candidates``).
 
-Certificates over many channels (``icci.sweep``) use the same solver
-with no deduplication: ``_bound_candidates`` solves every triple of N
-regions of the bound families' shape in one elementwise pass, keeps the
-candidates feasible within a tolerance relative to each region's largest
-rhs, and reduces them with maxima, which duplicates do not change.
-Deduplication stays where vertices are shown: ``vertices`` and
-``region_as_dict``.
+Where vertices are shown, ``vertices`` and ``region_as_dict``, the
+candidates are deduplicated in triple order at the same radius in the
+max norm, one pass per kept vertex rather than per candidate, so each
+vertex is shown once, up to rounding; two vertices closer than
+2**-44 B, which rounding cannot tell apart, are shown as one.
+Certificates over many channels (``icci.sweep``) skip deduplication:
+``_bound_candidates`` solves N regions of the bound families' shape in
+one elementwise pass and reduces their candidates with maxima, which
+duplicates do not change.
 
 Two bit-gap tests compare a target region with a cover region: the
 clipped shift ``within_bits_slack``, which lowers each target vertex by
@@ -60,7 +68,6 @@ from .bounds import _COEFF_FIELDS, BoundCoeffs
 
 __all__ = [
     "MEMBERSHIP_TOL",
-    "DEDUP_TOL",
     "HalfSpace",
     "RateRegion",
     "GapCertificate",
@@ -77,8 +84,9 @@ __all__ = [
 ]
 
 MEMBERSHIP_TOL = 1e-9   # absolute slack allowed on any constraint
-DEDUP_TOL = 1e-8        # max-norm radius identifying two candidate vertices
-_CANDIDATE_RTOL = 2.0 ** -44   # candidate filter of _bound_candidates, per unit of the largest rhs
+# candidate filter and deduplication radius of vertex enumeration, per
+# unit of the region's largest rhs (rationale in _bound_candidates)
+_CANDIDATE_RTOL = 2.0 ** -44
 
 _REGION_LABELS = ("inner", "outer", "gdof")
 
@@ -121,9 +129,8 @@ BOUND_RHS_TERMS: tuple[tuple[str, ...], ...] = (
 # zero row (index 10) to three terms: adding 0.0 changes no sum
 _RHS_INDEX = np.array([[_COEFF_FIELDS.index(name) for name in terms] + [len(_COEFF_FIELDS)] * (3 - len(terms))
                        for terms in BOUND_RHS_TERMS]).T
-# the distinct patterns of BOUND_PATTERNS, and the index of each row's
+# the distinct patterns of BOUND_PATTERNS, in order of first appearance
 _BOUND_DISTINCT = tuple(dict.fromkeys(BOUND_PATTERNS))
-_BOUND_ROW = np.array([_BOUND_DISTINCT.index(c) for c in BOUND_PATTERNS])
 
 
 @dataclass(frozen=True)
@@ -260,13 +267,17 @@ def contains(region: RateRegion, point, tol: float = MEMBERSHIP_TOL) -> bool:
 def _plane_solver(patterns: tuple[tuple[int, int, int], ...]):
     """Fixed-shape solver for one tuple of constraint patterns.
 
-    Returns the read-only coefficient matrix, the nonsingular plane
-    triples in ``itertools.combinations`` order (content planes first,
-    then r0 = 0, r1 = 0, r2 = 0), and each triple's adjugate and
-    determinant, both exact integers (see the module docstring).
+    Returns the read-only (n, 3) coefficient matrix, each row's index
+    into the distinct patterns (in order of first appearance), and, over
+    the planes of the distinct patterns followed by r0 = 0, r1 = 0,
+    r2 = 0, the nonsingular plane triples in ``itertools.combinations``
+    order with each triple's adjugate and determinant, both exact
+    integers (see the module docstring).
     """
     c = np.array(patterns, dtype=float).reshape(-1, 3)
-    planes = np.vstack([c, np.eye(3)])
+    distinct = list(dict.fromkeys(patterns))
+    row = np.array([distinct.index(p) for p in patterns], dtype=np.intp)
+    planes = np.vstack([np.array(distinct, dtype=float).reshape(-1, 3), np.eye(3)])
     triples = np.array(list(itertools.combinations(range(len(planes)), 3)), dtype=np.intp)
     m = planes[triples]
     # M^-1 = adj / det, and the columns of adj are the cross products of row pairs
@@ -274,30 +285,43 @@ def _plane_solver(patterns: tuple[tuple[int, int, int], ...]):
                     np.cross(m[:, 0], m[:, 1])], axis=2)
     det = np.einsum("tk,tk->t", m[:, 0], adj[:, :, 0])
     keep = det != 0
-    out = (c, triples[keep], adj[keep], det[keep])
+    out = (c, row, triples[keep], adj[keep], det[keep])
     for arr in out:
         arr.flags.writeable = False
     return out
+
+
+_BOUND_ROW = _plane_solver(BOUND_PATTERNS)[1]   # each bound row's index into _BOUND_DISTINCT
+
+
+def _least_rhs(row: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Each distinct pattern's least rhs, the one its rows bind at: rhs
+    has one row per constraint, and row maps each to its pattern."""
+    limit = np.full((row.max(initial=-1) + 1,) + rhs.shape[1:], np.inf)
+    np.minimum.at(limit, row, rhs)
+    return limit
 
 
 def vertices(region: RateRegion) -> np.ndarray:
     """Enumerate all vertices of the region as a (k, 3) array.
 
     Candidate points are the intersections of the nonsingular plane
-    triples; kept if feasible within ``MEMBERSHIP_TOL``, deduplicated at
-    ``DEDUP_TOL`` in triple order.
+    triples, each distinct pattern at its least rhs; kept if feasible
+    within ``_CANDIDATE_RTOL`` times the largest rhs, and deduplicated
+    in triple order at the same radius.
     """
-    c, triples, adj, det = region._solver
+    c, row, triples, adj, det = region._solver
     r = region.rhs_vector()
-    offsets = np.concatenate([r, np.zeros(3)])
+    tol = _CANDIDATE_RTOL * np.max(r, initial=0.0)
+    offsets = np.concatenate([_least_rhs(row, r), np.zeros(3)])
     # + 0.0 maps -0.0 to 0.0, so displayed vertices never read -0.0
     x = np.einsum("tij,tj->ti", adj, offsets[triples]) / det[:, None] + 0.0
-    feasible = (x >= -MEMBERSHIP_TOL).all(axis=1) & (x @ c.T <= r + MEMBERSHIP_TOL).all(axis=1)
+    feasible = (x >= -tol).all(axis=1) & (x @ c.T <= r + tol).all(axis=1)
     candidates = x[feasible]
     kept = []
     while len(candidates):
         kept.append(candidates[0])
-        candidates = candidates[np.abs(candidates - candidates[0]).max(axis=1) > DEDUP_TOL]
+        candidates = candidates[np.abs(candidates - candidates[0]).max(axis=1) > tol]
     return np.array(kept).reshape(-1, 3)
 
 
@@ -324,8 +348,9 @@ def _bound_candidates(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     deduplication: what a maximum or minimum over vertices needs.
 
     rhs is (13, N), rows in ``BOUND_PATTERNS`` order.  Every region's
-    T = 385 nonsingular plane-triple intersections are computed, and the
-    feasible ones kept in triple order, region after region.  Returns
+    T = 216 nonsingular plane triples are solved, each distinct pattern
+    at its least rhs (see the module docstring), and the feasible
+    intersections kept in triple order, region after region.  Returns
     (x, starts): x the (3, F) coordinates kept and starts the (N,) index
     in x where each region's run begins.  Every run is nonempty, since
     the origin is always a vertex (every rhs >= 0), and duplicates of a
@@ -339,25 +364,25 @@ def _bound_candidates(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and |det| >= 1, a coordinate adj . b / det is within about 48 u B of
     its exact value (u = 2**-53) and c . x, sum(c) <= 4, within about
     300 u B = 2**-44.8 B, so a true vertex is never dropped (measured:
-    at most 3.3e-16 B).  ``MEMBERSHIP_TOL`` would be far too loose: on
-    near-degenerate channels some intersections lie up to 9e-10 outside
-    the region next to a true vertex, which the deduplication of
-    ``vertices`` absorbs but a maximum does not.  A point admitted at
-    this tolerance is at most about 1e-13 B outside the region (4e-12
-    for rates of 40 bits); on 10000 channels in [1e-6, 1e6] the
-    certificates built on these vertices stay within 3e-12 of exact
-    rational arithmetic.
+    at most 3.3e-16 B), and two solutions of one vertex from different
+    triples differ by less than 2**-44 B, which is why ``vertices``
+    deduplicates at that radius.  An absolute ``MEMBERSHIP_TOL`` is too
+    loose: on near-degenerate channels some intersections lie up to
+    9e-10 outside the region next to a true vertex, and on a region
+    whose rhs are all below 1e-9, as at gains of 1e-6, every
+    intersection passes it.  A point admitted at this tolerance is at
+    most about 1e-13 B outside the region (4e-12 for rates of 40 bits);
+    on 10000 channels in [1e-6, 1e6] the certificates built on these
+    vertices stay within 3e-12 of exact rational arithmetic.
     """
-    _, triples, adj, det = _plane_solver(BOUND_PATTERNS)
+    _, row, triples, adj, det = _plane_solver(BOUND_PATTERNS)
     n = rhs.shape[1]
-    offsets = np.concatenate([rhs, np.zeros((3, n))]).T
+    limit = _least_rhs(row, rhs)
+    offsets = np.concatenate([limit, np.zeros((3, n))]).T
     b = [offsets[:, plane] for plane in triples.T]   # (N, T): offset of each triple's plane j
     weights = np.ascontiguousarray(adj.transpose(1, 2, 0))   # weights[k, j] = adj[:, k, j]
     x = [(w[0] * b[0] + w[1] * b[1] + w[2] * b[2]) / det for w in weights]
     tol = _CANDIDATE_RTOL * rhs.max(axis=0)
-    # rows sharing a pattern bind at their least rhs
-    limit = np.full((len(_BOUND_DISTINCT), n), np.inf)
-    np.minimum.at(limit, _BOUND_ROW, rhs)
     feasible = (x[0] >= -tol[:, None]) & (x[1] >= -tol[:, None]) & (x[2] >= -tol[:, None])
     for c, bound in zip(_BOUND_DISTINCT, limit + tol):
         feasible &= _dot(c, x) <= bound[:, None]
@@ -459,5 +484,5 @@ def region_as_dict(region: RateRegion, include_vertices: bool = True) -> dict:
         "halfspaces": [hs.as_dict() for hs in region.halfspaces],
     }
     if include_vertices:
-        out["vertices"] = [[float(v) for v in p] for p in vertices(region)]
+        out["vertices"] = vertices(region).tolist()
     return out

@@ -1,16 +1,18 @@
 """Randomized certification sweep.
 
 Channels are drawn with log-uniform link magnitudes from keyed Philox
-substreams, so sample i of a sweep depends only on (seed, i).  Each
-channel is checked three ways: the per-coefficient gap limits,
-containment of the achievable region's vertices in the converse region,
-and the clipped-shift bit-gap certificate.  The per-rate bit-gap
-certificate is computed alongside, from the same converse vertices, and
-carried in each channel's result without entering its verdict.
+substreams, so sample i of a sweep depends only on (seed, i); a sweep
+draws each chunk of channels in one pass, and ``sample_gains`` is the
+same draw at N = 1.  Each channel is checked three ways: the
+per-coefficient gap limits, containment of the achievable region's
+vertices in the converse region, and the clipped-shift bit-gap
+certificate.  The per-rate bit-gap certificate is computed alongside,
+from the same converse vertices, and carried in each channel's result
+without entering its verdict.
 
 All of it runs in one array-first core over an (N, 4) gains array: both
 coefficient families as column expressions, the (13, N) right-hand
-sides, every channel's 385 plane-triple vertex candidates, and minima
+sides, every channel's 216 plane-triple vertex candidates, and minima
 over the feasible ones with no deduplication (duplicates do not change
 a minimum).  A sweep feeds the core fixed-size chunks of channels and
 reduces the chunks in sample-index order; ``check_channels`` runs the
@@ -51,11 +53,13 @@ __all__ = [
 
 MAG_LIMIT = 1e6  # validated operating envelope for link magnitudes
 # Channels per pass of the core.  Its largest temporaries are
-# (2 * chunk, 385) float arrays: 98 KiB at 16 channels, under glibc's
+# (2 * chunk, 216) float arrays: 55 KiB at 16 channels, under glibc's
 # default 128 KiB mmap threshold, so they are recycled from the heap
-# rather than mapped and faulted in again on every pass.  Measured on
-# 50-channel sweeps, peak RSS stays within 1% of the per-channel path's
-# at 16 and grows 3% at 32, for little gain in speed.
+# rather than mapped and faulted in again on every pass.  A pass costs a
+# fixed ~0.4 ms of numpy calls plus ~40 us per channel (2-vCPU Xeon), so
+# larger passes amortize more: on 50-channel sweeps, 32 channels per pass
+# gave 15-20% more throughput than 16, for about 0.4 MB (1%) more peak RSS
+# at equal work; 16 is kept for the lower peak RSS.
 _CHUNK = 16
 _ROW_WEIGHT = np.sum(BOUND_PATTERNS, axis=1)[:, None]   # sum(c) of each row
 
@@ -161,15 +165,32 @@ class SweepReport:
         }
 
 
+def _sample_rows(seed: int, indices: Sequence[int], mag_min: float, mag_max: float) -> np.ndarray:
+    """Channels ``indices`` of stream ``seed`` as an (N, 4) array of gains
+    (m11, m12, m21, m22).
+
+    Channel i is four log-uniform magnitudes drawn from the uniforms of
+    ``np.random.Generator(np.random.Philox(key=[seed, i])).uniform(size=4)``:
+    the first four raw outputs of Philox at that key and counter 0, each
+    formed into a double as ``Generator.uniform`` forms it,
+    (raw >> 11) * 2**-53.  One bit generator serves every channel and is
+    rekeyed for each, which costs far less than building one.
+    """
+    bitgen = np.random.Philox(0)   # a fixed seed draws no system entropy; every key is set below
+    state = bitgen.state   # counter 0 and an empty buffer, as a freshly keyed generator has
+    key = state["state"]["key"]
+    raw = np.empty((len(indices), 4), dtype=np.uint64)
+    for row, index in zip(raw, indices):
+        key[:] = (seed, index)
+        bitgen.state = state
+        row[:] = bitgen.random_raw(4)
+    u = (raw >> np.uint64(11)) * 2.0 ** -53
+    return mag_min * (mag_max / mag_min) ** u
+
+
 def sample_gains(seed: int, index: int, mag_min: float = 1e-3, mag_max: float = 1e3) -> ChannelGains:
-    """Channel i of stream `seed`: four log-uniform magnitudes from a
-    Philox generator keyed by (seed, index)."""
-    key = np.array([seed, index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    u = gen.uniform(size=4)
-    mags = mag_min * (mag_max / mag_min) ** u
-    return ChannelGains(m11=float(mags[0]), m12=float(mags[1]),
-                        m21=float(mags[2]), m22=float(mags[3]))
+    """Channel i of stream `seed`: ``_sample_rows`` at N = 1."""
+    return ChannelGains(*_sample_rows(seed, [index], mag_min, mag_max)[0].tolist())
 
 
 def _certify(gains: np.ndarray, bits: float, tol: float) -> tuple[np.ndarray, ...]:
@@ -239,10 +260,10 @@ def check_channel(
 def run_gap_sweep(config: SweepConfig) -> SweepReport:
     """Sample, certify chunk by chunk, and reduce in index order."""
     failed: list[int] = []
-    worst = None   # (slack, index, constraint, gains), the first channel of least slack
+    worst = None   # (slack, index, constraint, gains row), the first channel of least slack
     for part in _chunks(config.samples):
-        gains = [sample_gains(config.seed, i, config.mag_min, config.mag_max) for i in part]
-        deltas_ok, containment, gap, constraint, _ = _certify(_gain_rows(gains), config.bits, config.tol)
+        gains = _sample_rows(config.seed, part, config.mag_min, config.mag_max)
+        deltas_ok, containment, gap, constraint, _ = _certify(gains, config.bits, config.tol)
         passed = _passed(deltas_ok, containment, gap, config.tol)
         failed.extend((part.start + np.flatnonzero(~passed)).tolist())
         k = int(gap.argmin())
@@ -254,7 +275,7 @@ def run_gap_sweep(config: SweepConfig) -> SweepReport:
         pass_count=config.samples - len(failed),
         fail_count=len(failed),
         worst_index=worst_index,
-        worst_gains=worst_gains,
+        worst_gains=ChannelGains(*worst_gains.tolist()),
         worst_slack=worst_slack,
         worst_constraint=worst_constraint,
         failed_indices=tuple(failed),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from icci.channel import ChannelGains
-from icci.sweep import sample_gains
+from icci.sweep import _sample_rows
 
 settings.register_profile(
     "default",
@@ -37,4 +37,5 @@ def unit_channel() -> ChannelGains:
 
 
 def seeded_channels(seed: int, count: int, mag_min: float = 1e-3, mag_max: float = 1e3):
-    return [sample_gains(seed, i, mag_min, mag_max) for i in range(count)]
+    """``sample_gains(seed, i, mag_min, mag_max)`` for i < count, drawn in one pass."""
+    return [ChannelGains(*row) for row in _sample_rows(seed, range(count), mag_min, mag_max).tolist()]

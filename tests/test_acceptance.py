@@ -31,7 +31,9 @@ from icci.gdof import (
     multiplexing_targets,
 )
 from icci.region import BOUND_PATTERNS, build_inner, build_outer, within_bits_slack
-from icci.sweep import check_channels, sample_gains
+from icci.sweep import check_channels
+
+from conftest import seeded_channels
 
 GAP_CHANNEL_COUNT = 10_000
 GAP_SEED = 42
@@ -50,9 +52,7 @@ def report(capfd, number: int, label: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def channel_checks():
-    lo, hi = GAP_MAG_RANGE
-    gains = [sample_gains(GAP_SEED, i, lo, hi) for i in range(GAP_CHANNEL_COUNT)]
-    return check_channels(gains, bits=1.0, tol=TOL)
+    return check_channels(seeded_channels(GAP_SEED, GAP_CHANNEL_COUNT, *GAP_MAG_RANGE), bits=1.0, tol=TOL)
 
 
 def test_criterion_1_one_bit_gap(channel_checks, capfd):
@@ -93,12 +93,10 @@ def test_criterion_1_clipped_failures_come_from_the_clip(channel_checks):
     assert any(c.gap_constraint not in (0, 1) for c in clipped_failures)
     # the offending outer vertex has a coordinate below one bit, which the
     # clip raises back to zero and so gives back part of the shift
-    lo, hi = GAP_MAG_RANGE
     worst = min(clipped_failures, key=lambda c: c.gap_slack)
     subset = [c for c in clipped_failures if c.index < CLIP_DIAGNOSIS_INDEX_LIMIT]
     for c in subset + [worst]:
-        gains = sample_gains(GAP_SEED, c.index, lo, hi)
-        cert = within_bits_slack(build_inner(inner_coeffs(gains)), build_outer(outer_coeffs(gains)), 1.0)
+        cert = within_bits_slack(build_inner(inner_coeffs(c.gains)), build_outer(outer_coeffs(c.gains)), 1.0)
         assert (cert.slack, cert.halfspace_index) == (c.gap_slack, c.gap_constraint)
         assert min(cert.vertex) < 1.0, c.index
 
@@ -149,10 +147,7 @@ def test_criterion_4_dof_curves(capfd):
 
 
 def test_criterion_5_mi_oracle(capfd):
-    lo, hi = MI_MAG_RANGE
-    worst = max(
-        mi_discrepancy(sample_gains(MI_SEED, i, lo, hi)) for i in range(MI_CHANNEL_COUNT)
-    )
+    worst = max(map(mi_discrepancy, seeded_channels(MI_SEED, MI_CHANNEL_COUNT, *MI_MAG_RANGE)))
     ok = worst <= TOL
     report(capfd, 5, "log-det MI oracle vs closed forms", ok,
            f"{MI_CHANNEL_COUNT} channels, max discrepancy {worst:.3e}")

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -111,3 +112,14 @@ class TestSerialization:
     def test_rejects_bool_fields(self):
         with pytest.raises(ValueError):
             ChannelGains(True, 1, 1, 1)
+        with pytest.raises(ValueError):
+            ChannelGains(np.bool_(True), 1, 1, 1)
+
+    def test_numpy_scalars_are_stored_as_floats(self):
+        g = ChannelGains(np.float32(0.1), np.int64(2), np.float64(3.5), 4)
+        assert g == ChannelGains(float(np.float32(0.1)), 2.0, 3.5, 4.0)
+        assert all(type(getattr(g, key)) is float for key in ("m11", "m12", "m21", "m22"))
+        assert ChannelGains.from_json(g.to_json()) == g
+        for bad in (np.float32("nan"), np.float64(-1.0), np.float16("inf")):
+            with pytest.raises(ValueError):
+                ChannelGains(bad, 1, 1, 1)

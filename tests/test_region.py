@@ -9,6 +9,8 @@ from icci.bounds import BoundCoeffs, inner_coeffs, outer_coeffs
 from icci.channel import ChannelGains
 from icci.gdof import GDOF_PATTERNS
 from icci.region import (
+    _BOUND_DISTINCT,
+    _CANDIDATE_RTOL,
     BOUND_PATTERNS,
     HalfSpace,
     RateRegion,
@@ -113,15 +115,17 @@ def test_inner_vertices_inside_outer(worked_channel):
     assert slack.min() >= -1e-9
 
 
-@pytest.mark.parametrize("patterns", [BOUND_PATTERNS, GDOF_PATTERNS])
+@pytest.mark.parametrize("patterns", [BOUND_PATTERNS, GDOF_PATTERNS, _BOUND_DISTINCT])
 def test_solver_keeps_exactly_the_rank3_triples(patterns):
-    c, triples, adj, det = _plane_solver(patterns)
-    planes = np.vstack([np.array(patterns, dtype=float), np.eye(3)])
+    c, row, triples, adj, det = _plane_solver(patterns)
+    distinct = list(dict.fromkeys(patterns))
+    assert [distinct[k] for k in row] == list(patterns)
+    planes = np.vstack([np.array(distinct, dtype=float), np.eye(3)])
     combos = list(itertools.combinations(range(len(planes)), 3))
     rank3 = [t for t in combos if np.linalg.matrix_rank(planes[list(t)]) == 3]
     assert [tuple(t) for t in triples] == rank3
-    if patterns == BOUND_PATTERNS:
-        assert (len(rank3), len(combos)) == (385, 560)
+    if patterns in (BOUND_PATTERNS, _BOUND_DISTINCT):
+        assert (len(distinct), len(rank3), len(combos)) == (10, 216, 286)
     # the adjugates and determinants are exact: adj . M = det * I with no rounding
     m = planes[triples]
     assert np.array_equal(adj @ m, det[:, None, None] * np.eye(3))
@@ -142,7 +146,7 @@ def test_vertex_set_invariants():
             if len(pts) > 1:
                 diff = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
                 diff[np.diag_indices(len(pts))] = np.inf
-                assert diff.min() > 1e-8
+                assert diff.min() > _CANDIDATE_RTOL * region.rhs_vector().max()
 
 
 def test_vertex_lp_duality():

@@ -7,8 +7,8 @@ import pytest
 from icci.bounds import deltas_within_limits, gap_deltas, inner_coeffs, outer_coeffs
 from icci.channel import ChannelGains
 from icci.region import (
+    _CANDIDATE_RTOL,
     BOUND_PATTERNS,
-    _plane_solver,
     build_inner,
     build_outer,
     containment_slack,
@@ -17,9 +17,11 @@ from icci.region import (
     within_bits_unclipped_slack,
 )
 from icci.sweep import (
+    _CHUNK,
     SweepConfig,
     _certify,
     _gain_rows,
+    _sample_rows,
     check_channel,
     check_channels,
     run_gap_sweep,
@@ -28,11 +30,8 @@ from icci.sweep import (
 
 from conftest import seeded_channels
 
-# The batched core's slacks agree with the region API within this bound.
-# Where they do not, the region API is off: its vertices pass a 1e-9
-# feasibility filter and a 1e-8 deduplication, and on wide-range channels
-# that keeps points outside the region or merges distinct vertices.  The
-# core is then compared with exact rational arithmetic instead.
+# The batched core's slacks agree with the region API, and with exact
+# rational arithmetic, within this bound.
 SLACK_BOUND = 1e-11
 # channels at the edges of the accepted envelope: exact zeros, 1e+-6, and
 # for the cross gains the m = 1 kink of power_split (1 and the next float)
@@ -44,9 +43,25 @@ EDGE_CHANNELS = [ChannelGains(m11, m12, m21, m22)
 # acceptance channels (seed 42, gains 1e-3..1e3, 1 bit) whose two lowest
 # clipped-shift row slacks tie, exactly or within two ulps
 TIE_CHANNELS = (290, 5448, 5647, 6493, 9514)
+# acceptance channels whose per-rate slack binds at a vertex on the lesser
+# of two parallel rows with different rhs: solving those patterns at any
+# rhs but the least moves the slack by 0.04 to 0.14
+TWIN_CHANNELS = (1489, 3839, 3848, 3911, 7655)
 
 
 class TestSampling:
+    @pytest.mark.parametrize("seed", [0, 42, 2**63])
+    def test_batch_is_the_keyed_generator_formula(self, seed):
+        def literal(i, lo, hi):
+            u = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64))).uniform(size=4)
+            return lo * (hi / lo) ** u
+
+        for lo, hi in ((1e-3, 1e3), (1e-6, 1e6), (2.0, 2.0)):
+            for indices in (range(1), range(_CHUNK), range(50), range(_CHUNK - 1, 2 * _CHUNK + 1), [7, 2**62, 3]):
+                want = np.array([literal(i, lo, hi) for i in indices])
+                assert _sample_rows(seed, indices, lo, hi).tobytes() == want.tobytes(), (lo, indices)
+                assert sample_gains(seed, indices[-1], lo, hi) == ChannelGains(*want[-1])
+
     def test_deterministic_per_index(self):
         assert sample_gains(42, 7) == sample_gains(42, 7)
         assert sample_gains(42, 7) != sample_gains(42, 8)
@@ -125,34 +140,52 @@ class TestSweep:
         assert isinstance(report.worst_gains, ChannelGains)
 
 
+# the 13 rows, then the coordinate planes r0 = 0, r1 = 0, r2 = 0
+_PLANES = list(BOUND_PATTERNS) + [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def _dot(row, v):
+    return sum(ck * vk for ck, vk in zip(row, v))
+
+
+def _det3(m):
+    return _dot(m[0], [m[1][1] * m[2][2] - m[1][2] * m[2][1],
+                       m[1][2] * m[2][0] - m[1][0] * m[2][2],
+                       m[1][0] * m[2][1] - m[1][1] * m[2][0]])
+
+
+def exact_vertices(region) -> tuple[list, set]:
+    """(rhs, vertices) of a region of the bound families' shape in exact
+    rational arithmetic: every triple of its 16 planes solved by Cramer's
+    rule and the solution kept only if exactly feasible, so no tolerance
+    and none of the enumerator's reasoning is involved."""
+    rhs = [Fraction(r) for r in region.rhs_vector()]
+    offsets = rhs + [Fraction(0)] * 3
+    found = set()
+    for t in itertools.combinations(range(len(_PLANES)), 3):
+        m = [_PLANES[i] for i in t]
+        d = _det3(m)
+        if d == 0:
+            continue
+        b = [offsets[i] for i in t]
+        v = tuple(_det3([[b[i] if k == j else m[i][k] for k in range(3)] for i in range(3)]) / d
+                  for j in range(3))
+        if min(v) >= 0 and all(_dot(row, v) <= r for row, r in zip(BOUND_PATTERNS, rhs)):
+            found.add(v)
+    return rhs, found
+
+
 def exact_certificates(gains: ChannelGains, bits: float) -> tuple:
-    """(containment, clipped gap slack, its binding row, per-rate slack) in
-    exact rational arithmetic: every plane triple solved exactly and its
-    solution kept only if exactly feasible, so no tolerance is involved.
-    The binding row is the lowest row attaining the minimum."""
-    c, triples, adj, det = _plane_solver(BOUND_PATTERNS)
-    rows = [tuple(int(v) for v in row) for row in c]
+    """(containment, clipped gap slack, its binding row, per-rate slack) on
+    the ``exact_vertices`` of both regions.  The binding row is the lowest
+    row attaining the minimum."""
     bits = Fraction(bits)
-
-    def dot(row, v):
-        return sum(ck * vk for ck, vk in zip(row, v))
-
-    def exact_vertices(region):
-        rhs = [Fraction(r) for r in region.rhs_vector()]
-        offsets = rhs + [Fraction(0)] * 3
-        found = set()
-        for t, a, d in zip(triples, adj.astype(int), det.astype(int)):
-            v = tuple(sum(int(a[k, j]) * offsets[t[j]] for j in range(3)) / int(d) for k in range(3))
-            if min(v) >= 0 and all(dot(row, v) <= r for row, r in zip(rows, rhs)):
-                found.add(v)
-        return rhs, found
-
     inner_rhs, inner_v = exact_vertices(build_inner(inner_coeffs(gains)))
     outer_rhs, outer_v = exact_vertices(build_outer(outer_coeffs(gains)))
-    containment = min(min(min(r - dot(row, v) for row, r in zip(rows, outer_rhs)), min(v)) for v in inner_v)
-    gap, row = min((r - dot(c_h, [max(vk - bits, 0) for vk in v]), h)
-                   for v in outer_v for h, (c_h, r) in enumerate(zip(rows, inner_rhs)))
-    per_rate = min(r - dot(c_h, [vk - bits for vk in v]) for v in outer_v for c_h, r in zip(rows, inner_rhs))
+    containment = min(min(min(r - _dot(row, v) for row, r in zip(BOUND_PATTERNS, outer_rhs)), min(v)) for v in inner_v)
+    gap, row = min((r - _dot(c_h, [max(vk - bits, 0) for vk in v]), h)
+                   for v in outer_v for h, (c_h, r) in enumerate(zip(BOUND_PATTERNS, inner_rhs)))
+    per_rate = min(r - _dot(c_h, [vk - bits for vk in v]) for v in outer_v for c_h, r in zip(BOUND_PATTERNS, inner_rhs))
     return float(containment), float(gap), row, float(per_rate)
 
 
@@ -169,15 +202,11 @@ def assert_core_matches_region_api(gains: list, bits: float) -> None:
         )
         got = (check.containment_slack, check.gap_slack, check.per_rate_gap_slack)
         assert check.deltas_ok == deltas_within_limits(gap_deltas(g)), g
-        if max(abs(a - b) for a, b in zip(got, expected)) <= SLACK_BOUND:
-            # the binding row is the region API's, or ties with it
-            shifted = np.maximum(outer_pts - bits, 0.0)
-            row_slack = (inner.rhs_vector() - shifted @ inner.coefficient_matrix().T).min(axis=0)
-            assert row_slack[check.gap_constraint] - cert.slack <= SLACK_BOUND, g
-        else:
-            containment, gap, row, per_rate = exact_certificates(g, bits)
-            assert got == pytest.approx((containment, gap, per_rate), abs=SLACK_BOUND), g
-            assert check.gap_constraint == row, g
+        assert got == pytest.approx(expected, abs=SLACK_BOUND), g
+        # the binding row is the region API's, or ties with it
+        shifted = np.maximum(outer_pts - bits, 0.0)
+        row_slack = (inner.rhs_vector() - shifted @ inner.coefficient_matrix().T).min(axis=0)
+        assert row_slack[check.gap_constraint] - cert.slack <= SLACK_BOUND, g
 
 
 class TestCertificationCore:
@@ -209,8 +238,25 @@ class TestCertificationCore:
         assert_core_matches_region_api(seeded_channels(42, 100), bits=1.0)
 
     def test_matches_region_api_over_the_wide_envelope(self):
-        # index 139 is a channel where the region API is off
+        # at index 139, filtering and deduplicating vertices at absolute
+        # tolerances (1e-9, 1e-8) puts the region API's per-rate slack 2.3e-9 off
         assert_core_matches_region_api(seeded_channels(42, 200, 1e-6, 1e6), bits=2.0)
+
+    def test_matches_region_api_where_parallel_rows_differ(self):
+        assert_core_matches_region_api([sample_gains(42, i) for i in TWIN_CHANNELS], bits=1.0)
+
+    def test_matches_exact_arithmetic_where_parallel_rows_tie(self):
+        # symmetric channels: rows 5 and 6 (one pattern) have equal rhs, as
+        # have rows 7 and 8, so the core's least rhs is either row's
+        gains = [ChannelGains(1, 2, 2, 1), ChannelGains(3, 0.5, 0.5, 3)]
+        for g, check in zip(gains, check_channels(gains, bits=1.0)):
+            for region in (build_inner(inner_coeffs(g)), build_outer(outer_coeffs(g))):
+                rhs = region.rhs_vector()
+                assert rhs[5] == rhs[6] and rhs[7] == rhs[8], g
+            containment, gap, row, per_rate = exact_certificates(g, 1.0)
+            got = (check.containment_slack, check.gap_slack, check.per_rate_gap_slack)
+            assert got == pytest.approx((containment, gap, per_rate), abs=SLACK_BOUND), g
+            assert check.gap_constraint == row, g
 
     def test_matches_region_api_at_the_edges(self):
         assert_core_matches_region_api(EDGE_CHANNELS, bits=1.0)
@@ -231,3 +277,21 @@ class TestCertificationCore:
             check_channels([ChannelGains(1, 1, 1, 1)], bits=-1.0)
         with pytest.raises(ValueError):
             check_channel(0, ChannelGains(1, 1, 1, 1), bits=float("nan"))
+
+
+@pytest.mark.parametrize("mag", [1e-6, 1e-4, 1.0])
+def test_displayed_vertices_are_the_exact_vertices(mag):
+    # at gains of 1e-6 every rhs is below 1e-11, and absolute filter and
+    # deduplication tolerances of 1e-9 and 1e-8 showed one outer vertex
+    g = ChannelGains(mag, mag, mag, mag)
+    outer = build_outer(outer_coeffs(g))
+    assert len(vertices(outer)) == len(exact_vertices(outer)[1]) == 11
+    for region in (build_inner(inner_coeffs(g)), outer):
+        shown = vertices(region)
+        exact = np.array(sorted(exact_vertices(region)[1]), dtype=float)
+        # every exact vertex is shown and every shown point is an exact
+        # vertex, to within the radius below which rounding cannot tell
+        # vertices apart (the inner region has exact vertices closer than that)
+        dist = np.abs(shown[:, None, :] - exact[None, :, :]).max(axis=2)
+        radius = _CANDIDATE_RTOL * region.rhs_vector().max()
+        assert dist.min(axis=0).max() <= radius and dist.min(axis=1).max() <= radius, (mag, region.label)
