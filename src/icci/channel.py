@@ -28,16 +28,28 @@ __all__ = ["ChannelGains", "SnrView", "GdofExponents"]
 _GAIN_KEYS = ("m11", "m12", "m21", "m22")
 
 
+def _real(name: str, value) -> float:
+    """value as a Python float, if it is a real number: a Python or numpy
+    int or float, but not a bool.  Raises ValueError otherwise, also for
+    an int too large for a float."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float, got {value!r}") from None
+
+
 def _set_nonneg_finite(obj, names: tuple[str, ...]) -> None:
-    """Check that each named field is a finite nonnegative real number (a
-    Python or numpy int or float, but not a bool) and store it as a
-    Python float."""
+    """Check that each named field is a finite nonnegative real number
+    (see ``_real``) and store it as a Python float."""
     for name in names:
         value = getattr(obj, name)
         if type(value) is not float:
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            object.__setattr__(obj, name, float(value))
+            value = _real(name, value)
+            object.__setattr__(obj, name, value)
         if not (math.isfinite(value) and value >= 0):
             raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
@@ -92,7 +104,8 @@ class ChannelGains:
     @classmethod
     def from_exponents(cls, exponents: GdofExponents, p: float) -> "ChannelGains":
         """Realize m_ij = p**(alpha_ij / 2) at base power p > 0."""
-        if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 0):
+        p = _real("p", p)
+        if not (math.isfinite(p) and p > 0):
             raise ValueError(f"base power p must be finite and > 0, got {p!r}")
         return cls(
             m11=p ** (exponents.a11 / 2.0),

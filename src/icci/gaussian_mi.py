@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import cap, power_split
-from .channel import ChannelGains
+from .channel import ChannelGains, _real
 
 __all__ = [
     "CovarianceError",
@@ -243,7 +243,8 @@ def successive_decode_chain(p: float, include_common: bool = True) -> DecodeChai
     ratios rate/log2(p) approach (0.2, 0.2, 0.2, 0.4) as p grows; p
     below 1e3 is rejected because the layer ordering has not settled.
     """
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p >= 1e3):
+    p = _real("p", p)
+    if not (math.isfinite(p) and p >= 1e3):
         raise ValueError(f"p must be finite and >= 1e3, got {p!r}")
     cross_exp = 0.6
     common_raw = p ** -0.2 if include_common else 0.0
@@ -279,7 +280,7 @@ def successive_decode_chain(p: float, include_common: bool = True) -> DecodeChai
     individual = min(s_pub.rate, s_cross.rate) / log2p + s_priv.ratio
     common_ratio = s_common.ratio
     return DecodeChainReport(
-        p=float(p),
+        p=p,
         include_common=include_common,
         stages=(s_pub, s_common, s_cross, s_priv),
         individual_ratio=individual,

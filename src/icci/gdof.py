@@ -10,14 +10,15 @@ depends only on the link exponents alpha_ij.  With shorthand
     e_i = max(alpha_ii - alpha_ji, alpha_ij)
     g_i = max(alpha_ii, alpha_ij)         (shared by G and G')
 
-These generate a nine-constraint exponent region analogous to the rate
-region.  On the fully symmetric channel (direct exponents 1, cross
-exponents alpha) the region projects onto per-user coordinates (d0, d1)
-with d2 = d1, and the best per-user total (d0 + 2*d1)/2 has a closed
-piecewise form in alpha, both with and without the common layer.  The
-module provides the closed forms, an independent vertex-enumeration
-optimizer over the projected region to cross-check them, and finite-P
-multiplexing-gain ratios that converge to the exponent targets.
+These generate the exponent region, the 13 rows of the rate region on
+these numbers with G' = G.  On the fully symmetric channel (direct
+exponents 1, cross exponents alpha) the region projects onto per-user
+coordinates (d0, d1) with d2 = d1, and the best per-user total
+(d0 + 2*d1)/2 has a closed piecewise form in alpha, both with and
+without the common layer.  The module provides the closed forms, an
+independent vertex-enumeration optimizer over the projected region to
+cross-check them, and finite-P multiplexing-gain ratios that converge
+to the exponent targets.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import math
 from dataclasses import dataclass
 
 from .bounds import outer_coeffs
-from .channel import ChannelGains, GdofExponents
-from .region import HalfSpace, RateRegion
+from .channel import ChannelGains, GdofExponents, _real
+from .region import HalfSpace, RateRegion, region_from_coeffs
 
 __all__ = [
     "GdofCoeffs",
@@ -52,20 +53,6 @@ __all__ = [
 
 CURVE_CSV_HEADER = ("alpha", "d_ic", "d_icci", "d_uplift", "d_icci_lp")
 
-# exponent-region constraint patterns over (r0, r1, r2), fixed order
-GDOF_PATTERNS: tuple[tuple[int, int, int], ...] = (
-    (1, 1, 0),
-    (1, 0, 1),
-    (0, 1, 0),
-    (0, 0, 1),
-    (0, 1, 1),
-    (1, 1, 1),
-    (1, 1, 1),
-    (1, 2, 1),
-    (1, 1, 2),
-)
-
-
 @dataclass(frozen=True)
 class GdofCoeffs:
     """Exponent-scale analogues of the bound coefficients."""
@@ -78,6 +65,10 @@ class GdofCoeffs:
     e2: float
     g1: float
     g2: float
+
+    # the primed G coefficients of the rate families coincide with G here
+    g1p = property(lambda self: self.g1)
+    g2p = property(lambda self: self.g2)
 
 
 @dataclass(frozen=True)
@@ -113,28 +104,18 @@ def gdof_coeffs(exponents: GdofExponents) -> GdofCoeffs:
 
 
 def build_gdof_region(coeffs: GdofCoeffs) -> RateRegion:
-    """The nine-constraint exponent region, in the fixed pattern order."""
-    rhs = (
-        coeffs.g1,
-        coeffs.g2,
-        coeffs.d1,
-        coeffs.d2,
-        coeffs.e1 + coeffs.e2,
-        coeffs.a1 + coeffs.g2,
-        coeffs.a2 + coeffs.g1,
-        coeffs.a1 + coeffs.g1 + coeffs.e2,
-        coeffs.a2 + coeffs.g2 + coeffs.e1,
-    )
-    halfspaces = tuple(
-        HalfSpace(c=pattern, rhs=value) for pattern, value in zip(GDOF_PATTERNS, rhs)
-    )
-    return RateRegion(label="gdof", halfspaces=halfspaces)
+    """The exponent region: the 13 rows of ``region_from_coeffs`` with
+    G' = G.  Rows 5, 6, 9 and 10 then drop r0 from rows 7, 8, 11 and 12
+    at the same rhs, so r0 >= 0 makes them redundant, and the region is
+    the one of the nine other rows."""
+    return region_from_coeffs(coeffs, "gdof")
 
 
 def _check_alpha(alpha: float) -> float:
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha >= 0):
+    alpha = _real("alpha", alpha)
+    if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha!r}")
-    return float(alpha)
+    return alpha
 
 
 def symmetric_region(alpha: float) -> tuple[HalfSpace, ...]:
@@ -249,7 +230,8 @@ def multiplexing_gain(exponents: GdofExponents, p: float) -> dict[str, float]:
     As p grows these approach the exponent targets from
     multiplexing_targets; p must exceed 1 for the ratio to make sense.
     """
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and p > 1):
+    p = _real("p", p)
+    if not (math.isfinite(p) and p > 1):
         raise ValueError(f"p must be finite and > 1, got {p!r}")
     gains = ChannelGains.from_exponents(exponents, p)
     coeffs = outer_coeffs(gains)

@@ -3,20 +3,21 @@ vertex enumeration, and the bit-gap tests between regions.
 
 A region lives in coordinates (r0, r1, r2): the common-message rate
 followed by the two individual rates.  Every region handled here is the
-intersection of the nonnegative octant with a short list of half-spaces
+intersection of the nonnegative octant with the 13 half-spaces
 
     c0*r0 + c1*r1 + c2*r2 <= rhs,    c_k in {0, 1, 2},  rhs >= 0,
 
-so it is bounded (each coordinate appears alone in some constraint for
-the families built below), contains the origin, and is downward
+whose patterns c are the constant ``BOUND_PATTERNS``, so it is bounded
+(rows 2 and 3 bound r1 and r2, and row 0 bounds r0), contains the
+origin, and is downward
 comprehensive: lowering any coordinate of a feasible point keeps it
 feasible, because every c_k is nonnegative.  Those facts drive both the
 enumeration and the gap test.
 
 Vertex enumeration is brute force over plane triples.  The coefficients
 never depend on the channel, only the right-hand sides do, so the
-triples are solved once per pattern tuple, and only over its distinct
-patterns: of the 13 rows of the bound families, rows 4-6 and rows 7-8
+triples are solved once, at import, and only over the distinct
+patterns: of the 13 rows, rows 4-6 and rows 7-8
 share a pattern, so they span 10 distinct planes.  A row whose
 parallel twin has a smaller rhs lies outside that twin's half-space and
 carries no vertex, and a twin of equal rhs is the same plane, so each
@@ -36,15 +37,20 @@ candidate need not be a true vertex: it may be an intersection up to
 about 1e-13 B outside the region, next to a vertex (see
 ``_bound_candidates``).
 
-Where vertices are shown, ``vertices`` and ``region_as_dict``, the
-candidates are deduplicated in triple order at the same radius in the
-max norm, one pass per kept vertex rather than per candidate, so each
-vertex is shown once, up to rounding; two vertices closer than
-2**-44 B, which rounding cannot tell apart, are shown as one.
-Certificates over many channels (``icci.sweep``) skip deduplication:
-``_bound_candidates`` solves N regions of the bound families' shape in
-one elementwise pass and reduces their candidates with maxima, which
-duplicates do not change.
+Every region has this one shape: ``RateRegion`` admits only the 13
+rows of ``BOUND_PATTERNS``, and the exponent region of ``icci.gdof`` is
+the same rows on the exponent coefficients.  Certificates over any
+number of regions go through ``_bound_candidates``, which solves N
+regions in one elementwise pass, and ``_gap_rows``, which reduces their
+candidates to row maxima with no deduplication (duplicates do not change
+a maximum).  ``within_bits_slack`` and ``within_bits_unclipped_slack``
+are that path at N = 1, and the sweep of ``icci.sweep`` runs it over
+chunks of channels, so both give the same bits.  Only the display,
+``vertices`` and ``region_as_dict``, deduplicates: candidates are merged
+in triple order at the same radius in the max norm, one pass per kept
+vertex rather than per candidate, so each vertex is shown once, up to
+rounding; two vertices closer than 2**-44 B, which rounding cannot tell
+apart, are shown as one.
 
 Two bit-gap tests compare a target region with a cover region: the
 clipped shift ``within_bits_slack``, which lowers each target vertex by
@@ -59,8 +65,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,16 +88,27 @@ __all__ = [
     "region_as_dict",
 ]
 
-MEMBERSHIP_TOL = 1e-9   # absolute slack allowed on any constraint
+# Verdicts and vertex enumeration use different tolerances.  A verdict
+# compares a slack in bits with -MEMBERSHIP_TOL, an absolute 1e-9.  Over
+# the accepted envelope (gains up to 1e6) every coefficient is at most
+# log2(1 + 4e12) < 42 bits and every rhs a sum of at most three, B < 126,
+# so rounding moves a slack by about 300 u B (u = 2**-53), under 5e-12,
+# and the certificates agree with exact rational arithmetic within 3e-12;
+# 1e-9 absorbs that and is far below any rate difference the bounds
+# resolve.  Enumeration has to scale with the region instead: at gains of
+# 1e-6 every rhs is below 1e-11, and an absolute 1e-9 would admit every
+# intersection.  It uses the relative _CANDIDATE_RTOL (rationale in
+# _bound_candidates), at most 7.2e-12 over the envelope, under
+# MEMBERSHIP_TOL / 100, so enumeration rounding cannot flip a verdict.
+MEMBERSHIP_TOL = 1e-9
 # candidate filter and deduplication radius of vertex enumeration, per
-# unit of the region's largest rhs (rationale in _bound_candidates)
+# unit of the region's largest rhs
 _CANDIDATE_RTOL = 2.0 ** -44
 
 _REGION_LABELS = ("inner", "outer", "gdof")
 
-# Constraint patterns shared by the inner and outer bound families, in
-# the fixed documented order.  Row k weights (r0, r1, r2) and is paired
-# with the rhs BOUND_RHS_TERMS[k].
+# The constraint patterns of every region, in the fixed documented order.
+# Row k weights (r0, r1, r2) and is paired with the rhs BOUND_RHS_TERMS[k].
 BOUND_PATTERNS: tuple[tuple[int, int, int], ...] = (
     (1, 1, 0),
     (1, 0, 1),
@@ -129,8 +145,12 @@ BOUND_RHS_TERMS: tuple[tuple[str, ...], ...] = (
 # zero row (index 10) to three terms: adding 0.0 changes no sum
 _RHS_INDEX = np.array([[_COEFF_FIELDS.index(name) for name in terms] + [len(_COEFF_FIELDS)] * (3 - len(terms))
                        for terms in BOUND_RHS_TERMS]).T
-# the distinct patterns of BOUND_PATTERNS, in order of first appearance
+# the distinct patterns of BOUND_PATTERNS, in order of first appearance,
+# and as a (10, 3) matrix: with coefficients in {0, 1, 2}, every product
+# in _DISTINCT @ x is exact and only the sum of three terms rounds
 _BOUND_DISTINCT = tuple(dict.fromkeys(BOUND_PATTERNS))
+_DISTINCT = np.array(_BOUND_DISTINCT, dtype=float)
+_ROW_WEIGHT = np.sum(BOUND_PATTERNS, axis=1)[:, None]   # sum(c) of each row
 
 
 @dataclass(frozen=True)
@@ -161,22 +181,23 @@ class HalfSpace:
 
 @dataclass(frozen=True)
 class RateRegion:
-    """A labeled intersection of half-spaces with the nonnegative octant."""
+    """A labeled intersection of the 13 ``BOUND_PATTERNS`` half-spaces,
+    in that order, with the nonnegative octant."""
 
     label: str
     halfspaces: tuple[HalfSpace, ...]
-    # the fixed-shape solver of the pattern tuple, looked up once per region
-    _solver: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.label not in _REGION_LABELS:
             raise ValueError(f"label must be one of {_REGION_LABELS}, got {self.label!r}")
         object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
-        object.__setattr__(self, "_solver", _plane_solver(tuple(hs.c for hs in self.halfspaces)))
+        patterns = tuple(hs.c for hs in self.halfspaces)
+        if patterns != BOUND_PATTERNS:
+            raise ValueError(f"half-space patterns must be BOUND_PATTERNS, got {patterns!r}")
 
     def coefficient_matrix(self) -> np.ndarray:
-        """The (n, 3) coefficients, shared per pattern tuple and read-only."""
-        return self._solver[0]
+        """The (13, 3) coefficients, shared by every region and read-only."""
+        return _COEFFS
 
     def rhs_vector(self) -> np.ndarray:
         return np.array([hs.rhs for hs in self.halfspaces], dtype=float)
@@ -190,9 +211,10 @@ class GapCertificate:
     rhs - c . shift(vertex), where shift is the clipped shift
     max(vertex - bits, 0) for ``within_bits_slack`` and the per-rate
     shift vertex - bits for ``within_bits_unclipped_slack``; negative
-    slack means the test fails.  vertex is the offending target vertex,
-    shifted its shift, and halfspace_index the cover constraint
-    attaining the minimum.
+    slack means the test fails.  halfspace_index is the lowest-numbered
+    cover row attaining the minimum, the row ``ChannelCheck``
+    reports, vertex a target vertex attaining it on that row, and
+    shifted its shift.
     """
 
     slack: float
@@ -213,7 +235,8 @@ def bound_rhs(coeffs: np.ndarray) -> np.ndarray:
 
 
 def region_from_coeffs(coeffs: BoundCoeffs, label: str) -> RateRegion:
-    """The 13-constraint rate region generated by one coefficient family.
+    """The 13-constraint rate region generated by one coefficient family:
+    any object with the ten ``BoundCoeffs`` fields a1 ... g2p.
 
     The patterns are the constant ``BOUND_PATTERNS``, so only the
     right-hand sides are validated, once, rather than each half-space.
@@ -263,7 +286,6 @@ def contains(region: RateRegion, point, tol: float = MEMBERSHIP_TOL) -> bool:
     return bool(containment_slack(region, point).min() >= -tol)
 
 
-@lru_cache(maxsize=8)
 def _plane_solver(patterns: tuple[tuple[int, int, int], ...]):
     """Fixed-shape solver for one tuple of constraint patterns.
 
@@ -291,32 +313,33 @@ def _plane_solver(patterns: tuple[tuple[int, int, int], ...]):
     return out
 
 
-_BOUND_ROW = _plane_solver(BOUND_PATTERNS)[1]   # each bound row's index into _BOUND_DISTINCT
+# the one solver: _BOUND_ROW maps each row to its pattern in _BOUND_DISTINCT
+_COEFFS, _BOUND_ROW, _TRIPLES, _ADJ, _DET = _plane_solver(BOUND_PATTERNS)
+_WEIGHTS = np.ascontiguousarray(_ADJ.transpose(1, 2, 0))   # _WEIGHTS[k, j] = _ADJ[:, k, j]
 
 
-def _least_rhs(row: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _least_rhs(rhs: np.ndarray) -> np.ndarray:
     """Each distinct pattern's least rhs, the one its rows bind at: rhs
-    has one row per constraint, and row maps each to its pattern."""
-    limit = np.full((row.max(initial=-1) + 1,) + rhs.shape[1:], np.inf)
-    np.minimum.at(limit, row, rhs)
+    has one row per constraint, (13, ...) gives (10, ...)."""
+    limit = np.full((len(_BOUND_DISTINCT),) + rhs.shape[1:], np.inf)
+    np.minimum.at(limit, _BOUND_ROW, rhs)
     return limit
 
 
 def vertices(region: RateRegion) -> np.ndarray:
-    """Enumerate all vertices of the region as a (k, 3) array.
+    """Enumerate all vertices of the region as a (k, 3) array, for display.
 
     Candidate points are the intersections of the nonsingular plane
     triples, each distinct pattern at its least rhs; kept if feasible
     within ``_CANDIDATE_RTOL`` times the largest rhs, and deduplicated
     in triple order at the same radius.
     """
-    c, row, triples, adj, det = region._solver
     r = region.rhs_vector()
     tol = _CANDIDATE_RTOL * np.max(r, initial=0.0)
-    offsets = np.concatenate([_least_rhs(row, r), np.zeros(3)])
+    offsets = np.concatenate([_least_rhs(r), np.zeros(3)])
     # + 0.0 maps -0.0 to 0.0, so displayed vertices never read -0.0
-    x = np.einsum("tij,tj->ti", adj, offsets[triples]) / det[:, None] + 0.0
-    feasible = (x >= -tol).all(axis=1) & (x @ c.T <= r + tol).all(axis=1)
+    x = np.einsum("tij,tj->ti", _ADJ, offsets[_TRIPLES]) / _DET[:, None] + 0.0
+    feasible = (x >= -tol).all(axis=1) & (x @ _COEFFS.T <= r + tol).all(axis=1)
     candidates = x[feasible]
     kept = []
     while len(candidates):
@@ -325,10 +348,10 @@ def vertices(region: RateRegion) -> np.ndarray:
     return np.array(kept).reshape(-1, 3)
 
 
-def _dot(c: tuple[int, int, int], x: np.ndarray) -> np.ndarray:
-    """c . x over coordinate-major points x (three arrays of one shape).
-    Each c_k * x_k is exact and the terms are summed left to right, as
-    ``x @ c.T`` sums them."""
+def _dot(c: tuple[int, int, int], x: list[np.ndarray]) -> np.ndarray:
+    """c . x over coordinate-major points x (three arrays of one shape),
+    summed left to right as ``_DISTINCT @ x`` sums it; each c_k * x_k is
+    exact."""
     first, *rest = [k for k in range(3) if c[k]]
     out = x[first] * c[first]
     for k in rest:
@@ -340,12 +363,12 @@ def _row_reach(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """max of c . x for each row of ``BOUND_PATTERNS`` over each run of
     points: (13, N) for points x of shape (3, F) whose N runs begin at
     ``starts``."""
-    return np.stack([np.maximum.reduceat(_dot(c, x), starts) for c in _BOUND_DISTINCT])[_BOUND_ROW]
+    return np.maximum.reduceat(_DISTINCT @ x, starts, axis=1)[_BOUND_ROW]
 
 
 def _bound_candidates(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The vertices of N regions of the bound families' shape, with no
-    deduplication: what a maximum or minimum over vertices needs.
+    """The vertices of N regions, with no deduplication: what a maximum
+    or minimum over vertices needs.
 
     rhs is (13, N), rows in ``BOUND_PATTERNS`` order.  Every region's
     T = 216 nonsingular plane triples are solved, each distinct pattern
@@ -375,14 +398,16 @@ def _bound_candidates(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     on 10000 channels in [1e-6, 1e6] the certificates built on these
     vertices stay within 3e-12 of exact rational arithmetic.
     """
-    _, row, triples, adj, det = _plane_solver(BOUND_PATTERNS)
     n = rhs.shape[1]
-    limit = _least_rhs(row, rhs)
+    limit = _least_rhs(rhs)
     offsets = np.concatenate([limit, np.zeros((3, n))]).T
-    b = [offsets[:, plane] for plane in triples.T]   # (N, T): offset of each triple's plane j
-    weights = np.ascontiguousarray(adj.transpose(1, 2, 0))   # weights[k, j] = adj[:, k, j]
-    x = [(w[0] * b[0] + w[1] * b[1] + w[2] * b[2]) / det for w in weights]
+    b = [offsets[:, plane] for plane in _TRIPLES.T]   # (N, T): offset of each triple's plane j
+    x = [(w[0] * b[0] + w[1] * b[1] + w[2] * b[2]) / _DET for w in _WEIGHTS]
     tol = _CANDIDATE_RTOL * rhs.max(axis=0)
+    # pattern by pattern over (N, T) arrays rather than one _DISTINCT
+    # matmul: at 32 regions the stacked points (166 KB) and their (10, F)
+    # product (553 KB) exceed glibc's 128 KiB mmap threshold, are mapped
+    # and faulted in again on every pass: sweep-accept lost about 20%
     feasible = (x[0] >= -tol[:, None]) & (x[1] >= -tol[:, None]) & (x[2] >= -tol[:, None])
     for c, bound in zip(_BOUND_DISTINCT, limit + tol):
         feasible &= _dot(c, x) <= bound[:, None]
@@ -391,47 +416,43 @@ def _bound_candidates(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([xk.ravel()[keep] for xk in x]), np.cumsum(counts) - counts
 
 
+def _gap_rows(cover_rhs: np.ndarray, x: np.ndarray, starts: np.ndarray, bits: float, clip: bool) -> np.ndarray:
+    """The (13, N) slack of each cover row against N runs of target
+    candidates (as ``_bound_candidates`` returns them) shifted down by
+    bits: clipped at zero, or per rate with no clip.  A row's slack is
+    rhs - max over the run of c . shift(v): rounding is monotone, so
+    this equals the minimum over the run of the per-point slack.  The
+    per-rate shift lowers every c . v by bits * sum(c), so it reuses the
+    unshifted row maxima."""
+    if clip:
+        return cover_rhs - _row_reach(np.maximum(x - bits, 0.0), starts)
+    return cover_rhs - (_row_reach(x, starts) - bits * _ROW_WEIGHT)
+
+
 def _check_bits(bits: float) -> None:
     if not (math.isfinite(bits) and bits >= 0):
         raise ValueError(f"bits must be finite and >= 0, got {bits!r}")
 
 
-def _target_points(target: RateRegion, target_vertices) -> np.ndarray:
-    points = vertices(target) if target_vertices is None else _as_points(target_vertices)
-    if len(points) == 0:
-        raise ValueError(f"target region {target.label!r} has no vertices; is it bounded?")
-    return points
-
-
-def _shift_certificate(cover: RateRegion, points: np.ndarray, shifted: np.ndarray) -> GapCertificate:
-    slack = cover.rhs_vector()[None, :] - shifted @ cover.coefficient_matrix().T
-    flat = int(np.argmin(slack))
-    vi, hi = divmod(flat, slack.shape[1])
-    return GapCertificate(
-        slack=float(slack[vi, hi]),
-        vertex=tuple(float(v) for v in points[vi]),
-        shifted=tuple(float(v) for v in shifted[vi]),
-        halfspace_index=int(hi),
-    )
-
-
-def within_bits_slack(
-    cover: RateRegion, target: RateRegion, bits: float, *, target_vertices: np.ndarray | None = None
-) -> GapCertificate:
-    """Worst slack of the clipped-shift test of target against cover.
-
-    target_vertices, if given, are the points tested in place of
-    ``vertices(target)``; a caller that already holds the
-    target's vertices passes them to spare a second enumeration.
-    """
+def _gap_certificate(cover: RateRegion, target: RateRegion, bits: float, clip: bool) -> GapCertificate:
+    """``_gap_rows`` for one pair of regions, the N = 1 case of the core."""
     _check_bits(bits)
-    points = _target_points(target, target_vertices)
-    return _shift_certificate(cover, points, np.maximum(points - bits, 0.0))
+    x, starts = _bound_candidates(target.rhs_vector()[:, None])
+    rows = _gap_rows(cover.rhs_vector()[:, None], x, starts, bits, clip)[:, 0]
+    row = int(rows.argmin())
+    shifted = np.maximum(x - bits, 0.0) if clip else x - bits
+    k = int((_COEFFS[row] @ shifted).argmax())
+    # + 0.0 maps -0.0 to 0.0
+    return GapCertificate(slack=float(rows[row]), vertex=tuple((x[:, k] + 0.0).tolist()),
+                          shifted=tuple((shifted[:, k] + 0.0).tolist()), halfspace_index=row)
 
 
-def within_bits_unclipped_slack(
-    cover: RateRegion, target: RateRegion, bits: float, *, target_vertices: np.ndarray | None = None
-) -> GapCertificate:
+def within_bits_slack(cover: RateRegion, target: RateRegion, bits: float) -> GapCertificate:
+    """Worst slack of the clipped-shift test of target against cover."""
+    return _gap_certificate(cover, target, bits, clip=True)
+
+
+def within_bits_unclipped_slack(cover: RateRegion, target: RateRegion, bits: float) -> GapCertificate:
     """Worst slack of the per-rate shift test of target against cover.
 
     The test asks that every target point v, lowered by ``bits`` in
@@ -453,11 +474,9 @@ def within_bits_unclipped_slack(
     Since max(v - bits, 0) >= v - bits coordinatewise and every c_k is
     nonnegative, this slack is never below ``within_bits_slack``'s, and
     the two are equal when every target vertex coordinate is at least
-    ``bits``.  target_vertices is as for ``within_bits_slack``.
+    ``bits``.
     """
-    _check_bits(bits)
-    points = _target_points(target, target_vertices)
-    return _shift_certificate(cover, points, points - bits)
+    return _gap_certificate(cover, target, bits, clip=False)
 
 
 def within_bits(

@@ -14,12 +14,16 @@ All of it runs in one array-first core over an (N, 4) gains array: both
 coefficient families as column expressions, the (13, N) right-hand
 sides, every channel's 216 plane-triple vertex candidates, and minima
 over the feasible ones with no deduplication (duplicates do not change
-a minimum).  A sweep feeds the core fixed-size chunks of channels and
-reduces the chunks in sample-index order; ``check_channels`` runs the
-same chunks, and ``check_channel`` is the core at N = 1.  The core only
-computes elementwise or within one channel, so every channel's results
-are bit-identical whatever the chunk size, and a config always gives
-the same report.
+a minimum).  The candidates and the row reduction are those of
+``icci.region``, whose ``within_bits_slack`` and
+``within_bits_unclipped_slack`` are the same path at N = 1, so a
+channel's certificates there and here are the same bits; only displayed
+vertices are deduplicated.  A sweep feeds the core fixed-size chunks of
+channels and reduces the chunks in sample-index order;
+``check_channels`` runs the same chunks, and ``check_channel`` is the
+core at N = 1.  The core only computes elementwise or within one
+channel, so every channel's results are bit-identical whatever the
+chunk size, and a config always gives the same report.
 """
 
 from __future__ import annotations
@@ -32,14 +36,7 @@ import numpy as np
 
 from .bounds import coeff_rows, delta_rows_within_limits
 from .channel import ChannelGains
-from .region import (
-    BOUND_PATTERNS,
-    MEMBERSHIP_TOL,
-    _bound_candidates,
-    _check_bits,
-    _row_reach,
-    bound_rhs,
-)
+from .region import MEMBERSHIP_TOL, _bound_candidates, _check_bits, _gap_rows, _row_reach, bound_rhs
 
 __all__ = [
     "SweepConfig",
@@ -61,7 +58,6 @@ MAG_LIMIT = 1e6  # validated operating envelope for link magnitudes
 # gave 15-20% more throughput than 16, for about 0.4 MB (1%) more peak RSS
 # at equal work; 16 is kept for the lower peak RSS.
 _CHUNK = 16
-_ROW_WEIGHT = np.sum(BOUND_PATTERNS, axis=1)[:, None]   # sum(c) of each row
 
 
 @dataclass(frozen=True)
@@ -103,13 +99,12 @@ class SweepConfig:
 class ChannelCheck:
     """Outcome of the three checks for one sampled channel.
 
-    gap_slack and gap_constraint come from the clipped-shift certificate
-    (the quantity of ``within_bits_slack``); per_rate_gap_slack from the
-    per-rate one (``within_bits_unclipped_slack``) at the same budget.
-    gap_constraint is the lowest-numbered inner row whose slack equals
-    gap_slack: where rows tie, it may differ from the
-    ``halfspace_index`` of ``within_bits_slack``, which takes the row
-    of the first deduplicated vertex attaining the minimum.
+    gap_slack and gap_constraint are the slack and ``halfspace_index``
+    of the clipped-shift certificate ``within_bits_slack`` of the outer
+    region against the inner one, and per_rate_gap_slack the slack of
+    the per-rate one, ``within_bits_unclipped_slack``, at the same
+    budget, bit for bit: both are the same core.  gap_constraint is the
+    lowest-numbered inner row attaining gap_slack.
     ``passed()`` uses the clipped slack, so the verdicts that
     ``run_gap_sweep`` and ``icci sweep`` report keep the meaning and the
     values they have always had; the per-rate slack is what acceptance
@@ -201,8 +196,7 @@ def _certify(gains: np.ndarray, bits: float, tol: float) -> tuple[np.ndarray, ..
     gap_constraint and per_rate_gap_slack, as in ``ChannelCheck``.  A
     region's slack against a row is rhs - max over vertices of c . v:
     rounding is monotone, so this equals the minimum over the vertices
-    of the per-vertex slack.  The per-rate shift lowers every c . v by
-    bits * sum(c), so it reuses the converse region's row reach.
+    of the per-vertex slack.
     """
     inner, outer = coeff_rows(gains)
     deltas_ok = delta_rows_within_limits(outer - inner, tol=tol)
@@ -211,17 +205,17 @@ def _certify(gains: np.ndarray, bits: float, tol: float) -> tuple[np.ndarray, ..
     # both regions of every channel in one pass: inner runs first, then outer
     n = len(gains)
     x, starts = _bound_candidates(np.concatenate([inner_rhs, outer_rhs], axis=1))
-    reach = _row_reach(x, starts)
+    inner_x, outer_x = x[:, :starts[n]], x[:, starts[n]:]
+    inner_starts, outer_starts = starts[:n], starts[n:] - starts[n]
 
     # inner vertices against the outer rows and the coordinate planes;
     # + 0.0 turns a -0.0 coordinate into 0.0
-    lowest = np.minimum.reduceat(x[:, :starts[n]].min(axis=0), starts[:n])
-    containment = np.minimum((outer_rhs - reach[:, :n]).min(axis=0), lowest) + 0.0
+    lowest = np.minimum.reduceat(inner_x.min(axis=0), inner_starts)
+    containment = np.minimum((outer_rhs - _row_reach(inner_x, inner_starts)).min(axis=0), lowest) + 0.0
 
     # outer vertices, shifted down by bits, against the inner rows
-    per_rate = (inner_rhs - (reach[:, n:] - bits * _ROW_WEIGHT)).min(axis=0)
-    shifted = x[:, starts[n]:] - bits
-    rows = inner_rhs - _row_reach(np.maximum(shifted, 0.0, out=shifted), starts[n:] - starts[n])
+    rows = _gap_rows(inner_rhs, outer_x, outer_starts, bits, clip=True)
+    per_rate = _gap_rows(inner_rhs, outer_x, outer_starts, bits, clip=False).min(axis=0)
     return deltas_ok, containment, rows.min(axis=0), rows.argmin(axis=0), per_rate
 
 

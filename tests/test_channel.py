@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from icci.channel import ChannelGains, GdofExponents, SnrView
+from icci.gaussian_mi import successive_decode_chain
+from icci.gdof import dof_icci_lp, multiplexing_gain
 
 mags = st.floats(min_value=1e-3, max_value=1e3)
 exps = st.floats(min_value=0.0, max_value=3.0)
@@ -123,3 +125,32 @@ class TestSerialization:
         for bad in (np.float32("nan"), np.float64(-1.0), np.float16("inf")):
             with pytest.raises(ValueError):
                 ChannelGains(bad, 1, 1, 1)
+
+    def test_rejects_an_int_too_large_for_a_float(self):
+        with pytest.raises(ValueError, match="too large"):
+            ChannelGains(10**400, 1, 1, 1)
+        with pytest.raises(ValueError):
+            ChannelGains.from_json('{"m11": 1%s, "m12": 1, "m21": 1, "m22": 1}' % ("0" * 400))
+
+
+# every scalar argument outside the dataclasses is checked by one rule:
+# Python or numpy ints and floats pass, bools do not
+SCALAR_CHECKS = [
+    (dof_icci_lp, 0.5),
+    (lambda p: ChannelGains.from_exponents(GdofExponents(1, 0.6, 0.6, 1), p), 4.0),
+    (lambda p: multiplexing_gain(GdofExponents(1, 0.6, 0.6, 1), p), 1e6),
+    (lambda p: successive_decode_chain(p).as_dict(), 1e10),
+]
+
+
+@pytest.mark.parametrize("check, value", SCALAR_CHECKS)
+def test_scalar_arguments_share_one_real_number_rule(check, value):
+    for bad in (True, np.bool_(True), "1.0", None):
+        with pytest.raises(ValueError):
+            check(bad)
+    want = check(value)
+    same = [np.float32(value), np.float64(value)]
+    if value.is_integer():
+        same += [int(value), np.int64(value)]
+    for x in same:
+        assert check(x) == want

@@ -1,9 +1,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import icci
 from icci.cli import dispatch
 
 WORKED = ["--m11", "10", "--m12", "3.16227766016837933", "--m21", "3.16227766016837933", "--m22", "10"]
@@ -42,6 +47,13 @@ class TestParsing:
         path.write_text("{broken", encoding="utf-8")
         code, _, _ = run(capsys, ["bounds", "--channel", str(path)])
         assert code == 2
+
+    def test_channel_int_too_large_for_a_float(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"m11": 1%s, "m12": 1, "m21": 1, "m22": 1}' % ("0" * 400), encoding="utf-8")
+        code, out, err = run(capsys, ["gap", "--channel", str(path)])
+        assert (code, out) == (2, "")
+        assert "too large" in err
 
     def test_channel_from_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO('{"m11": 1, "m12": 1, "m21": 1, "m22": 1}'))
@@ -175,3 +187,17 @@ class TestSweep:
         assert data["failed_indices"]
         assert data["worst"]["slack"] < 0
         assert data["worst"]["constraint"] in range(13)
+
+
+def test_runs_on_numpy_alone(capsys):
+    # numpy is the only runtime dependency; scipy and hypothesis serve the tests
+    code, out, _ = run(capsys, ["sweep", "--samples", "5"])
+    script = ("import sys\n"
+              "sys.modules.update(scipy=None, hypothesis=None)  # import of either now raises\n"
+              "import icci, icci.cli\n"
+              "sys.exit(icci.cli.dispatch(['sweep', '--samples', '5']))\n")
+    src = str(Path(icci.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from icci.gdof import (
     symmetric_region,
     write_curve_csv,
 )
-from icci.region import contains, vertices
+from icci.region import _CANDIDATE_RTOL, contains, vertices
 
 exps = st.floats(min_value=0.0, max_value=3.0)
 GRID = [k / 100.0 for k in range(301)]
@@ -56,12 +57,33 @@ class TestGdofRegion:
     def test_alpha06_membership(self):
         region = build_gdof_region(gdof_coeffs(GdofExponents(1, 0.6, 0.6, 1)))
         assert region.label == "gdof"
-        assert len(region.halfspaces) == 9
+        assert len(region.halfspaces) == 13
         assert contains(region, (0.2, 0.6, 0.6))
         assert not contains(region, (0.2 + 1e-6, 0.6, 0.6))
         pts = vertices(region)
         target = np.array([0.2, 0.6, 0.6])
         assert np.min(np.max(np.abs(pts - target), axis=1)) < 1e-9
+
+    def test_same_vertices_as_the_nine_row_table(self):
+        # the exponent region used to be its own nine rows; with G' = G
+        # the 13 rate rows add only rows implied by them, so both give
+        # one vertex set, here on the criterion-4 grid
+        patterns = np.array([(1, 1, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1), (0, 1, 1),
+                             (1, 1, 1), (1, 1, 1), (1, 2, 1), (1, 1, 2)], dtype=float)
+        planes = np.vstack([patterns, np.eye(3)])
+        triples = np.array([t for t in itertools.combinations(range(len(planes)), 3)
+                            if np.linalg.matrix_rank(planes[list(t)]) == 3])
+        for alpha in GRID:
+            c = gdof_coeffs(GdofExponents(1, alpha, alpha, 1))
+            rhs = np.array([c.g1, c.g2, c.d1, c.d2, c.e1 + c.e2, c.a1 + c.g2, c.a2 + c.g1,
+                            c.a1 + c.g1 + c.e2, c.a2 + c.g2 + c.e1])
+            offsets = np.concatenate([rhs, np.zeros(3)])
+            points = np.linalg.solve(planes[triples], offsets[triples][:, :, None])[:, :, 0]
+            radius = _CANDIDATE_RTOL * rhs.max()
+            old = points[(points >= -radius).all(axis=1) & (points @ patterns.T <= rhs + radius).all(axis=1)]
+            new = vertices(build_gdof_region(c))
+            dist = np.abs(new[:, None, :] - old[None, :, :]).max(axis=2)
+            assert dist.min(axis=0).max() <= radius and dist.min(axis=1).max() <= radius, alpha
 
     def test_zero_coeffs_collapse(self):
         region = build_gdof_region(gdof_coeffs(GdofExponents(0, 0, 0, 0)))

@@ -7,13 +7,15 @@ from scipy.optimize import linprog
 
 from icci.bounds import BoundCoeffs, inner_coeffs, outer_coeffs
 from icci.channel import ChannelGains
-from icci.gdof import GDOF_PATTERNS
 from icci.region import (
     _BOUND_DISTINCT,
     _CANDIDATE_RTOL,
     BOUND_PATTERNS,
+    MEMBERSHIP_TOL,
     HalfSpace,
     RateRegion,
+    _bound_candidates,
+    _gap_rows,
     _plane_solver,
     build_inner,
     build_outer,
@@ -25,6 +27,7 @@ from icci.region import (
     within_bits_slack,
     within_bits_unclipped_slack,
 )
+from icci.sweep import MAG_LIMIT
 
 from conftest import seeded_channels
 
@@ -115,7 +118,7 @@ def test_inner_vertices_inside_outer(worked_channel):
     assert slack.min() >= -1e-9
 
 
-@pytest.mark.parametrize("patterns", [BOUND_PATTERNS, GDOF_PATTERNS, _BOUND_DISTINCT])
+@pytest.mark.parametrize("patterns", [BOUND_PATTERNS, _BOUND_DISTINCT])
 def test_solver_keeps_exactly_the_rank3_triples(patterns):
     c, row, triples, adj, det = _plane_solver(patterns)
     distinct = list(dict.fromkeys(patterns))
@@ -124,8 +127,7 @@ def test_solver_keeps_exactly_the_rank3_triples(patterns):
     combos = list(itertools.combinations(range(len(planes)), 3))
     rank3 = [t for t in combos if np.linalg.matrix_rank(planes[list(t)]) == 3]
     assert [tuple(t) for t in triples] == rank3
-    if patterns in (BOUND_PATTERNS, _BOUND_DISTINCT):
-        assert (len(distinct), len(rank3), len(combos)) == (10, 216, 286)
+    assert (len(distinct), len(rank3), len(combos)) == (10, 216, 286)
     # the adjugates and determinants are exact: adj . M = det * I with no rounding
     m = planes[triples]
     assert np.array_equal(adj @ m, det[:, None, None] * np.eye(3))
@@ -227,13 +229,59 @@ def test_unclipped_equals_clipped_without_clip():
         # at zero bits neither shift moves a vertex
         assert within_bits_unclipped_slack(inner, outer, 0.0) == within_bits_slack(inner, outer, 0.0)
         # every region here has the origin as a vertex, so test points
-        # with all coordinates at least bits: the outer vertices raised by bits
+        # with all coordinates at least bits: the outer vertices raised by
+        # bits.  The per-rate rows subtract bits * sum(c) from the row
+        # maxima rather than shift each point, so they agree up to rounding.
         for bits in (0.5, 1.0, 2.0):
             raised = vertices(outer) + bits
             assert raised.min() >= bits
-            assert within_bits_unclipped_slack(inner, outer, bits, target_vertices=raised) == (
-                within_bits_slack(inner, outer, bits, target_vertices=raised)
-            )
+            rows = [_gap_rows(inner.rhs_vector()[:, None], raised.T, np.array([0]), bits, clip)
+                    for clip in (True, False)]
+            np.testing.assert_allclose(*rows, rtol=0, atol=1e-12)
+
+
+def test_certificate_vertex_attains_the_slack():
+    for gains in seeded_channels(seed=73, count=20):
+        inner = build_inner(inner_coeffs(gains))
+        outer = build_outer(outer_coeffs(gains))
+        for bits in (0.0, 1.0):
+            for cert, shift in ((within_bits_slack(inner, outer, bits), lambda v: np.maximum(v - bits, 0.0)),
+                                (within_bits_unclipped_slack(inner, outer, bits), lambda v: v - bits)):
+                v = np.array(cert.vertex)
+                assert containment_slack(outer, v)[0] >= -MEMBERSHIP_TOL
+                assert np.array_equal(cert.shifted, shift(v))
+                # the vertex's slack on every row, lowest on the reported one
+                rows = inner.rhs_vector() - inner.coefficient_matrix() @ shift(v)
+                assert rows[cert.halfspace_index] == pytest.approx(cert.slack, abs=1e-12)
+                assert rows.min() >= cert.slack - 1e-12
+
+
+def test_tied_rows_report_the_lowest(worked_channel):
+    # on the symmetric worked channel rows 11 and 12 tie exactly at zero bits
+    inner = build_inner(inner_coeffs(worked_channel))
+    outer = build_outer(outer_coeffs(worked_channel))
+    x, starts = _bound_candidates(outer.rhs_vector()[:, None])
+    rows = _gap_rows(inner.rhs_vector()[:, None], x, starts, 0.0, clip=True)[:, 0]
+    assert list(np.flatnonzero(rows == rows.min())) == [11, 12]
+    cert = within_bits_slack(inner, outer, 0.0)
+    assert (cert.slack, cert.halfspace_index) == (rows[11], 11)
+
+
+def test_enumeration_tolerance_is_far_below_the_verdict_tolerance():
+    # verdicts use the absolute MEMBERSHIP_TOL, enumeration the relative
+    # _CANDIDATE_RTOL times the largest rhs B: over the corners of the
+    # accepted envelope the latter stays a hundred times smaller, so
+    # enumeration rounding cannot flip a verdict
+    corners = (0.0, 1.0 / MAG_LIMIT, 1.0, MAG_LIMIT)
+    largest = max(region.rhs_vector().max()
+                  for gains in itertools.product(corners, repeat=4)
+                  for region in (build_inner(inner_coeffs(ChannelGains(*gains))),
+                                 build_outer(outer_coeffs(ChannelGains(*gains)))))
+    assert _CANDIDATE_RTOL * largest < MEMBERSHIP_TOL / 100
+    # and the bound the rationale gives for the whole envelope: every
+    # coefficient is at most log2(1 + (2 * MAG_LIMIT)**2), a rhs three of them
+    bound = 3 * math.log2(1 + (2 * MAG_LIMIT) ** 2)
+    assert largest <= bound and _CANDIDATE_RTOL * bound < MEMBERSHIP_TOL / 100
 
 
 def test_unclipped_never_below_clipped():
@@ -277,10 +325,15 @@ def test_region_as_dict_shape(worked_channel):
     assert "vertices" not in region_as_dict(region, include_vertices=False)
 
 
-def test_type_validation():
+def test_type_validation(worked_channel):
     with pytest.raises(ValueError):
         HalfSpace((1, 3, 0), 1.0)
     with pytest.raises(ValueError):
         HalfSpace((1, 1, 0), -1.0)
     with pytest.raises(ValueError):
         RateRegion(label="bogus", halfspaces=(HalfSpace((0, 1, 0), 1.0),))
+    # every region has the one shape: the 13 rows of BOUND_PATTERNS, in order
+    rows = build_outer(outer_coeffs(worked_channel)).halfspaces
+    for other in (rows[:9], rows[1:] + rows[:1], rows[:12] + (HalfSpace((0, 1, 0), 1.0),)):
+        with pytest.raises(ValueError):
+            RateRegion(label="outer", halfspaces=other)

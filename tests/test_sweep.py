@@ -4,11 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from icci.bounds import deltas_within_limits, gap_deltas, inner_coeffs, outer_coeffs
+from icci.bounds import coeff_rows, deltas_within_limits, gap_deltas, inner_coeffs, outer_coeffs
 from icci.channel import ChannelGains
 from icci.region import (
     _CANDIDATE_RTOL,
     BOUND_PATTERNS,
+    _bound_candidates,
+    _row_reach,
+    bound_rhs,
     build_inner,
     build_outer,
     containment_slack,
@@ -193,20 +196,21 @@ def assert_core_matches_region_api(gains: list, bits: float) -> None:
     for g, check in zip(gains, check_channels(gains, bits=bits)):
         inner = build_inner(inner_coeffs(g))
         outer = build_outer(outer_coeffs(g))
+        # the reference: the displayed vertices, every shifted vertex against every inner row
         outer_pts = vertices(outer)
-        cert = within_bits_slack(inner, outer, bits, target_vertices=outer_pts)
-        expected = (
-            float(containment_slack(outer, vertices(inner)).min()),
-            cert.slack,
-            within_bits_unclipped_slack(inner, outer, bits, target_vertices=outer_pts).slack,
-        )
+        rhs, c = inner.rhs_vector(), inner.coefficient_matrix()
+        clipped = (rhs - np.maximum(outer_pts - bits, 0.0) @ c.T).min(axis=0)
+        per_rate = (rhs - (outer_pts - bits) @ c.T).min(axis=0)
+        expected = (float(containment_slack(outer, vertices(inner)).min()), clipped.min(), per_rate.min())
         got = (check.containment_slack, check.gap_slack, check.per_rate_gap_slack)
         assert check.deltas_ok == deltas_within_limits(gap_deltas(g)), g
         assert got == pytest.approx(expected, abs=SLACK_BOUND), g
-        # the binding row is the region API's, or ties with it
-        shifted = np.maximum(outer_pts - bits, 0.0)
-        row_slack = (inner.rhs_vector() - shifted @ inner.coefficient_matrix().T).min(axis=0)
-        assert row_slack[check.gap_constraint] - cert.slack <= SLACK_BOUND, g
+        # the binding row is the reference's, or ties with it
+        assert clipped[check.gap_constraint] - clipped.min() <= SLACK_BOUND, g
+        # and the region API is the core at N = 1, bit for bit
+        cert = within_bits_slack(inner, outer, bits)
+        assert (cert.slack, cert.halfspace_index) == (check.gap_slack, check.gap_constraint), g
+        assert within_bits_unclipped_slack(inner, outer, bits).slack == check.per_rate_gap_slack, g
 
 
 class TestCertificationCore:
@@ -271,6 +275,20 @@ class TestCertificationCore:
             assert np.count_nonzero(row_slack - least <= 2 * np.spacing(abs(least))) >= 2, g
             assert check.gap_constraint == np.flatnonzero(row_slack == least)[0], g
             assert check.gap_slack == least, g
+            assert within_bits_slack(inner, build_outer(outer_coeffs(g)), 1.0).halfspace_index == check.gap_constraint, g
+
+    def test_row_reach_is_the_left_to_right_sum(self):
+        # every product c_k * x_k is exact, so the matrix product that
+        # gives the row maxima may round only in the sum of three terms,
+        # and must sum them left to right, as the loop here does
+        gains = seeded_channels(42, 20) + EDGE_CHANNELS[::23]
+        rhs = np.concatenate([bound_rhs(family) for family in coeff_rows(_gain_rows(gains))], axis=1)
+        x, starts = _bound_candidates(rhs)
+        ends = list(starts[1:]) + [x.shape[1]]
+        got = _row_reach(x, starts)
+        for row, c in enumerate(BOUND_PATTERNS):
+            dots = [c[0] * p[0] + c[1] * p[1] + c[2] * p[2] for p in x.T.tolist()]
+            assert got[row].tolist() == [max(dots[a:b]) for a, b in zip(starts, ends)], row
 
     def test_rejects_a_bad_budget(self):
         with pytest.raises(ValueError):
