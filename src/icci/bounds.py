@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelGains
+from .channel import ChannelGains, _nonneg_finite
 
 __all__ = [
     "BoundCoeffs",
@@ -259,6 +259,7 @@ def deltas_within_limits(deltas: GapDeltas, tol: float = 1e-9) -> bool:
     the real-arithmetic statement without manufacturing boundary
     failures out of rounding.
     """
+    tol = _nonneg_finite("tol", tol)
     rows = np.array([[getattr(deltas, name)] for name in _COEFF_FIELDS])
     return bool(delta_rows_within_limits(rows, tol)[0])
 

@@ -42,16 +42,20 @@ def _real(name: str, value) -> float:
         raise ValueError(f"{name} is too large for a float, got {value!r}") from None
 
 
+def _nonneg_finite(name: str, value) -> float:
+    """value as a Python float, if it is a finite nonnegative real number
+    (see ``_real``); raises ValueError otherwise."""
+    value = _real(name, value)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    return value
+
+
 def _set_nonneg_finite(obj, names: tuple[str, ...]) -> None:
     """Check that each named field is a finite nonnegative real number
-    (see ``_real``) and store it as a Python float."""
+    and store it as a Python float."""
     for name in names:
-        value = getattr(obj, name)
-        if type(value) is not float:
-            value = _real(name, value)
-            object.__setattr__(obj, name, value)
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        object.__setattr__(obj, name, _nonneg_finite(name, getattr(obj, name)))
 
 
 @dataclass(frozen=True)

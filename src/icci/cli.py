@@ -14,7 +14,7 @@ import sys
 import time
 
 from .bounds import gap_deltas, inner_coeffs, outer_coeffs
-from .channel import ChannelGains
+from .channel import ChannelGains, _nonneg_finite
 from .gaussian_mi import CovarianceError, mi_discrepancy, successive_decode_chain
 from .gdof import write_curve_csv
 from .region import build_inner, build_outer, region_as_dict, within_bits_slack
@@ -91,7 +91,7 @@ def _cmd_gap(args: argparse.Namespace) -> int:
     inner = build_inner(inner_coeffs(gains))
     outer = build_outer(outer_coeffs(gains))
     cert = within_bits_slack(cover=inner, target=outer, bits=args.bits)
-    ok = cert.slack >= -args.tol
+    ok = cert.slack >= -_nonneg_finite("tol", args.tol)
     if args.json:
         print(json.dumps({
             "channel": gains.as_dict(),
@@ -120,6 +120,7 @@ def _cmd_gdof_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_mi(args: argparse.Namespace) -> int:
+    _nonneg_finite("tol", args.tol)
     worst = 0.0
     worst_index = 0
     try:

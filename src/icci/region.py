@@ -7,50 +7,35 @@ intersection of the nonnegative octant with the 13 half-spaces
 
     c0*r0 + c1*r1 + c2*r2 <= rhs,    c_k in {0, 1, 2},  rhs >= 0,
 
-whose patterns c are the constant ``BOUND_PATTERNS``, so it is bounded
-(rows 2 and 3 bound r1 and r2, and row 0 bounds r0), contains the
-origin, and is downward
-comprehensive: lowering any coordinate of a feasible point keeps it
-feasible, because every c_k is nonnegative.  Those facts drive both the
-enumeration and the gap test.
+whose patterns c are the constant ``BOUND_PATTERNS`` (``RateRegion``
+admits no others, and the exponent region of ``icci.gdof`` is the same
+rows), so it is bounded (rows 0, 2 and 3 bound r0, r1 and r2), contains
+the origin, and is downward comprehensive: lowering any coordinate of a
+feasible point keeps it feasible, because every c_k is nonnegative.
 
-Vertex enumeration is brute force over plane triples.  The coefficients
-never depend on the channel, only the right-hand sides do, so the
-triples are solved once, at import, and only over the distinct
-patterns: of the 13 rows, rows 4-6 and rows 7-8
-share a pattern, so they span 10 distinct planes.  A row whose
-parallel twin has a smaller rhs lies outside that twin's half-space and
-carries no vertex, and a twin of equal rhs is the same plane, so each
-distinct pattern is solved at its least rhs.  With the 3 coordinate
-planes that gives C(13, 3) = 286 triples, 216 of them nonsingular (the
-13 rows themselves would give 385 of 560).  ``HalfSpace`` admits only
-coefficients in {0, 1, 2}, so each entry of a triple's adjugate is a
-difference of two products of such entries and its determinant a sum of
-six products of three: small integers that float64 holds exactly.  A
-triple is therefore singular exactly when its determinant is 0, with no
-pivot threshold.  A region's candidates are then adj . b / det for the
-least right-hand sides b.  Those violating any constraint by more than
-``_CANDIDATE_RTOL`` times the region's largest rhs B are discarded as
-infeasible.  Every vertex of the region is found (it lies on at least
-three independent planes, so some triple produces it).  A kept
-candidate need not be a true vertex: it may be an intersection up to
-about 1e-13 B outside the region, next to a vertex (see
-``_bound_candidates``).
+Only the right-hand sides depend on the channel, so whatever depends on
+the coefficients is computed once, at import, over the 10 distinct
+patterns (rows 4-6 and rows 7-8 share one), each taken at its least rhs:
+a row whose parallel twin has a smaller rhs never binds.  With the 3
+coordinate planes that gives 286 plane triples, 216 of them
+nonsingular.  With coefficients in {0, 1, 2} each triple's adjugate and
+determinant are small integers that float64 holds exactly, so a triple
+is singular exactly when its determinant is 0, with no pivot threshold.
 
-Every region has this one shape: ``RateRegion`` admits only the 13
-rows of ``BOUND_PATTERNS``, and the exponent region of ``icci.gdof`` is
-the same rows on the exponent coefficients.  Certificates over any
-number of regions go through ``_bound_candidates``, which solves N
-regions in one elementwise pass, and ``_gap_rows``, which reduces their
-candidates to row maxima with no deduplication (duplicates do not change
-a maximum).  ``within_bits_slack`` and ``within_bits_unclipped_slack``
-are that path at N = 1, and the sweep of ``icci.sweep`` runs it over
-chunks of channels, so both give the same bits.  Only the display,
-``vertices`` and ``region_as_dict``, deduplicates: candidates are merged
-in triple order at the same radius in the max norm, one pass per kept
-vertex rather than per candidate, so each vertex is shown once, up to
-rounding; two vertices closer than 2**-44 B, which rounding cannot tell
-apart, are shown as one.
+Certificates are maxima of linear objectives over regions, taken by LP
+duality with no vertices: the dual feasible set {y >= 0 : A^T y >= w}
+of an objective w depends on the patterns A alone, so its basic
+solutions, read off the adjugates, form one table (``_dual_table``) of
+232 multipliers over the 15 objectives certificates need, and a
+region's maximum of w . x is the least y . b over w's multipliers
+(``_reach``).  ``within_bits_slack`` and ``within_bits_unclipped_slack``
+are ``_gap_rows`` on those maxima at N = 1, and the sweep of
+``icci.sweep`` runs the same path over chunks of channels, so both give
+the same bits.  Only the display (``vertices``, ``region_as_dict``) and
+a certificate's witness vertex solve a region's triples (``_candidates``);
+``vertices`` merges the candidates in triple order within 2**-44 times
+the largest rhs, so two vertices closer than rounding can tell apart are
+shown as one.
 
 Two bit-gap tests compare a target region with a cover region: the
 clipped shift ``within_bits_slack``, which lowers each target vertex by
@@ -70,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _COEFF_FIELDS, BoundCoeffs
+from .channel import _nonneg_finite
 
 __all__ = [
     "MEMBERSHIP_TOL",
@@ -88,21 +74,23 @@ __all__ = [
     "region_as_dict",
 ]
 
-# Verdicts and vertex enumeration use different tolerances.  A verdict
-# compares a slack in bits with -MEMBERSHIP_TOL, an absolute 1e-9.  Over
-# the accepted envelope (gains up to 1e6) every coefficient is at most
-# log2(1 + 4e12) < 42 bits and every rhs a sum of at most three, B < 126,
-# so rounding moves a slack by about 300 u B (u = 2**-53), under 5e-12,
-# and the certificates agree with exact rational arithmetic within 3e-12;
-# 1e-9 absorbs that and is far below any rate difference the bounds
-# resolve.  Enumeration has to scale with the region instead: at gains of
-# 1e-6 every rhs is below 1e-11, and an absolute 1e-9 would admit every
-# intersection.  It uses the relative _CANDIDATE_RTOL (rationale in
-# _bound_candidates), at most 7.2e-12 over the envelope, under
-# MEMBERSHIP_TOL / 100, so enumeration rounding cannot flip a verdict.
+# Verdicts compare a slack in bits with -MEMBERSHIP_TOL, an absolute
+# 1e-9.  Over the accepted envelope (gains up to 1e6) every rhs is a sum
+# of at most three coefficients below log2(1 + 4e12) < 42 bits, B < 126.
+# A slack is an rhs minus a maximum of at most 4 B that _reach sums from
+# at most three nonnegative products, within about 4 u of itself
+# (u = 2**-53), so rounding moves it by under 3e-13.  Against exact
+# rational arithmetic on 5000 channels (2000 in [1e-3, 1e3] at one bit,
+# 2000 in [1e-6, 1e6] at two bits, 1000 there at zero bits) the slacks
+# agree within 7.1e-15 and every binding row is the same.  Certificates
+# use no candidate radius.  Enumeration, for display and witnesses, has
+# to scale with the region: at gains of 1e-6 every rhs is below 1e-11,
+# where 1e-9 would admit every intersection.  Its relative
+# _CANDIDATE_RTOL (rationale in _candidates) is at most 7.2e-12 over the
+# envelope, under MEMBERSHIP_TOL / 100.
 MEMBERSHIP_TOL = 1e-9
 # candidate filter and deduplication radius of vertex enumeration, per
-# unit of the region's largest rhs
+# unit of the region's largest rhs; certificates do not use it
 _CANDIDATE_RTOL = 2.0 ** -44
 
 _REGION_LABELS = ("inner", "outer", "gdof")
@@ -145,11 +133,8 @@ BOUND_RHS_TERMS: tuple[tuple[str, ...], ...] = (
 # zero row (index 10) to three terms: adding 0.0 changes no sum
 _RHS_INDEX = np.array([[_COEFF_FIELDS.index(name) for name in terms] + [len(_COEFF_FIELDS)] * (3 - len(terms))
                        for terms in BOUND_RHS_TERMS]).T
-# the distinct patterns of BOUND_PATTERNS, in order of first appearance,
-# and as a (10, 3) matrix: with coefficients in {0, 1, 2}, every product
-# in _DISTINCT @ x is exact and only the sum of three terms rounds
+# the distinct patterns of BOUND_PATTERNS, in order of first appearance
 _BOUND_DISTINCT = tuple(dict.fromkeys(BOUND_PATTERNS))
-_DISTINCT = np.array(_BOUND_DISTINCT, dtype=float)
 _ROW_WEIGHT = np.sum(BOUND_PATTERNS, axis=1)[:, None]   # sum(c) of each row
 
 
@@ -211,10 +196,12 @@ class GapCertificate:
     rhs - c . shift(vertex), where shift is the clipped shift
     max(vertex - bits, 0) for ``within_bits_slack`` and the per-rate
     shift vertex - bits for ``within_bits_unclipped_slack``; negative
-    slack means the test fails.  halfspace_index is the lowest-numbered
-    cover row attaining the minimum, the row ``ChannelCheck``
-    reports, vertex a target vertex attaining it on that row, and
-    shifted its shift.
+    slack means the test fails.  slack and halfspace_index, the
+    lowest-numbered cover row attaining the minimum, come from the dual
+    table, bit for bit what ``ChannelCheck`` reports.  vertex is the
+    witness: of the target's display candidates (``vertices`` before
+    deduplication), one that maximizes c . shift(v) on that row, so its
+    slack there equals slack up to rounding; shifted is its shift.
     """
 
     slack: float
@@ -283,6 +270,7 @@ def containment_slack(region: RateRegion, points) -> np.ndarray:
 
 def contains(region: RateRegion, point, tol: float = MEMBERSHIP_TOL) -> bool:
     """Membership within absolute slack tol."""
+    tol = _nonneg_finite("tol", tol)
     return bool(containment_slack(region, point).min() >= -tol)
 
 
@@ -315,7 +303,52 @@ def _plane_solver(patterns: tuple[tuple[int, int, int], ...]):
 
 # the one solver: _BOUND_ROW maps each row to its pattern in _BOUND_DISTINCT
 _COEFFS, _BOUND_ROW, _TRIPLES, _ADJ, _DET = _plane_solver(BOUND_PATTERNS)
-_WEIGHTS = np.ascontiguousarray(_ADJ.transpose(1, 2, 0))   # _WEIGHTS[k, j] = _ADJ[:, k, j]
+
+
+def _dual_table(objectives: tuple[tuple[int, int, int], ...]):
+    """The basic solutions of the dual {y >= 0 : A^T y >= w} of max w . x
+    over a region, per objective w, A the distinct patterns.
+
+    Triple t gives y = w . adj / det on its planes (w . adj is an exact
+    integer, so y rounds once), dual feasible when y >= 0 on its pattern
+    planes and y <= 0 on its coordinate planes (-y is their slack).  For
+    rhs b >= 0 the least y . b over these is the maximum (the region is
+    bounded and holds the origin), and coordinate planes have rhs 0, so
+    a multiplier keeps its at most three pattern terms, once per
+    objective.  Returns the (3, M, 1) multipliers and (3, M) plane
+    indices, short ones padded with 0.0 on plane 0, and the (O,) start
+    of each objective's run.
+    """
+    distinct = len(_BOUND_DISTINCT)
+    y = np.einsum("oi,tij->otj", np.array(objectives, dtype=float), _ADJ) / _DET[:, None]
+    feasible = np.where(_TRIPLES < distinct, y >= 0, y <= 0).all(axis=2)
+    terms, starts = [], []
+    for w_y, w_feasible in zip(y, feasible):
+        starts.append(len(terms))
+        terms.extend(dict.fromkeys(
+            tuple((p, m) for p, m in zip(_TRIPLES[t].tolist(), w_y[t].tolist()) if p < distinct and m)
+            for t in np.flatnonzero(w_feasible)))
+    padded = np.array([term + ((0, 0.0),) * (3 - len(term)) for term in terms])   # (M, 3, 2)
+    out = (padded[:, :, 1].T[:, :, None].copy(), padded[:, :, 0].T.astype(np.intp), np.array(starts))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+# The 15 objectives of every certificate: the distinct patterns, whose
+# maxima are the rows' reach, then those restrictions c_S of a pattern to
+# a subset S of the rates that are not patterns themselves, which the
+# clipped shift needs (see _gap_rows); _OBJECTIVE_WEIGHT is sum(c_S).
+_OBJECTIVES = tuple(dict.fromkeys(_BOUND_DISTINCT + tuple(
+    tuple(ck if k in s else 0 for k, ck in enumerate(c))
+    for c in _BOUND_DISTINCT for n in (1, 2, 3) for s in itertools.combinations(np.flatnonzero(c).tolist(), n))))
+_OBJECTIVE_WEIGHT = np.sum(_OBJECTIVES, axis=1)[:, None]
+# the objectives c_S of each distinct pattern's nonempty restrictions, run after run
+_RESTRICTION_LISTS = [[o for o, w in enumerate(_OBJECTIVES) if all(wk in (0, ck) for wk, ck in zip(w, c))]
+                      for c in _BOUND_DISTINCT]
+_RESTRICTIONS = np.concatenate(_RESTRICTION_LISTS)
+_RESTRICTION_STARTS = np.cumsum([0] + [len(r) for r in _RESTRICTION_LISTS[:-1]])
+_DUAL_Y, _DUAL_PLANE, _DUAL_STARTS = _dual_table(_OBJECTIVES)
 
 
 def _least_rhs(rhs: np.ndarray) -> np.ndarray:
@@ -326,21 +359,35 @@ def _least_rhs(rhs: np.ndarray) -> np.ndarray:
     return limit
 
 
-def vertices(region: RateRegion) -> np.ndarray:
-    """Enumerate all vertices of the region as a (k, 3) array, for display.
+def _candidates(rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """The feasible plane-triple intersections of one region, in triple
+    order and not deduplicated, and the radius that admitted them.
 
-    Candidate points are the intersections of the nonsingular plane
-    triples, each distinct pattern at its least rhs; kept if feasible
-    within ``_CANDIDATE_RTOL`` times the largest rhs, and deduplicated
-    in triple order at the same radius.
+    Every nonsingular triple is solved, each pattern at its least rhs,
+    and kept when it violates no constraint, coordinate planes included,
+    by more than ``_CANDIDATE_RTOL`` times the largest rhs B.  With
+    |adj| <= 4 and |det| >= 1 a coordinate adj . b / det is within about
+    48 u B of its exact value (u = 2**-53) and c . x, sum(c) <= 4, within
+    about 300 u B = 2**-44.8 B, so a true vertex is never dropped
+    (measured: at most 3.3e-16 B), two solutions of one vertex differ by
+    less than 2**-44 B, and a kept point is at most about 1e-13 B outside
+    the region.  An absolute ``MEMBERSHIP_TOL`` would be too loose: on
+    near-degenerate channels some intersections lie up to 9e-10 outside
+    the region, and at gains of 1e-6 every intersection passes it.
     """
-    r = region.rhs_vector()
-    tol = _CANDIDATE_RTOL * np.max(r, initial=0.0)
-    offsets = np.concatenate([_least_rhs(r), np.zeros(3)])
+    tol = _CANDIDATE_RTOL * np.max(rhs, initial=0.0)
+    offsets = np.concatenate([_least_rhs(rhs), np.zeros(3)])
     # + 0.0 maps -0.0 to 0.0, so displayed vertices never read -0.0
     x = np.einsum("tij,tj->ti", _ADJ, offsets[_TRIPLES]) / _DET[:, None] + 0.0
-    feasible = (x >= -tol).all(axis=1) & (x @ _COEFFS.T <= r + tol).all(axis=1)
-    candidates = x[feasible]
+    feasible = (x >= -tol).all(axis=1) & (x @ _COEFFS.T <= rhs + tol).all(axis=1)
+    return x[feasible], tol
+
+
+def vertices(region: RateRegion) -> np.ndarray:
+    """Enumerate all vertices of the region as a (k, 3) array, for display:
+    the ``_candidates``, deduplicated in triple order at their radius in
+    the max norm, one pass per kept vertex."""
+    candidates, tol = _candidates(region.rhs_vector())
     kept = []
     while len(candidates):
         kept.append(candidates[0])
@@ -348,103 +395,50 @@ def vertices(region: RateRegion) -> np.ndarray:
     return np.array(kept).reshape(-1, 3)
 
 
-def _dot(c: tuple[int, int, int], x: list[np.ndarray]) -> np.ndarray:
-    """c . x over coordinate-major points x (three arrays of one shape),
-    summed left to right as ``_DISTINCT @ x`` sums it; each c_k * x_k is
-    exact."""
-    first, *rest = [k for k in range(3) if c[k]]
-    out = x[first] * c[first]
-    for k in rest:
-        out += x[k] if c[k] == 1 else 2.0 * x[k]
-    return out
+def _reach(rhs: np.ndarray) -> np.ndarray:
+    """The largest w . x over each of N regions for the objectives w of
+    ``_OBJECTIVES``: (15, N) for rhs (13, N).
 
-
-def _row_reach(x: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """max of c . x for each row of ``BOUND_PATTERNS`` over each run of
-    points: (13, N) for points x of shape (3, F) whose N runs begin at
-    ``starts``."""
-    return np.maximum.reduceat(_DISTINCT @ x, starts, axis=1)[_BOUND_ROW]
-
-
-def _bound_candidates(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The vertices of N regions, with no deduplication: what a maximum
-    or minimum over vertices needs.
-
-    rhs is (13, N), rows in ``BOUND_PATTERNS`` order.  Every region's
-    T = 216 nonsingular plane triples are solved, each distinct pattern
-    at its least rhs (see the module docstring), and the feasible
-    intersections kept in triple order, region after region.  Returns
-    (x, starts): x the (3, F) coordinates kept and starts the (N,) index
-    in x where each region's run begins.  Every run is nonempty, since
-    the origin is always a vertex (every rhs >= 0), and duplicates of a
-    vertex do not change a maximum or a minimum.  Every operation is
-    elementwise or reduces within one region, so each region's results
-    are bitwise the same whatever N is.
-
-    A candidate is kept when it violates no constraint, coordinate
-    planes included, by more than ``_CANDIDATE_RTOL`` times its region's
-    largest rhs B.  The tolerance comes from rounding: with |adj| <= 4
-    and |det| >= 1, a coordinate adj . b / det is within about 48 u B of
-    its exact value (u = 2**-53) and c . x, sum(c) <= 4, within about
-    300 u B = 2**-44.8 B, so a true vertex is never dropped (measured:
-    at most 3.3e-16 B), and two solutions of one vertex from different
-    triples differ by less than 2**-44 B, which is why ``vertices``
-    deduplicates at that radius.  An absolute ``MEMBERSHIP_TOL`` is too
-    loose: on near-degenerate channels some intersections lie up to
-    9e-10 outside the region next to a true vertex, and on a region
-    whose rhs are all below 1e-9, as at gains of 1e-6, every
-    intersection passes it.  A point admitted at this tolerance is at
-    most about 1e-13 B outside the region (4e-12 for rates of 40 bits);
-    on 10000 channels in [1e-6, 1e6] the certificates built on these
-    vertices stay within 3e-12 of exact rational arithmetic.
+    By LP duality each is the least y . b over w's multipliers in the
+    dual table, b each pattern's least rhs.  Every term y_j b_j is
+    nonnegative, so a sum is within about 4 u of itself.  Every
+    operation is elementwise or reduces within one column, so each
+    region's results are bitwise the same whatever N is.
     """
-    n = rhs.shape[1]
-    limit = _least_rhs(rhs)
-    offsets = np.concatenate([limit, np.zeros((3, n))]).T
-    b = [offsets[:, plane] for plane in _TRIPLES.T]   # (N, T): offset of each triple's plane j
-    x = [(w[0] * b[0] + w[1] * b[1] + w[2] * b[2]) / _DET for w in _WEIGHTS]
-    tol = _CANDIDATE_RTOL * rhs.max(axis=0)
-    # pattern by pattern over (N, T) arrays rather than one _DISTINCT
-    # matmul: at 32 regions the stacked points (166 KB) and their (10, F)
-    # product (553 KB) exceed glibc's 128 KiB mmap threshold, are mapped
-    # and faulted in again on every pass: sweep-accept lost about 20%
-    feasible = (x[0] >= -tol[:, None]) & (x[1] >= -tol[:, None]) & (x[2] >= -tol[:, None])
-    for c, bound in zip(_BOUND_DISTINCT, limit + tol):
-        feasible &= _dot(c, x) <= bound[:, None]
-    keep = np.flatnonzero(feasible)
-    counts = feasible.sum(axis=1)
-    return np.stack([xk.ravel()[keep] for xk in x]), np.cumsum(counts) - counts
+    b = _least_rhs(rhs)
+    value = _DUAL_Y[0] * b[_DUAL_PLANE[0]]
+    value += _DUAL_Y[1] * b[_DUAL_PLANE[1]]
+    value += _DUAL_Y[2] * b[_DUAL_PLANE[2]]
+    return np.minimum.reduceat(value, _DUAL_STARTS, axis=0)
 
 
-def _gap_rows(cover_rhs: np.ndarray, x: np.ndarray, starts: np.ndarray, bits: float, clip: bool) -> np.ndarray:
-    """The (13, N) slack of each cover row against N runs of target
-    candidates (as ``_bound_candidates`` returns them) shifted down by
-    bits: clipped at zero, or per rate with no clip.  A row's slack is
-    rhs - max over the run of c . shift(v): rounding is monotone, so
-    this equals the minimum over the run of the per-point slack.  The
-    per-rate shift lowers every c . v by bits * sum(c), so it reuses the
-    unshifted row maxima."""
+def _gap_rows(cover_rhs: np.ndarray, reach: np.ndarray, bits: float, clip: bool) -> np.ndarray:
+    """The (13, N) slack of each cover row against N target regions,
+    given as their ``_reach``, shifted down by bits: clipped at zero, or
+    per rate with no clip.  A row's slack is rhs minus the largest
+    c . shift(v) over the target.  The per-rate shift lowers every c . v
+    by bits * sum(c); the clipped one has c . max(v - bits, 0) =
+    max over subsets S of the rates of c_S . v - bits * sum(c_S), so its
+    largest value is the largest such difference over the restrictions
+    of c, or 0 for the empty subset."""
     if clip:
-        return cover_rhs - _row_reach(np.maximum(x - bits, 0.0), starts)
-    return cover_rhs - (_row_reach(x, starts) - bits * _ROW_WEIGHT)
-
-
-def _check_bits(bits: float) -> None:
-    if not (math.isfinite(bits) and bits >= 0):
-        raise ValueError(f"bits must be finite and >= 0, got {bits!r}")
+        top = np.maximum.reduceat((reach - bits * _OBJECTIVE_WEIGHT)[_RESTRICTIONS], _RESTRICTION_STARTS)
+        return cover_rhs - np.maximum(top, 0.0)[_BOUND_ROW]
+    return cover_rhs - (reach[_BOUND_ROW] - bits * _ROW_WEIGHT)
 
 
 def _gap_certificate(cover: RateRegion, target: RateRegion, bits: float, clip: bool) -> GapCertificate:
-    """``_gap_rows`` for one pair of regions, the N = 1 case of the core."""
-    _check_bits(bits)
-    x, starts = _bound_candidates(target.rhs_vector()[:, None])
-    rows = _gap_rows(cover.rhs_vector()[:, None], x, starts, bits, clip)[:, 0]
+    """``_gap_rows`` for one pair of regions, the N = 1 case of the core;
+    the witness is a display candidate attaining the binding row."""
+    bits = _nonneg_finite("bits", bits)
+    rhs = target.rhs_vector()
+    rows = _gap_rows(cover.rhs_vector()[:, None], _reach(rhs[:, None]), bits, clip)[:, 0]
     row = int(rows.argmin())
+    x, _ = _candidates(rhs)
     shifted = np.maximum(x - bits, 0.0) if clip else x - bits
-    k = int((_COEFFS[row] @ shifted).argmax())
-    # + 0.0 maps -0.0 to 0.0
-    return GapCertificate(slack=float(rows[row]), vertex=tuple((x[:, k] + 0.0).tolist()),
-                          shifted=tuple((shifted[:, k] + 0.0).tolist()), halfspace_index=row)
+    k = int((shifted @ _COEFFS[row]).argmax())
+    return GapCertificate(slack=float(rows[row]), vertex=tuple(x[k].tolist()),
+                          shifted=tuple(shifted[k].tolist()), halfspace_index=row)
 
 
 def within_bits_slack(cover: RateRegion, target: RateRegion, bits: float) -> GapCertificate:
@@ -493,6 +487,7 @@ def within_bits(
     target polytope is attained at a target vertex.  Checking clipped
     shifts of all target vertices is therefore sound and complete.
     """
+    tol = _nonneg_finite("tol", tol)
     return within_bits_slack(cover, target, bits).slack >= -tol
 
 

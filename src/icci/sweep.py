@@ -4,39 +4,39 @@ Channels are drawn with log-uniform link magnitudes from keyed Philox
 substreams, so sample i of a sweep depends only on (seed, i); a sweep
 draws each chunk of channels in one pass, and ``sample_gains`` is the
 same draw at N = 1.  Each channel is checked three ways: the
-per-coefficient gap limits, containment of the achievable region's
-vertices in the converse region, and the clipped-shift bit-gap
+per-coefficient gap limits, containment of the achievable region in
+the converse region, and the clipped-shift bit-gap
 certificate.  The per-rate bit-gap certificate is computed alongside,
-from the same converse vertices, and carried in each channel's result
+from the same converse maxima, and carried in each channel's result
 without entering its verdict.
 
 All of it runs in one array-first core over an (N, 4) gains array: both
 coefficient families as column expressions, the (13, N) right-hand
-sides, every channel's 216 plane-triple vertex candidates, and minima
-over the feasible ones with no deduplication (duplicates do not change
-a minimum).  The candidates and the row reduction are those of
-``icci.region``, whose ``within_bits_slack`` and
+sides, and the maxima that every certificate needs, which
+``icci.region`` takes by LP duality from one table of dual multipliers
+fixed at import, with no vertex enumeration.  The maxima and the row
+reduction are those of ``icci.region``, whose ``within_bits_slack`` and
 ``within_bits_unclipped_slack`` are the same path at N = 1, so a
 channel's certificates there and here are the same bits; only displayed
-vertices are deduplicated.  A sweep feeds the core fixed-size chunks of
-channels and reduces the chunks in sample-index order;
-``check_channels`` runs the same chunks, and ``check_channel`` is the
-core at N = 1.  The core only computes elementwise or within one
-channel, so every channel's results are bit-identical whatever the
-chunk size, and a config always gives the same report.
+vertices and a certificate's witness are enumerated.  A sweep feeds the
+core fixed-size chunks of channels and reduces the chunks in
+sample-index order; ``check_channels`` runs the same chunks, and
+``check_channel`` is the core at N = 1.  The core only computes
+elementwise or within one channel, so every channel's results are
+bit-identical whatever the chunk size, and a config always gives the
+same report.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import coeff_rows, delta_rows_within_limits
-from .channel import ChannelGains
-from .region import MEMBERSHIP_TOL, _bound_candidates, _check_bits, _gap_rows, _row_reach, bound_rhs
+from .channel import ChannelGains, _nonneg_finite, _real
+from .region import _BOUND_ROW, MEMBERSHIP_TOL, _gap_rows, _reach, bound_rhs
 
 __all__ = [
     "SweepConfig",
@@ -49,14 +49,15 @@ __all__ = [
 ]
 
 MAG_LIMIT = 1e6  # validated operating envelope for link magnitudes
-# Channels per pass of the core.  Its largest temporaries are
-# (2 * chunk, 216) float arrays: 55 KiB at 16 channels, under glibc's
-# default 128 KiB mmap threshold, so they are recycled from the heap
-# rather than mapped and faulted in again on every pass.  A pass costs a
-# fixed ~0.4 ms of numpy calls plus ~40 us per channel (2-vCPU Xeon), so
-# larger passes amortize more: on 50-channel sweeps, 32 channels per pass
-# gave 15-20% more throughput than 16, for about 0.4 MB (1%) more peak RSS
-# at equal work; 16 is kept for the lower peak RSS.
+# Channels per pass of the core.  Its largest temporaries are the
+# (232, 2 * chunk) float arrays of the dual table: 58 KiB at 16 channels,
+# under glibc's default 128 KiB mmap threshold, so they are recycled from
+# the heap rather than mapped and faulted in again on every pass (at 64
+# channels they are not: a pass measured 0.68 ms, against 0.30 at 32).
+# A pass costs a fixed ~0.12 ms of numpy calls plus ~6 us per channel
+# (2-vCPU Xeon), so larger passes amortize more: on 50-channel sweeps, 32
+# channels per pass gave about 25% more throughput than 16, for about
+# 0.15 MB more peak RSS at equal work; 16 is kept for the lower peak RSS.
 _CHUNK = 16
 
 
@@ -70,19 +71,19 @@ class SweepConfig:
     tol: float = MEMBERSHIP_TOL
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.samples, int) and self.samples >= 1):
+        if not (type(self.samples) is int and self.samples >= 1):
             raise ValueError(f"samples must be a positive int, got {self.samples!r}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (type(self.seed) is int and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative int, got {self.seed!r}")
+        for name in ("mag_min", "mag_max"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not (0 < self.mag_min <= self.mag_max <= MAG_LIMIT):
             raise ValueError(
                 f"need 0 < mag_min <= mag_max <= {MAG_LIMIT:g}, "
                 f"got [{self.mag_min!r}, {self.mag_max!r}]"
             )
-        if not (math.isfinite(self.bits) and self.bits >= 0):
-            raise ValueError(f"bits must be finite and >= 0, got {self.bits!r}")
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError(f"tol must be finite and >= 0, got {self.tol!r}")
+        for name in ("bits", "tol"):
+            object.__setattr__(self, name, _nonneg_finite(name, getattr(self, name)))
 
     def as_dict(self) -> dict:
         return {
@@ -194,28 +195,25 @@ def _certify(gains: np.ndarray, bits: float, tol: float) -> tuple[np.ndarray, ..
 
     Returns (N,) arrays: deltas_ok, containment_slack, gap_slack,
     gap_constraint and per_rate_gap_slack, as in ``ChannelCheck``.  A
-    region's slack against a row is rhs - max over vertices of c . v:
-    rounding is monotone, so this equals the minimum over the vertices
-    of the per-vertex slack.
+    region's slack against a row is rhs - max over the region of c . v,
+    the maximum taken by ``_reach``.
     """
     inner, outer = coeff_rows(gains)
     deltas_ok = delta_rows_within_limits(outer - inner, tol=tol)
     inner_rhs = bound_rhs(inner)
     outer_rhs = bound_rhs(outer)
-    # both regions of every channel in one pass: inner runs first, then outer
+    # both regions of every channel in one pass: inner columns first, then outer
     n = len(gains)
-    x, starts = _bound_candidates(np.concatenate([inner_rhs, outer_rhs], axis=1))
-    inner_x, outer_x = x[:, :starts[n]], x[:, starts[n]:]
-    inner_starts, outer_starts = starts[:n], starts[n:] - starts[n]
+    reach = _reach(np.concatenate([inner_rhs, outer_rhs], axis=1))
+    inner_reach, outer_reach = reach[:, :n], reach[:, n:]
 
-    # inner vertices against the outer rows and the coordinate planes;
-    # + 0.0 turns a -0.0 coordinate into 0.0
-    lowest = np.minimum.reduceat(inner_x.min(axis=0), inner_starts)
-    containment = np.minimum((outer_rhs - _row_reach(inner_x, inner_starts)).min(axis=0), lowest) + 0.0
+    # the inner region against the outer rows; the origin is an inner
+    # vertex, so the coordinate planes add exactly 0
+    containment = np.minimum((outer_rhs - inner_reach[_BOUND_ROW]).min(axis=0), 0.0)
 
-    # outer vertices, shifted down by bits, against the inner rows
-    rows = _gap_rows(inner_rhs, outer_x, outer_starts, bits, clip=True)
-    per_rate = _gap_rows(inner_rhs, outer_x, outer_starts, bits, clip=False).min(axis=0)
+    # the outer region, shifted down by bits, against the inner rows
+    rows = _gap_rows(inner_rhs, outer_reach, bits, clip=True)
+    per_rate = _gap_rows(inner_rhs, outer_reach, bits, clip=False).min(axis=0)
     return deltas_ok, containment, rows.min(axis=0), rows.argmin(axis=0), per_rate
 
 
@@ -237,7 +235,7 @@ def check_channels(
 ) -> list[ChannelCheck]:
     """``check_channel`` on every channel, indexed by position, in
     batched passes of the certification core."""
-    _check_bits(bits)
+    bits, tol = _nonneg_finite("bits", bits), _nonneg_finite("tol", tol)
     return [check for part in _chunks(len(gains))
             for check in _check_chunk(part, gains[part.start:part.stop], bits, tol)]
 
@@ -247,7 +245,7 @@ def check_channel(
 ) -> ChannelCheck:
     """Run all three certifications on one channel, plus the per-rate
     gap certificate: the certification core at N = 1."""
-    _check_bits(bits)
+    bits, tol = _nonneg_finite("bits", bits), _nonneg_finite("tol", tol)
     return _check_chunk([index], [gains], bits, tol)[0]
 
 

@@ -110,6 +110,13 @@ class TestGap:
         assert data["worst_slack"] < 0
         assert data["constraint"] in range(13)
 
+    @pytest.mark.parametrize("command", [["gap", *UNIT], ["verify-mi", "--samples", "1"]])
+    def test_bad_tolerance_is_invalid_input(self, capsys, command):
+        for tol in ("nan", "-1", "inf"):
+            code, out, err = run(capsys, [*command, "--tol", tol])
+            assert (code, out) == (2, ""), tol
+            assert "tol must be finite and nonnegative" in err
+
 
 class TestGdofCurve:
     def test_writes_csv_file(self, capsys, tmp_path):

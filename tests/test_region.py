@@ -10,13 +10,14 @@ from icci.channel import ChannelGains
 from icci.region import (
     _BOUND_DISTINCT,
     _CANDIDATE_RTOL,
+    _OBJECTIVE_WEIGHT,
     BOUND_PATTERNS,
     MEMBERSHIP_TOL,
     HalfSpace,
     RateRegion,
-    _bound_candidates,
     _gap_rows,
     _plane_solver,
+    _reach,
     build_inner,
     build_outer,
     containment_slack,
@@ -229,16 +230,22 @@ def test_unclipped_equals_clipped_without_clip():
         outer = build_outer(outer_coeffs(gains))
         # at zero bits neither shift moves a vertex
         assert within_bits_unclipped_slack(inner, outer, 0.0) == within_bits_slack(inner, outer, 0.0)
-        # every region here has the origin as a vertex, so test points
-        # with all coordinates at least bits: the outer vertices raised by
-        # bits.  The per-rate rows subtract bits * sum(c) from the row
-        # maxima rather than shift each point, so they agree up to rounding.
+        # every region here has the origin as a vertex, so test a target
+        # whose points have every coordinate at least bits: the outer
+        # region raised by bits, whose maxima are the outer ones plus
+        # bits * sum(c_S).  The clipped rows take the largest difference
+        # over the restrictions c_S, the per-rate rows the full pattern
+        # only, so they agree up to rounding.
+        reach = _reach(outer.rhs_vector()[:, None])
         for bits in (0.5, 1.0, 2.0):
-            raised = vertices(outer) + bits
-            assert raised.min() >= bits
-            rows = [_gap_rows(inner.rhs_vector()[:, None], raised.T, np.array([0]), bits, clip)
-                    for clip in (True, False)]
+            raised = reach + bits * _OBJECTIVE_WEIGHT
+            rows = [_gap_rows(inner.rhs_vector()[:, None], raised, bits, clip) for clip in (True, False)]
             np.testing.assert_allclose(*rows, rtol=0, atol=1e-12)
+            # the same raised target as points: the outer vertices plus bits
+            points = vertices(outer) + bits
+            assert points.min() >= bits
+            by_points = inner.rhs_vector() - (points - bits) @ inner.coefficient_matrix().T
+            np.testing.assert_allclose(rows[0][:, 0], by_points.min(axis=0), rtol=0, atol=1e-12)
 
 
 def test_certificate_vertex_attains_the_slack():
@@ -261,8 +268,7 @@ def test_tied_rows_report_the_lowest(worked_channel):
     # on the symmetric worked channel rows 11 and 12 tie exactly at zero bits
     inner = build_inner(inner_coeffs(worked_channel))
     outer = build_outer(outer_coeffs(worked_channel))
-    x, starts = _bound_candidates(outer.rhs_vector()[:, None])
-    rows = _gap_rows(inner.rhs_vector()[:, None], x, starts, 0.0, clip=True)[:, 0]
+    rows = _gap_rows(inner.rhs_vector()[:, None], _reach(outer.rhs_vector()[:, None]), 0.0, clip=True)[:, 0]
     assert list(np.flatnonzero(rows == rows.min())) == [11, 12]
     cert = within_bits_slack(inner, outer, 0.0)
     assert (cert.slack, cert.halfspace_index) == (rows[11], 11)

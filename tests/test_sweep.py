@@ -1,21 +1,29 @@
 import itertools
+import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from icci.bounds import coeff_rows, deltas_within_limits, gap_deltas, inner_coeffs, outer_coeffs
+import icci
+from icci.bounds import deltas_within_limits, gap_deltas, inner_coeffs, outer_coeffs
 from icci.channel import ChannelGains
 from icci.region import (
+    _BOUND_DISTINCT,
     _CANDIDATE_RTOL,
+    _DUAL_STARTS,
+    _OBJECTIVES,
     BOUND_PATTERNS,
-    _bound_candidates,
-    _row_reach,
-    bound_rhs,
+    _reach,
     build_inner,
     build_outer,
     containment_slack,
+    contains,
     vertices,
+    within_bits,
     within_bits_slack,
     within_bits_unclipped_slack,
 )
@@ -148,7 +156,7 @@ _PLANES = list(BOUND_PATTERNS) + [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def _dot(row, v):
-    return sum(ck * vk for ck, vk in zip(row, v))
+    return row[0] * v[0] + row[1] * v[1] + row[2] * v[2]
 
 
 def _det3(m):
@@ -157,24 +165,36 @@ def _det3(m):
                        m[1][0] * m[2][1] - m[1][1] * m[2][0]])
 
 
+def _cofactor_columns(m):
+    return [[(m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+              - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]) for i in range(3)] for j in range(3)]
+
+
+# every nonsingular triple of the 16 planes, with its determinant and
+# cofactor columns: Cramer's rule gives v_j = b . C_j / det
+_SYSTEMS = [(t, _det3(m), _cofactor_columns(m))
+            for t in itertools.combinations(range(len(_PLANES)), 3)
+            for m in [[_PLANES[i] for i in t]] if _det3(m)]
+
+
 def exact_vertices(region) -> tuple[list, set]:
     """(rhs, vertices) of a region of the bound families' shape in exact
     rational arithmetic: every triple of its 16 planes solved by Cramer's
     rule and the solution kept only if exactly feasible, so no tolerance
     and none of the enumerator's reasoning is involved."""
     rhs = [Fraction(r) for r in region.rhs_vector()]
-    offsets = rhs + [Fraction(0)] * 3
+    # a float's denominator is a power of two, so the largest is a common
+    # one and Cramer's rule runs on integers: v = num / (d * scale)
+    scale = max(r.denominator for r in rhs)
+    offsets = [int(r * scale) for r in rhs] + [0] * 3
     found = set()
-    for t in itertools.combinations(range(len(_PLANES)), 3):
-        m = [_PLANES[i] for i in t]
-        d = _det3(m)
-        if d == 0:
-            continue
+    for t, d, cof in _SYSTEMS:
         b = [offsets[i] for i in t]
-        v = tuple(_det3([[b[i] if k == j else m[i][k] for k in range(3)] for i in range(3)]) / d
-                  for j in range(3))
-        if min(v) >= 0 and all(_dot(row, v) <= r for row, r in zip(BOUND_PATTERNS, rhs)):
-            found.add(v)
+        num = [_dot(b, column) for column in cof]
+        if d < 0:
+            d, num = -d, [-n for n in num]
+        if min(num) >= 0 and all(_dot(row, num) <= r * d for row, r in zip(BOUND_PATTERNS, offsets)):
+            found.add(tuple(Fraction(n, d * scale) for n in num))
     return rhs, found
 
 
@@ -277,24 +297,85 @@ class TestCertificationCore:
             assert check.gap_slack == least, g
             assert within_bits_slack(inner, build_outer(outer_coeffs(g)), 1.0).halfspace_index == check.gap_constraint, g
 
-    def test_row_reach_is_the_left_to_right_sum(self):
-        # every product c_k * x_k is exact, so the matrix product that
-        # gives the row maxima may round only in the sum of three terms,
-        # and must sum them left to right, as the loop here does
-        gains = seeded_channels(42, 20) + EDGE_CHANNELS[::23]
-        rhs = np.concatenate([bound_rhs(family) for family in coeff_rows(_gain_rows(gains))], axis=1)
-        x, starts = _bound_candidates(rhs)
-        ends = list(starts[1:]) + [x.shape[1]]
-        got = _row_reach(x, starts)
-        for row, c in enumerate(BOUND_PATTERNS):
-            dots = [c[0] * p[0] + c[1] * p[1] + c[2] * p[2] for p in x.T.tolist()]
-            assert got[row].tolist() == [max(dots[a:b]) for a, b in zip(starts, ends)], row
+    def test_dual_table_is_the_exact_maximum(self):
+        # every objective's table minimum is its maximum over the exact
+        # rational vertices, on both regions of every channel here
+        gains = (seeded_channels(42, 50) + EDGE_CHANNELS + [sample_gains(42, i) for i in TWIN_CHANNELS + TIE_CHANNELS]
+                 + [ChannelGains(1, 2, 2, 1), ChannelGains(3, 0.5, 0.5, 3)])
+        regions = [build(family(g)) for g in gains for build, family in ((build_inner, inner_coeffs),
+                                                                          (build_outer, outer_coeffs))]
+        reach = _reach(np.stack([region.rhs_vector() for region in regions], axis=1))
+        assert reach.shape == (len(_OBJECTIVES), len(regions))
+        for column, region in zip(reach.T, regions):
+            points = exact_vertices(region)[1]
+            exact = [float(max(_dot(w, v) for v in points)) for w in _OBJECTIVES]
+            assert column.tolist() == pytest.approx(exact, rel=0, abs=SLACK_BOUND), region
+
+    def test_dual_table_has_every_basic_solution(self):
+        # the dual basic solutions {y >= 0 : A^T y >= w} of every objective
+        # in exact arithmetic, over the 10 distinct patterns and the
+        # coordinate planes: the table keeps each distinct one once
+        planes = list(_BOUND_DISTINCT) + [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        counts = []
+        for w in _OBJECTIVES:
+            found = set()
+            for t in itertools.combinations(range(len(planes)), 3):
+                m = [planes[i] for i in t]
+                d = _det3(m)
+                if d == 0:
+                    continue
+                # y solves M^T y = w, by Cramer's rule on the transpose
+                mt = [list(col) for col in zip(*m)]
+                y = [Fraction(_det3([[w[i] if k == j else mt[i][k] for k in range(3)] for i in range(3)]), d)
+                     for j in range(3)]
+                if all(yj >= 0 if p < len(_BOUND_DISTINCT) else yj <= 0 for p, yj in zip(t, y)):
+                    found.add(tuple((p, yj) for p, yj in zip(t, y) if p < len(_BOUND_DISTINCT) and yj))
+            counts.append(len(found))
+        assert counts == np.diff(list(_DUAL_STARTS) + [232]).tolist()
+        assert sum(counts) == 232 and len(_OBJECTIVES) == 15
 
     def test_rejects_a_bad_budget(self):
         with pytest.raises(ValueError):
             check_channels([ChannelGains(1, 1, 1, 1)], bits=-1.0)
         with pytest.raises(ValueError):
             check_channel(0, ChannelGains(1, 1, 1, 1), bits=float("nan"))
+
+
+@pytest.mark.parametrize("value", [math.nan, -1, math.inf, True, "1"])
+def test_every_entry_rejects_a_bad_budget_or_tolerance(value):
+    g = ChannelGains(1, 1, 1, 1)
+    inner, outer = build_inner(inner_coeffs(g)), build_outer(outer_coeffs(g))
+    calls = {
+        "check_channel bits": lambda: check_channel(0, g, bits=value),
+        "check_channel tol": lambda: check_channel(0, g, tol=value),
+        "check_channels bits": lambda: check_channels([g], bits=value),
+        "check_channels tol": lambda: check_channels([g], tol=value),
+        "within_bits bits": lambda: within_bits(inner, outer, value),
+        "within_bits tol": lambda: within_bits(inner, outer, 1.0, tol=value),
+        "within_bits_slack": lambda: within_bits_slack(inner, outer, value),
+        "within_bits_unclipped_slack": lambda: within_bits_unclipped_slack(inner, outer, value),
+        "contains": lambda: contains(inner, (0, 0, 0), tol=value),
+        "deltas_within_limits": lambda: deltas_within_limits(gap_deltas(g), tol=value),
+        "SweepConfig bits": lambda: SweepConfig(bits=value),
+        "SweepConfig tol": lambda: SweepConfig(tol=value),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError):
+            call()
+            pytest.fail(name)
+
+
+def test_certifying_leaves_numpy_ma_unimported():
+    # numpy.ma costs about a megabyte resident; np.unique(..., axis=0) imports it
+    code = ("import sys, icci\n"
+            "icci.run_gap_sweep(icci.SweepConfig(samples=20))\n"
+            "g = icci.ChannelGains(1, 2, 3, 4)\n"
+            "icci.within_bits_slack(icci.build_inner(icci.inner_coeffs(g)), icci.build_outer(icci.outer_coeffs(g)), 1.0)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(icci.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("mag", [1e-6, 1e-4, 1.0])
