@@ -120,7 +120,8 @@ def _cmd_gdof_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_mi(args: argparse.Namespace) -> int:
-    _nonneg_finite("tol", args.tol)
+    # the sampling arguments follow the sweep's rules
+    SweepConfig(samples=args.samples, seed=args.seed, mag_min=args.mag_min, mag_max=args.mag_max, tol=args.tol)
     worst = 0.0
     worst_index = 0
     try:

@@ -61,6 +61,21 @@ MAG_LIMIT = 1e6  # validated operating envelope for link magnitudes
 _CHUNK = 16
 
 
+def _key_word(name: str, value) -> int:
+    """value, if it is an int that fits a Philox key word, [0, 2**64)."""
+    if not (type(value) is int and 0 <= value < 2**64):
+        raise ValueError(f"{name} must be an int in [0, 2**64), got {value!r}")
+    return value
+
+
+def _mag_range(mag_min, mag_max) -> tuple[float, float]:
+    """The magnitude range as floats, if 0 < mag_min <= mag_max <= MAG_LIMIT."""
+    mag_min, mag_max = _real("mag_min", mag_min), _real("mag_max", mag_max)
+    if not (0 < mag_min <= mag_max <= MAG_LIMIT):
+        raise ValueError(f"need 0 < mag_min <= mag_max <= {MAG_LIMIT:g}, got [{mag_min!r}, {mag_max!r}]")
+    return mag_min, mag_max
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     samples: int = 100
@@ -73,15 +88,10 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not (type(self.samples) is int and self.samples >= 1):
             raise ValueError(f"samples must be a positive int, got {self.samples!r}")
-        if not (type(self.seed) is int and self.seed >= 0):
-            raise ValueError(f"seed must be a nonnegative int, got {self.seed!r}")
-        for name in ("mag_min", "mag_max"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if not (0 < self.mag_min <= self.mag_max <= MAG_LIMIT):
-            raise ValueError(
-                f"need 0 < mag_min <= mag_max <= {MAG_LIMIT:g}, "
-                f"got [{self.mag_min!r}, {self.mag_max!r}]"
-            )
+        _key_word("seed", self.seed)
+        mag_min, mag_max = _mag_range(self.mag_min, self.mag_max)
+        object.__setattr__(self, "mag_min", mag_min)
+        object.__setattr__(self, "mag_max", mag_max)
         for name in ("bits", "tol"):
             object.__setattr__(self, name, _nonneg_finite(name, getattr(self, name)))
 
@@ -185,8 +195,11 @@ def _sample_rows(seed: int, indices: Sequence[int], mag_min: float, mag_max: flo
 
 
 def sample_gains(seed: int, index: int, mag_min: float = 1e-3, mag_max: float = 1e3) -> ChannelGains:
-    """Channel i of stream `seed`: ``_sample_rows`` at N = 1."""
-    return ChannelGains(*_sample_rows(seed, [index], mag_min, mag_max)[0].tolist())
+    """Channel i of stream `seed`: ``_sample_rows`` at N = 1, with the seed,
+    the index and the range checked as ``SweepConfig`` checks them."""
+    mag_min, mag_max = _mag_range(mag_min, mag_max)
+    row = _sample_rows(_key_word("seed", seed), [_key_word("index", index)], mag_min, mag_max)[0]
+    return ChannelGains(*row.tolist())
 
 
 def _certify(gains: np.ndarray, bits: float, tol: float) -> tuple[np.ndarray, ...]:

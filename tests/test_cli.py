@@ -196,6 +196,20 @@ class TestSweep:
         assert data["worst"]["constraint"] in range(13)
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--seed", str(2**64)],
+    ["verify-mi", "--seed", "-3"],
+    ["verify-mi", "--mag-min", "0"],
+    ["verify-mi", "--mag-min", "10", "--mag-max", "1"],
+    ["verify-mi", "--samples", "0"],
+    ["verify-mi", "--samples", "-2"],
+])
+def test_bad_sampling_argument_is_invalid_input(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("icci: ") and "Traceback" not in err
+
+
 def test_runs_on_numpy_alone(capsys):
     # numpy is the only runtime dependency; scipy and hypothesis serve the tests
     code, out, _ = run(capsys, ["sweep", "--samples", "5"])

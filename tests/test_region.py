@@ -5,17 +5,21 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import icci.region
 from icci.bounds import BoundCoeffs, inner_coeffs, outer_coeffs
 from icci.channel import ChannelGains
 from icci.region import (
     _BOUND_DISTINCT,
+    _BOUND_ROW,
     _CANDIDATE_RTOL,
     _OBJECTIVE_WEIGHT,
     BOUND_PATTERNS,
     MEMBERSHIP_TOL,
     HalfSpace,
     RateRegion,
+    _candidates,
     _gap_rows,
+    _least_rhs,
     _plane_solver,
     _reach,
     build_inner,
@@ -28,9 +32,10 @@ from icci.region import (
     within_bits_slack,
     within_bits_unclipped_slack,
 )
-from icci.sweep import MAG_LIMIT
+from icci.sweep import MAG_LIMIT, sample_gains
 
 from conftest import seeded_channels
+from test_sweep import EDGE_CHANNELS, TIE_CHANNELS, TWIN_CHANNELS, exact_vertices
 
 EXPECTED_PATTERNS = [
     (1, 1, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1),
@@ -134,6 +139,49 @@ def test_solver_keeps_exactly_the_rank3_triples(patterns):
     m = planes[triples]
     assert np.array_equal(adj @ m, det[:, None, None] * np.eye(3))
     assert np.array_equal(c, np.array(patterns, dtype=float))
+
+
+def merge_reference(candidates: np.ndarray, tol: float) -> np.ndarray:
+    """The greedy merge of ``vertices``, one pass per kept vertex: keep the
+    first candidate, drop every one within tol of it in the max norm, and
+    repeat on the rest."""
+    kept = []
+    while len(candidates):
+        kept.append(candidates[0])
+        candidates = candidates[np.abs(candidates - candidates[0]).max(axis=1) > tol]
+    return np.array(kept).reshape(-1, 3)
+
+
+def test_least_rhs_is_each_patterns_least_row():
+    # one minimum per run needs each pattern's rows to be adjacent
+    assert np.all(np.diff(_BOUND_ROW) >= 0)
+    rhs = np.random.default_rng(3).random((13, 5))
+    want = np.full((len(_BOUND_DISTINCT), 5), np.inf)
+    np.minimum.at(want, _BOUND_ROW, rhs)
+    assert _least_rhs(rhs).tobytes() == want.tobytes()
+    assert _least_rhs(rhs[:, 0]).tobytes() == want[:, 0].tobytes()
+
+
+def test_vertices_is_the_greedy_merge():
+    tiny = ChannelGains(1e-6, 1e-6, 1e-6, 1e-6)
+    gains = (seeded_channels(42, 100) + seeded_channels(5, 200, 1.0 / MAG_LIMIT, MAG_LIMIT) + EDGE_CHANNELS
+             + [sample_gains(42, i) for i in TWIN_CHANNELS + TIE_CHANNELS] + [tiny])
+    for g in gains:
+        for region in (build_inner(inner_coeffs(g)), build_outer(outer_coeffs(g))):
+            want = merge_reference(*_candidates(region.rhs_vector()))
+            assert vertices(region).tobytes() == want.tobytes(), (g, region.label)
+    # exact vertices closer than the radius: 15 of them, shown as 8
+    inner = build_inner(inner_coeffs(tiny))
+    assert (len(exact_vertices(inner)[1]), len(vertices(inner))) == (15, 8)
+
+
+def test_vertex_merge_keeps_both_ends_of_a_chain(monkeypatch, worked_channel):
+    # a ~ b and b ~ c, a and c apart: b is dropped with a, and c, whose only
+    # near neighbour is dropped, is kept
+    points = np.array([[0.0, 1.0, 1.0], [0.6, 1.0, 1.0], [1.2, 1.0, 1.0]])
+    monkeypatch.setattr(icci.region, "_candidates", lambda rhs: (points, 1.0))
+    shown = vertices(build_inner(inner_coeffs(worked_channel)))
+    assert shown.tobytes() == points[[0, 2]].tobytes() == merge_reference(points, 1.0).tobytes()
 
 
 def test_vertex_set_invariants():

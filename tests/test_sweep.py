@@ -29,6 +29,7 @@ from icci.region import (
 )
 from icci.sweep import (
     _CHUNK,
+    MAG_LIMIT,
     SweepConfig,
     _certify,
     _gain_rows,
@@ -127,6 +128,20 @@ class TestConfig:
             SweepConfig(mag_min=0.0)
         with pytest.raises(ValueError):
             SweepConfig(bits=-1.0)
+
+    def test_seed_is_one_philox_key_word(self):
+        assert SweepConfig(seed=2**64 - 1).seed == 2**64 - 1
+        with pytest.raises(ValueError):
+            SweepConfig(seed=2**64)
+
+    def test_sample_gains_checks_its_arguments(self):
+        assert sample_gains(2**64 - 1, 2**64 - 1) == ChannelGains(*_sample_rows(2**64 - 1, [2**64 - 1], 1e-3, 1e3)[0])
+        bad = [(-1, 0), (2**64, 0), (0, -1), (0, 2**64), (0.0, 0), (0, True),
+               (0, 0, 0.0, 1.0), (0, 0, 10.0, 1.0), (0, 0, 1.0, 2 * MAG_LIMIT), (0, 0, math.nan, 1.0)]
+        for args in bad:
+            with pytest.raises(ValueError):
+                sample_gains(*args)
+                pytest.fail(repr(args))
 
     def test_dict_round_trip(self):
         cfg = SweepConfig(samples=5, seed=9, bits=2.0)
@@ -378,14 +393,8 @@ def test_certifying_leaves_numpy_ma_unimported():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("mag", [1e-6, 1e-4, 1.0])
-def test_displayed_vertices_are_the_exact_vertices(mag):
-    # at gains of 1e-6 every rhs is below 1e-11, and absolute filter and
-    # deduplication tolerances of 1e-9 and 1e-8 showed one outer vertex
-    g = ChannelGains(mag, mag, mag, mag)
-    outer = build_outer(outer_coeffs(g))
-    assert len(vertices(outer)) == len(exact_vertices(outer)[1]) == 11
-    for region in (build_inner(inner_coeffs(g)), outer):
+def assert_shows_the_exact_vertices(g: ChannelGains) -> None:
+    for region in (build_inner(inner_coeffs(g)), build_outer(outer_coeffs(g))):
         shown = vertices(region)
         exact = np.array(sorted(exact_vertices(region)[1]), dtype=float)
         # every exact vertex is shown and every shown point is an exact
@@ -393,4 +402,19 @@ def test_displayed_vertices_are_the_exact_vertices(mag):
         # vertices apart (the inner region has exact vertices closer than that)
         dist = np.abs(shown[:, None, :] - exact[None, :, :]).max(axis=2)
         radius = _CANDIDATE_RTOL * region.rhs_vector().max()
-        assert dist.min(axis=0).max() <= radius and dist.min(axis=1).max() <= radius, (mag, region.label)
+        assert dist.min(axis=0).max() <= radius and dist.min(axis=1).max() <= radius, (g, region.label)
+
+
+@pytest.mark.parametrize("mag", [1e-6, 1e-4, 1.0])
+def test_displayed_vertices_are_the_exact_vertices(mag):
+    # at gains of 1e-6 every rhs is below 1e-11, and absolute filter and
+    # deduplication tolerances of 1e-9 and 1e-8 showed one outer vertex
+    g = ChannelGains(mag, mag, mag, mag)
+    outer = build_outer(outer_coeffs(g))
+    assert len(vertices(outer)) == len(exact_vertices(outer)[1]) == 11
+    assert_shows_the_exact_vertices(g)
+
+
+def test_displayed_vertices_are_the_exact_vertices_over_the_envelope():
+    for g in seeded_channels(8, 200, 1.0 / MAG_LIMIT, MAG_LIMIT):
+        assert_shows_the_exact_vertices(g)
