@@ -26,6 +26,14 @@ The signed differences outer minus inner are bounded: below one bit for
 the A, D and E coefficients, at most one bit for G, and below two bits
 for G'.  (The G bound is tight: outer minus inner for G_1 equals
 log2(1 + min(m12**2, 1)), which is exactly one bit whenever m12 >= 1.)
+
+Every family of ten is one type, ``BoundCoeffs``: the values in the
+fixed order of ``_COEFF_FIELDS``, keyed by ``_COEFF_KEYS``, and a side
+tag.  Besides the inner and outer families it holds their signed deltas
+(``gap_deltas``), the Gaussian oracle's inner family
+(``icci.gaussian_mi``) and the exponent-scale coefficients
+(``icci.gdof``), so this module is the only one that lists the ten
+names in order.
 """
 
 from __future__ import annotations
@@ -39,7 +47,6 @@ from .channel import ChannelGains, _nonneg_finite
 
 __all__ = [
     "BoundCoeffs",
-    "GapDeltas",
     "cap",
     "power_split",
     "inner_coeffs",
@@ -54,6 +61,7 @@ __all__ = [
 _LN2 = math.log(2.0)
 _COEFF_FIELDS = ("a1", "a2", "d1", "d2", "e1", "e2", "g1", "g2", "g1p", "g2p")
 _COEFF_KEYS = ("A1", "A2", "D1", "D2", "E1", "E2", "G1", "G2", "G1p", "G2p")
+_SIDES = ("inner", "outer", "delta", "gdof")
 # gap budget of each coefficient, in _COEFF_FIELDS order, as a column
 _DELTA_BUDGETS = np.array([[1.0]] * 8 + [[2.0]] * 2)
 
@@ -67,51 +75,32 @@ def cap(p: float) -> float:
 
 @dataclass(frozen=True)
 class BoundCoeffs:
-    """Ten rate coefficients plus a tag saying which family they are."""
+    """Ten coefficients, in ``_COEFF_FIELDS`` order (a1, a2, ..., g2p; each
+    also readable by that name), and the family they are: ``side`` is
+    inner or outer (rate bounds in bits), delta (outer minus inner, which
+    may be negative) or gdof (exponent scale, with G' = G)."""
 
-    a1: float
-    a2: float
-    d1: float
-    d2: float
-    e1: float
-    e2: float
-    g1: float
-    g2: float
-    g1p: float
-    g2p: float
+    values: tuple[float, ...]
     side: str
 
     def __post_init__(self) -> None:
-        if self.side not in ("inner", "outer"):
-            raise ValueError(f"side must be 'inner' or 'outer', got {self.side!r}")
-        for name in _COEFF_FIELDS:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"coefficient {name} must be finite and >= 0, got {value!r}")
+        if self.side not in _SIDES:
+            raise ValueError(f"side must be one of {_SIDES}, got {self.side!r}")
+        object.__setattr__(self, "values", tuple(self.values))
+        if len(self.values) != len(_COEFF_FIELDS):
+            raise ValueError(f"expected {len(_COEFF_FIELDS)} coefficients, got {len(self.values)}")
+        signed = self.side == "delta"
+        for name, value in zip(_COEFF_FIELDS, self.values):
+            if not (math.isfinite(value) and (signed or value >= 0)):
+                raise ValueError(f"coefficient {name} must be finite{'' if signed else ' and >= 0'}, got {value!r}")
 
     def as_dict(self) -> dict:
-        out = {key: getattr(self, field) for key, field in zip(_COEFF_KEYS, _COEFF_FIELDS)}
-        out["side"] = self.side
-        return out
+        return dict(zip(_COEFF_KEYS, self.values))
 
 
-@dataclass(frozen=True)
-class GapDeltas:
-    """Signed per-coefficient differences, outer minus inner."""
-
-    a1: float
-    a2: float
-    d1: float
-    d2: float
-    e1: float
-    e2: float
-    g1: float
-    g2: float
-    g1p: float
-    g2p: float
-
-    def as_dict(self) -> dict:
-        return {key: getattr(self, field) for key, field in zip(_COEFF_KEYS, _COEFF_FIELDS)}
+for _k, _name in enumerate(_COEFF_FIELDS):
+    setattr(BoundCoeffs, _name, property(lambda self, k=_k: self.values[k]))
+del _k, _name
 
 
 def power_split(gains: ChannelGains) -> tuple[float, float]:
@@ -139,19 +128,18 @@ def inner_coeffs(gains: ChannelGains) -> BoundCoeffs:
     # residual interference floors at each receiver
     n1 = 1.0 + i1 * x12
     n2 = 1.0 + i2 * x21
-    return BoundCoeffs(
-        a1=cap(s1 * x21 / n1),
-        a2=cap(s2 * x12 / n2),
-        d1=cap(s1 / n1),
-        d2=cap(s2 / n2),
-        e1=cap((s1 * x21 + i1 * (1.0 - x12)) / n1),
-        e2=cap((s2 * x12 + i2 * (1.0 - x21)) / n2),
-        g1=cap((s1 + i1 * (1.0 - x12)) / n1),
-        g2=cap((s2 + i2 * (1.0 - x21)) / n2),
-        g1p=cap((1.0 + s1 + i1) / n1 - 1.0),
-        g2p=cap((1.0 + s2 + i2) / n2 - 1.0),
-        side="inner",
-    )
+    return BoundCoeffs((
+        cap(s1 * x21 / n1),
+        cap(s2 * x12 / n2),
+        cap(s1 / n1),
+        cap(s2 / n2),
+        cap((s1 * x21 + i1 * (1.0 - x12)) / n1),
+        cap((s2 * x12 + i2 * (1.0 - x21)) / n2),
+        cap((s1 + i1 * (1.0 - x12)) / n1),
+        cap((s2 + i2 * (1.0 - x21)) / n2),
+        cap((1.0 + s1 + i1) / n1 - 1.0),
+        cap((1.0 + s2 + i2) / n2 - 1.0),
+    ), "inner")
 
 
 def outer_coeffs(gains: ChannelGains) -> BoundCoeffs:
@@ -160,19 +148,18 @@ def outer_coeffs(gains: ChannelGains) -> BoundCoeffs:
     s2 = gains.m22 * gains.m22
     i1 = gains.m12 * gains.m12
     i2 = gains.m21 * gains.m21
-    return BoundCoeffs(
-        a1=cap(s1 / (1.0 + i2)),
-        a2=cap(s2 / (1.0 + i1)),
-        d1=cap(s1),
-        d2=cap(s2),
-        e1=cap(i1 + s1 / (1.0 + i2)),
-        e2=cap(i2 + s2 / (1.0 + i1)),
-        g1=cap(s1 + i1),
-        g2=cap(s2 + i2),
-        g1p=cap((gains.m11 + gains.m12) ** 2),
-        g2p=cap((gains.m22 + gains.m21) ** 2),
-        side="outer",
-    )
+    return BoundCoeffs((
+        cap(s1 / (1.0 + i2)),
+        cap(s2 / (1.0 + i1)),
+        cap(s1),
+        cap(s2),
+        cap(i1 + s1 / (1.0 + i2)),
+        cap(i2 + s2 / (1.0 + i1)),
+        cap(s1 + i1),
+        cap(s2 + i2),
+        cap((gains.m11 + gains.m12) ** 2),
+        cap((gains.m22 + gains.m21) ** 2),
+    ), "outer")
 
 
 def coeff_rows(gains: np.ndarray) -> np.ndarray:
@@ -227,25 +214,21 @@ def coeff_rows(gains: np.ndarray) -> np.ndarray:
     return caps.reshape(2, len(_COEFF_FIELDS), len(m11))
 
 
-def coeff_deltas(inner: BoundCoeffs, outer: BoundCoeffs) -> GapDeltas:
+def coeff_deltas(inner: BoundCoeffs, outer: BoundCoeffs) -> BoundCoeffs:
+    """The delta side: outer minus inner, coefficient by coefficient."""
     if inner.side != "inner" or outer.side != "outer":
         raise ValueError(
             f"expected (inner, outer) coefficient families, got ({inner.side!r}, {outer.side!r})"
         )
-    return GapDeltas(
-        **{
-            field: getattr(outer, field) - getattr(inner, field)
-            for field in _COEFF_FIELDS
-        }
-    )
+    return BoundCoeffs(tuple(o - i for o, i in zip(outer.values, inner.values)), "delta")
 
 
-def gap_deltas(gains: ChannelGains) -> GapDeltas:
+def gap_deltas(gains: ChannelGains) -> BoundCoeffs:
     """Signed outer-minus-inner differences for one channel."""
     return coeff_deltas(inner_coeffs(gains), outer_coeffs(gains))
 
 
-def deltas_within_limits(deltas: GapDeltas, tol: float = 1e-9) -> bool:
+def deltas_within_limits(deltas: BoundCoeffs, tol: float = 1e-9) -> bool:
     """Check the per-coefficient gap budgets: one bit for A, D, E and G,
     two bits for the primed G pair, each within tol.
 
@@ -260,8 +243,7 @@ def deltas_within_limits(deltas: GapDeltas, tol: float = 1e-9) -> bool:
     failures out of rounding.
     """
     tol = _nonneg_finite("tol", tol)
-    rows = np.array([[getattr(deltas, name)] for name in _COEFF_FIELDS])
-    return bool(delta_rows_within_limits(rows, tol)[0])
+    return bool(delta_rows_within_limits(np.array(deltas.values)[:, None], tol)[0])
 
 
 def delta_rows_within_limits(deltas: np.ndarray, tol: float = 1e-9) -> np.ndarray:

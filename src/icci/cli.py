@@ -13,7 +13,7 @@ import json
 import sys
 import time
 
-from .bounds import gap_deltas, inner_coeffs, outer_coeffs
+from .bounds import BoundCoeffs, gap_deltas, inner_coeffs, outer_coeffs
 from .channel import ChannelGains, _nonneg_finite
 from .gaussian_mi import CovarianceError, mi_discrepancy, successive_decode_chain
 from .gdof import write_curve_csv
@@ -21,8 +21,6 @@ from .region import build_inner, build_outer, region_as_dict, within_bits_slack
 from .sweep import SweepConfig, run_gap_sweep, sample_gains
 
 __all__ = ["build_parser", "dispatch", "main"]
-
-_COEFF_ORDER = ("A1", "A2", "D1", "D2", "E1", "E2", "G1", "G2", "G1p", "G2p")
 
 
 def _add_channel_args(parser: argparse.ArgumentParser) -> None:
@@ -51,8 +49,8 @@ def _gains_from_args(args: argparse.Namespace) -> ChannelGains:
     return ChannelGains(*flags)
 
 
-def _coeff_line(name: str, values: dict) -> str:
-    body = " ".join(f"{key}={values[key]:.6f}" for key in _COEFF_ORDER)
+def _coeff_line(name: str, coeffs: BoundCoeffs) -> str:
+    body = " ".join(f"{key}={value:.6f}" for key, value in coeffs.as_dict().items())
     return f"{name}: {body}"
 
 
@@ -64,15 +62,15 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps({
             "channel": gains.as_dict(),
-            "inner": inner.as_dict(),
-            "outer": outer.as_dict(),
+            "inner": {**inner.as_dict(), "side": inner.side},
+            "outer": {**outer.as_dict(), "side": outer.side},
             "deltas": deltas.as_dict(),
         }))
     else:
         print(f"channel: {gains.to_json()}")
-        print(_coeff_line("inner", inner.as_dict()))
-        print(_coeff_line("outer", outer.as_dict()))
-        print(_coeff_line("delta", deltas.as_dict()))
+        print(_coeff_line("inner", inner))
+        print(_coeff_line("outer", outer))
+        print(_coeff_line("delta", deltas))
     return 0
 
 

@@ -4,7 +4,9 @@ a rate accounting for the layered scheme on a concrete channel.
 The achievable family in :mod:`icci.bounds` is a set of closed forms.
 This module re-derives each of the ten values as an actual mutual
 information of jointly Gaussian variables, sharing no formulas with the
-closed forms, so agreement between the two is a real check.
+closed forms, so agreement between the two is a real check.  The
+oracle returns the ten values as the inner side of ``BoundCoeffs``, the
+type of the closed forms, so the two compare value by value.
 
 The reference input distribution: the common layer carries zero power,
 transmitter i splits unit power into a public part U_i with power
@@ -33,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import cap, power_split
+from .bounds import BoundCoeffs, cap, inner_coeffs, power_split
 from .channel import ChannelGains, _real
 
 __all__ = [
     "CovarianceError",
-    "MiTerms",
     "DecodeStage",
     "DecodeChainReport",
     "mutual_info_terms",
@@ -57,31 +58,6 @@ _U1, _U2, _X1, _X2, _Y1, _Y2 = range(6)
 
 class CovarianceError(ArithmeticError):
     """An intermediate covariance failed its positive-definiteness guard."""
-
-
-@dataclass(frozen=True)
-class MiTerms:
-    """The ten mutual-information values under the reference input."""
-
-    a1: float
-    a2: float
-    d1: float
-    d2: float
-    e1: float
-    e2: float
-    g1: float
-    g2: float
-    g1p: float
-    g2p: float
-
-    def as_dict(self) -> dict:
-        return {
-            "A1": self.a1, "A2": self.a2,
-            "D1": self.d1, "D2": self.d2,
-            "E1": self.e1, "E2": self.e2,
-            "G1": self.g1, "G2": self.g2,
-            "G1p": self.g1p, "G2p": self.g2p,
-        }
 
 
 def _joint_covariance(gains: ChannelGains) -> np.ndarray:
@@ -152,8 +128,9 @@ def _log_ratio(cov: np.ndarray, y: int, given: tuple[int, ...], extra: tuple[int
     return math.log2(v_small / v_big)
 
 
-def mutual_info_terms(gains: ChannelGains) -> MiTerms:
-    """All ten coefficients as Gaussian mutual informations.
+def mutual_info_terms(gains: ChannelGains) -> BoundCoeffs:
+    """All ten coefficients as Gaussian mutual informations: the oracle's
+    inner family.
 
     Per receiver i (j the other user), with the common layer identically
     zero so conditioning on it is vacuous:
@@ -173,18 +150,14 @@ def mutual_info_terms(gains: ChannelGains) -> MiTerms:
     g2 = _log_ratio(cov, _Y2, (), (_X2, _U1))
     # the common layer has zero power, so adding it to the decoded side
     # changes nothing: the primed values equal the plain ones
-    return MiTerms(a1=a1, a2=a2, d1=d1, d2=d2, e1=e1, e2=e2,
-                   g1=g1, g2=g2, g1p=g1, g2p=g2)
+    return BoundCoeffs((a1, a2, d1, d2, e1, e2, g1, g2, g1, g2), "inner")
 
 
 def mi_discrepancy(gains: ChannelGains) -> float:
     """Max absolute difference between the oracle and the closed forms."""
-    from .bounds import inner_coeffs
-
-    closed = inner_coeffs(gains).as_dict()
-    del closed["side"]
-    oracle = mutual_info_terms(gains).as_dict()
-    return max(abs(oracle[key] - closed[key]) for key in oracle)
+    closed = inner_coeffs(gains).values
+    oracle = mutual_info_terms(gains).values
+    return max(abs(o - c) for o, c in zip(oracle, closed))
 
 
 @dataclass(frozen=True)

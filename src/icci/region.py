@@ -32,11 +32,13 @@ region's maximum of w . x is the least y . b over w's multipliers
 are ``_gap_rows`` on those maxima at N = 1, and the sweep of
 ``icci.sweep`` runs the same path over chunks of channels, so both give
 the same bits.  Only the display (``vertices``, ``region_as_dict``) and
-a certificate's witness vertex solve a region's triples (``_candidates``),
-all in one product with a solve map of adjugate entries fixed at import
-(``_SOLVE``); ``vertices`` merges the candidates greedily in triple order
-within 2**-44 times the largest rhs, from one matrix of near pairs, so
-two vertices closer than rounding can tell apart are shown as one.
+a certificate's witness vertex, once read, solve a region's triples
+(``_candidates``), all in one product with a solve map of adjugate
+entries fixed at import (``_SOLVE``); ``vertices`` merges the candidates
+greedily in triple order within 2**-44 times the largest rhs, from one
+matrix of near pairs, so two vertices closer than rounding can tell
+apart are shown as one.  The exponent region's per-user DoF optimum of
+``icci.gdof`` is a ``_reach`` maximum too.
 
 Two bit-gap tests compare a target region with a cover region: the
 clipped shift ``within_bits_slack``, which lowers each target vertex by
@@ -51,7 +53,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -189,7 +192,7 @@ class RateRegion:
         return np.array([hs.rhs for hs in self.halfspaces], dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapCertificate:
     """Worst case of a shifted-vertex membership test.
 
@@ -202,13 +205,41 @@ class GapCertificate:
     table, bit for bit what ``ChannelCheck`` reports.  vertex is the
     witness: of the target's display candidates (``vertices`` before
     deduplication), one that maximizes c . shift(v) on that row, so its
-    slack there equals slack up to rounding; shifted is its shift.
+    slack there equals slack up to rounding; shifted is its shift.  The
+    witness is solved when first read, so a caller that reads only the
+    slack never solves the target's triples.  Certificates are equal
+    when slack, vertex, shifted and halfspace_index are.
     """
 
     slack: float
-    vertex: tuple[float, float, float]
-    shifted: tuple[float, float, float]
     halfspace_index: int
+    _target_rhs: np.ndarray = field(repr=False)
+    _bits: float = field(repr=False)
+    _clip: bool = field(repr=False)
+
+    @cached_property
+    def _witness(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
+        x, _ = _candidates(self._target_rhs)
+        shifted = np.maximum(x - self._bits, 0.0) if self._clip else x - self._bits
+        k = int((shifted @ _COEFFS[self.halfspace_index]).argmax())
+        return tuple(x[k].tolist()), tuple(shifted[k].tolist())
+
+    @property
+    def vertex(self) -> tuple[float, float, float]:
+        return self._witness[0]
+
+    @property
+    def shifted(self) -> tuple[float, float, float]:
+        return self._witness[1]
+
+    def _key(self) -> tuple:
+        return self.slack, self.vertex, self.shifted, self.halfspace_index
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, GapCertificate) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def bound_rhs(coeffs: np.ndarray) -> np.ndarray:
@@ -223,14 +254,13 @@ def bound_rhs(coeffs: np.ndarray) -> np.ndarray:
 
 
 def region_from_coeffs(coeffs: BoundCoeffs, label: str) -> RateRegion:
-    """The 13-constraint rate region generated by one coefficient family:
-    any object with the ten ``BoundCoeffs`` fields a1 ... g2p.
+    """The 13-constraint rate region generated by one coefficient family.
 
     The patterns are the constant ``BOUND_PATTERNS``, so only the
     right-hand sides are validated, once, rather than each half-space.
     """
     with np.errstate(over="ignore"):   # an overflowing sum is rejected below
-        rhs = bound_rhs(np.array([getattr(coeffs, name) for name in _COEFF_FIELDS]))
+        rhs = bound_rhs(np.array(coeffs.values))
     if not (np.isfinite(rhs).all() and (rhs >= 0).all()):
         raise ValueError(f"rhs must be finite and >= 0, got {rhs.tolist()!r}")
     return RateRegion(label=label, halfspaces=tuple(map(HalfSpace._unchecked, BOUND_PATTERNS, rhs.tolist())))
@@ -448,16 +478,13 @@ def _gap_rows(cover_rhs: np.ndarray, reach: np.ndarray, bits: float, clip: bool)
 
 def _gap_certificate(cover: RateRegion, target: RateRegion, bits: float, clip: bool) -> GapCertificate:
     """``_gap_rows`` for one pair of regions, the N = 1 case of the core;
-    the witness is a display candidate attaining the binding row."""
+    the witness, read on demand, is a display candidate attaining the
+    binding row."""
     bits = _nonneg_finite("bits", bits)
     rhs = target.rhs_vector()
     rows = _gap_rows(cover.rhs_vector()[:, None], _reach(rhs[:, None]), bits, clip)[:, 0]
     row = int(rows.argmin())
-    x, _ = _candidates(rhs)
-    shifted = np.maximum(x - bits, 0.0) if clip else x - bits
-    k = int((shifted @ _COEFFS[row]).argmax())
-    return GapCertificate(slack=float(rows[row]), vertex=tuple(x[k].tolist()),
-                          shifted=tuple(shifted[k].tolist()), halfspace_index=row)
+    return GapCertificate(float(rows[row]), row, rhs, bits, clip)
 
 
 def within_bits_slack(cover: RateRegion, target: RateRegion, bits: float) -> GapCertificate:

@@ -141,7 +141,7 @@ def test_criterion_4_dof_curves(capfd):
     )
     ok = lp_gap <= TOL and ic_gap <= TOL and spot_exact and uplift_ok and spots
     detail = f"301 grid points; max LP mismatch {max(lp_gap, ic_gap):.3e}; spot values hold"
-    report(capfd, 4, "per-user DoF curves vs LP enumeration", ok, detail)
+    report(capfd, 4, "per-user DoF curves vs the exact LP optimum", ok, detail)
     assert lp_gap <= TOL and ic_gap <= TOL
     assert spot_exact and uplift_ok and spots
 

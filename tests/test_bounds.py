@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,7 +16,9 @@ from icci.bounds import (
     outer_coeffs,
     power_split,
 )
-from icci.channel import ChannelGains
+from icci.channel import ChannelGains, GdofExponents
+from icci.gaussian_mi import mutual_info_terms
+from icci.gdof import gdof_coeffs
 
 from conftest import seeded_channels
 
@@ -149,9 +150,33 @@ def test_gprime_matches_g_inside(gains):
 
 
 def test_coeff_dict_shape(worked_channel):
-    d = inner_coeffs(worked_channel).as_dict()
-    assert list(d) == ["A1", "A2", "D1", "D2", "E1", "E2", "G1", "G2", "G1p", "G2p", "side"]
-    assert d["side"] == "inner"
+    # every family is one BoundCoeffs: the ten keyed values and a side tag
+    families = (inner_coeffs(worked_channel), outer_coeffs(worked_channel), gap_deltas(worked_channel),
+                mutual_info_terms(worked_channel), gdof_coeffs(GdofExponents(1, 0.6, 0.6, 1)))
+    assert [c.side for c in families] == ["inner", "outer", "delta", "inner", "gdof"]
+    for c in families:
+        assert type(c) is BoundCoeffs
+        d = c.as_dict()
+        assert list(d) == ["A1", "A2", "D1", "D2", "E1", "E2", "G1", "G2", "G1p", "G2p"]
+        assert list(d.values()) == list(c.values)
+        assert [c.a1, c.a2, c.d1, c.d2, c.e1, c.e2, c.g1, c.g2, c.g1p, c.g2p] == list(c.values)
+
+
+def test_coeff_validation_rule():
+    # every value finite, and >= 0 except on the delta side
+    zeros = (0.0,) * 9
+    for side in ("inner", "outer", "delta", "gdof"):
+        assert BoundCoeffs([0.0] * 10, side).values == (0.0,) * 10
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                BoundCoeffs(zeros + (bad,), side)
+    assert BoundCoeffs((-1.0,) + zeros, "delta").a1 == -1.0
+    for side in ("inner", "outer", "gdof"):
+        with pytest.raises(ValueError, match="a1"):
+            BoundCoeffs((-5e-324,) + zeros, side)
+    for values, side in ((zeros, "inner"), (zeros + (0.0, 0.0), "inner"), (zeros + (0.0,), "bogus")):
+        with pytest.raises(ValueError):
+            BoundCoeffs(values, side)
 
 
 def test_coeff_rows_are_the_scalar_families_bit_for_bit():
@@ -161,7 +186,6 @@ def test_coeff_rows_are_the_scalar_families_bit_for_bit():
         ChannelGains(1e6, float(np.nextafter(1.0, 2.0)), 0, 1e-6),
     ]
     rows = coeff_rows(np.array([(g.m11, g.m12, g.m21, g.m22) for g in gains]))
-    names = [f.name for f in fields(BoundCoeffs) if f.name != "side"]
     for n, g in enumerate(gains):
         for side, coeffs in enumerate((inner_coeffs(g), outer_coeffs(g))):
-            assert rows[side, :, n].tolist() == [getattr(coeffs, name) for name in names], g
+            assert rows[side, :, n].tolist() == list(coeffs.values), g

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from icci.channel import ChannelGains, GdofExponents, SnrView
 from icci.gaussian_mi import successive_decode_chain
-from icci.gdof import dof_icci_lp, multiplexing_gain
+from icci.gdof import dof_curve_samples, dof_icci_lp, multiplexing_gain
 
 mags = st.floats(min_value=1e-3, max_value=1e3)
 exps = st.floats(min_value=0.0, max_value=3.0)
@@ -137,6 +137,7 @@ class TestSerialization:
 # Python or numpy ints and floats pass, bools do not
 SCALAR_CHECKS = [
     (dof_icci_lp, 0.5),
+    (lambda step: dof_curve_samples(0.0, 1.0, step), 0.5),
     (lambda p: ChannelGains.from_exponents(GdofExponents(1, 0.6, 0.6, 1), p), 4.0),
     (lambda p: multiplexing_gain(GdofExponents(1, 0.6, 0.6, 1), p), 1e6),
     (lambda p: successive_decode_chain(p).as_dict(), 1e10),

@@ -138,6 +138,14 @@ class TestGdofCurve:
         assert out.splitlines()[0].startswith("alpha,")
         assert len(out.splitlines()) == 3
 
+    @pytest.mark.parametrize("flags", [["--alpha-min", "-1"], ["--alpha-max", "nan"], ["--step", "0"],
+                                       ["--alpha-min", "2", "--alpha-max", "1"]])
+    def test_bad_grid_is_invalid_input(self, capsys, flags):
+        # rejected before the CSV header is written
+        code, out, err = run(capsys, ["gdof-curve", *flags])
+        assert (code, out) == (2, "")
+        assert err.startswith("icci: ")
+
 
 class TestVerifyMi:
     def test_small_sample_passes(self, capsys):

@@ -22,7 +22,6 @@ from icci.gdof import (
     multiplexing_gain,
     multiplexing_targets,
     per_user_dof_optimum,
-    symmetric_region,
     write_curve_csv,
 )
 from icci.region import _CANDIDATE_RTOL, contains, vertices
@@ -90,33 +89,23 @@ class TestGdofRegion:
         assert len(vertices(region)) == 1
 
     def test_private_only_slice(self):
-        # with d0 pinned to zero the best symmetric point is 0.6 per user
-        region = build_gdof_region(gdof_coeffs(GdofExponents(1, 0.6, 0.6, 1)))
-        res = linprog(
-            c=[0, -1, 0],
-            A_ub=region.coefficient_matrix(),
-            b_ub=region.rhs_vector(),
-            A_eq=[[1, 0, 0], [0, 1, -1]],
-            b_eq=[0, 0],
-            bounds=[(0, None)] * 3,
-            method="highs",
-        )
-        assert res.status == 0
-        assert -res.fun == pytest.approx(0.6, abs=1e-9)
-
-
-class TestSymmetricRegion:
-    def test_alpha06_rows(self):
-        rows = symmetric_region(0.6)
-        assert [(hs.c, hs.rhs) for hs in rows] == [
-            ((1, 1, 0), 1.0),
-            ((0, 1, 0), 0.6),
-            ((1, 2, 0), pytest.approx(1.4)),
-        ]
-
-    def test_weak_and_strong_collapse(self):
-        assert [hs.rhs for hs in symmetric_region(0.0)] == [1.0, 1.0, 2.0]
-        assert [hs.rhs for hs in symmetric_region(3.0)] == [3.0, 1.0, 3.0]
+        # with r0 pinned to zero the best symmetric point is 0.6 per user
+        # at alpha = 0.6, and HiGHS agrees with dof_ic_lp on the grid
+        for alpha in GRID[::10]:
+            region = build_gdof_region(gdof_coeffs(GdofExponents(1, alpha, alpha, 1)))
+            res = linprog(
+                c=[0, -1, 0],
+                A_ub=region.coefficient_matrix(),
+                b_ub=region.rhs_vector(),
+                A_eq=[[1, 0, 0], [0, 1, -1]],
+                b_eq=[0, 0],
+                bounds=[(0, None)] * 3,
+                method="highs",
+            )
+            assert res.status == 0
+            assert -res.fun == pytest.approx(dof_ic_lp(alpha), abs=1e-9), alpha
+            if alpha == 0.6:
+                assert -res.fun == pytest.approx(0.6, abs=1e-9)
 
 
 class TestClosedForms:
@@ -157,23 +146,21 @@ class TestLpCrossCheck:
             assert dof_ic_lp(alpha) == pytest.approx(dof_ic(alpha), abs=1e-9)
 
     def test_alpha06_optimum_point(self):
-        value, point = per_user_dof_optimum(0.6)
-        assert value == pytest.approx(0.7, abs=1e-12)
-        # the optimum face contains (0.2, 0.6); check feasibility and value
-        assert (point.d0 + 2 * point.d1) / 2 == pytest.approx(0.7, abs=1e-12)
-        rows = symmetric_region(0.6)
-        for hs in rows:
-            assert hs.c[0] * point.d0 + hs.c[1] * point.d1 <= hs.rhs + 1e-9
+        assert per_user_dof_optimum(0.6) == pytest.approx(0.7, abs=1e-12)
+        assert per_user_dof_optimum(0.6, allow_common=False) == pytest.approx(0.6, abs=1e-12)
+        # the optimum face contains (0.2, 0.6, 0.6), whose per-user total is 0.7
+        region = build_gdof_region(gdof_coeffs(GdofExponents(1, 0.6, 0.6, 1)))
+        assert contains(region, (0.2, 0.6, 0.6))
 
     def test_trivial_optima(self):
-        value, point = per_user_dof_optimum(0.0)
-        assert value == pytest.approx(1.0, abs=1e-12)
-        assert (point.d0, point.d1) == (pytest.approx(0.0, abs=1e-9), pytest.approx(1.0))
+        assert per_user_dof_optimum(0.0) == pytest.approx(1.0, abs=1e-12)
+        assert per_user_dof_optimum(0.0, allow_common=False) == pytest.approx(1.0, abs=1e-12)
         assert dof_icci_lp(3.0) == pytest.approx(1.5, abs=1e-12)
 
     def test_region_module_consistency(self):
-        # symmetric slice of the full 3-D polytope gives the same curve
-        for alpha in (0.0, 0.3, 0.5, 0.6, 2.0 / 3.0, 0.8, 1.0, 1.5, 2.0, 2.5, 3.0):
+        # HiGHS on the symmetric slice of the full 3-D polytope gives the
+        # closed-form curve and the dual-table optimum
+        for alpha in [2.0 / 3.0] + GRID[::10]:
             region = build_gdof_region(gdof_coeffs(GdofExponents(1, alpha, alpha, 1)))
             res = linprog(
                 c=[-0.5, -0.5, -0.5],  # per-user total (r0 + r1 + r2) / 2
@@ -186,6 +173,7 @@ class TestLpCrossCheck:
             )
             assert res.status == 0
             assert -res.fun == pytest.approx(dof_icci(alpha), abs=1e-9)
+            assert -res.fun == pytest.approx(dof_icci_lp(alpha), abs=1e-9), alpha
 
 
 class TestMultiplexing:

@@ -8,6 +8,7 @@ from scipy.optimize import linprog
 import icci.region
 from icci.bounds import BoundCoeffs, inner_coeffs, outer_coeffs
 from icci.channel import ChannelGains
+from icci.cli import dispatch
 from icci.region import (
     _BOUND_DISTINCT,
     _BOUND_ROW,
@@ -73,7 +74,7 @@ def test_build_equals_the_validated_half_spaces(worked_channel):
 
 def test_build_rejects_an_infinite_rhs():
     # finite coefficients whose row sums overflow
-    coeffs = BoundCoeffs(*[1e308] * 10, side="outer")
+    coeffs = BoundCoeffs((1e308,) * 10, "outer")
     with pytest.raises(ValueError):
         build_outer(coeffs)
 
@@ -310,6 +311,27 @@ def test_certificate_vertex_attains_the_slack():
                 rows = inner.rhs_vector() - inner.coefficient_matrix() @ shift(v)
                 assert rows[cert.halfspace_index] == pytest.approx(cert.slack, abs=1e-12)
                 assert rows.min() >= cert.slack - 1e-12
+
+
+def test_a_slack_only_read_solves_no_triples(monkeypatch, capsys, worked_channel):
+    inner = build_inner(inner_coeffs(worked_channel))
+    outer = build_outer(outer_coeffs(worked_channel))
+    want = [within_bits_slack(inner, outer, 1.0), within_bits_unclipped_slack(inner, outer, 1.0)]
+    witnesses = [(c.vertex, c.shifted) for c in want]
+
+    def refuse(rhs):
+        raise AssertionError("a slack-only read solved the target's triples")
+
+    monkeypatch.setattr(icci.region, "_candidates", refuse)
+    got = [within_bits_slack(inner, outer, 1.0), within_bits_unclipped_slack(inner, outer, 1.0)]
+    assert [(c.slack, c.halfspace_index) for c in got] == [(c.slack, c.halfspace_index) for c in want]
+    assert within_bits(inner, outer, 2.0) and not within_bits(inner, outer, 0.0)
+    assert dispatch(["gap", "--m11", "5", "--m12", "1", "--m21", "1", "--m22", "5"]) in (0, 1)
+    assert "worst_slack=" in capsys.readouterr().out
+    # the witness is solved when it is read, as it was before
+    monkeypatch.undo()
+    assert [(c.vertex, c.shifted) for c in got] == witnesses
+    assert got == want
 
 
 def test_tied_rows_report_the_lowest(worked_channel):
