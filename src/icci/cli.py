@@ -9,6 +9,7 @@ stdout (it goes to stderr) so equal configs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -109,11 +110,14 @@ def _cmd_gap(args: argparse.Namespace) -> int:
 
 
 def _cmd_gdof_curve(args: argparse.Namespace) -> int:
+    # the whole CSV is made first, so a bad grid exits before --out is opened
+    text = io.StringIO()
+    write_curve_csv(text, args.alpha_min, args.alpha_max, args.step)
     if args.out == "-":
-        write_curve_csv(sys.stdout, args.alpha_min, args.alpha_max, args.step)
+        sys.stdout.write(text.getvalue())
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            write_curve_csv(handle, args.alpha_min, args.alpha_max, args.step)
+            handle.write(text.getvalue())
     return 0
 
 

@@ -13,14 +13,17 @@ rows), so it is bounded (rows 0, 2 and 3 bound r0, r1 and r2), contains
 the origin, and is downward comprehensive: lowering any coordinate of a
 feasible point keeps it feasible, because every c_k is nonnegative.
 
-Only the right-hand sides depend on the channel, so whatever depends on
-the coefficients is computed once, at import, over the 10 distinct
-patterns (rows 4-6 and rows 7-8 share one), each taken at its least rhs:
-a row whose parallel twin has a smaller rhs never binds.  With the 3
-coordinate planes that gives 286 plane triples, 216 of them
-nonsingular.  With coefficients in {0, 1, 2} each triple's adjugate and
-determinant are small integers that float64 holds exactly, so a triple
-is singular exactly when its determinant is 0, with no pivot threshold.
+Only the right-hand sides depend on the channel, so a ``RateRegion`` is
+its label and one read-only (13,) array of them, summed once when the
+region is made; its ``HalfSpace`` rows are derived only when read.
+Whatever depends on the coefficients is computed once, at import, over
+the 10 distinct patterns (rows 4-6 and rows 7-8 share one), each taken
+at its least rhs: a row whose parallel twin has a smaller rhs never
+binds.  With the 3 coordinate planes that gives 286 plane triples, 216
+of them nonsingular.  With coefficients in {0, 1, 2} each triple's
+adjugate and determinant are small integers that float64 holds exactly,
+so a triple is singular exactly when its determinant is 0, with no pivot
+threshold.
 
 Certificates are maxima of linear objectives over regions, taken by LP
 duality with no vertices: the dual feasible set {y >= 0 : A^T y >= w}
@@ -137,6 +140,7 @@ BOUND_RHS_TERMS: tuple[tuple[str, ...], ...] = (
 # zero row (index 10) to three terms: adding 0.0 changes no sum
 _RHS_INDEX = np.array([[_COEFF_FIELDS.index(name) for name in terms] + [len(_COEFF_FIELDS)] * (3 - len(terms))
                        for terms in BOUND_RHS_TERMS]).T
+_RHS_TERMS = tuple(map(tuple, _RHS_INDEX.T.tolist()))   # the same, one index triple per row
 # the distinct patterns of BOUND_PATTERNS, in order of first appearance
 _BOUND_DISTINCT = tuple(dict.fromkeys(BOUND_PATTERNS))
 _ROW_WEIGHT = np.sum(BOUND_PATTERNS, axis=1)[:, None]   # sum(c) of each row
@@ -168,28 +172,68 @@ class HalfSpace:
         return {"c": list(self.c), "rhs": self.rhs}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class RateRegion:
     """A labeled intersection of the 13 ``BOUND_PATTERNS`` half-spaces,
-    in that order, with the nonnegative octant."""
+    in that order, with the nonnegative octant.
+
+    A region is its label and its 13 right-hand sides, one read-only
+    float64 array set when the region is made; ``halfspaces`` is derived
+    from them when first read.  ``RateRegion(label, halfspaces)`` checks
+    the label and that the patterns are ``BOUND_PATTERNS``.  Regions are
+    equal, and hash alike, when their labels and right-hand sides are.
+    """
 
     label: str
-    halfspaces: tuple[HalfSpace, ...]
+    _rhs: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.label not in _REGION_LABELS:
-            raise ValueError(f"label must be one of {_REGION_LABELS}, got {self.label!r}")
-        object.__setattr__(self, "halfspaces", tuple(self.halfspaces))
-        patterns = tuple(hs.c for hs in self.halfspaces)
+    def __init__(self, label: str, halfspaces) -> None:
+        halfspaces = tuple(halfspaces)
+        patterns = tuple(hs.c for hs in halfspaces)
         if patterns != BOUND_PATTERNS:
             raise ValueError(f"half-space patterns must be BOUND_PATTERNS, got {patterns!r}")
+        self._set(label, np.array([hs.rhs for hs in halfspaces], dtype=float))
+        self.__dict__["halfspaces"] = halfspaces   # the given objects, as read back
+
+    @classmethod
+    def _of_rhs(cls, label: str, rhs: np.ndarray) -> "RateRegion":
+        """A region of (13,) float64 right-hand sides the caller has validated."""
+        region = object.__new__(cls)
+        region._set(label, rhs)
+        return region
+
+    def _set(self, label: str, rhs: np.ndarray) -> None:
+        if label not in _REGION_LABELS:
+            raise ValueError(f"label must be one of {_REGION_LABELS}, got {label!r}")
+        rhs.flags.writeable = False
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_rhs", rhs)
+
+    @cached_property
+    def halfspaces(self) -> tuple[HalfSpace, ...]:
+        return tuple(map(HalfSpace._unchecked, BOUND_PATTERNS, self._rhs.tolist()))
+
+    def _key(self) -> tuple:
+        # hashes as the (label, halfspaces) pair did: a tuple hashes its
+        # items' hashes, and a HalfSpace hashes as its (c, rhs) pair
+        return self.label, tuple(zip(BOUND_PATTERNS, self._rhs.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, RateRegion) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"RateRegion(label={self.label!r}, halfspaces={self.halfspaces!r})"
 
     def coefficient_matrix(self) -> np.ndarray:
         """The (13, 3) coefficients, shared by every region and read-only."""
         return _COEFFS
 
     def rhs_vector(self) -> np.ndarray:
-        return np.array([hs.rhs for hs in self.halfspaces], dtype=float)
+        """The 13 right-hand sides, a fresh writable copy."""
+        return self._rhs.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,14 +300,16 @@ def bound_rhs(coeffs: np.ndarray) -> np.ndarray:
 def region_from_coeffs(coeffs: BoundCoeffs, label: str) -> RateRegion:
     """The 13-constraint rate region generated by one coefficient family.
 
-    The patterns are the constant ``BOUND_PATTERNS``, so only the
-    right-hand sides are validated, once, rather than each half-space.
+    Each rhs is summed left to right as ``bound_rhs`` sums it, bit for
+    bit, in Python floats, whose overflow gives inf with no warning; the
+    patterns are the constant ``BOUND_PATTERNS``, so only the right-hand
+    sides are validated.
     """
-    with np.errstate(over="ignore"):   # an overflowing sum is rejected below
-        rhs = bound_rhs(np.array(coeffs.values))
-    if not (np.isfinite(rhs).all() and (rhs >= 0).all()):
-        raise ValueError(f"rhs must be finite and >= 0, got {rhs.tolist()!r}")
-    return RateRegion(label=label, halfspaces=tuple(map(HalfSpace._unchecked, BOUND_PATTERNS, rhs.tolist())))
+    v = coeffs.values + (0.0,)
+    rhs = [v[i] + v[j] + v[k] for i, j, k in _RHS_TERMS]
+    if not (min(rhs) >= 0 and max(rhs) < math.inf):
+        raise ValueError(f"rhs must be finite and >= 0, got {rhs!r}")
+    return RateRegion._of_rhs(label, np.array(rhs))
 
 
 def build_inner(coeffs: BoundCoeffs) -> RateRegion:
@@ -292,9 +338,7 @@ def containment_slack(region: RateRegion, points) -> np.ndarray:
     outside by that amount.
     """
     pts = _as_points(points)
-    c = region.coefficient_matrix()
-    r = region.rhs_vector()
-    content = (r[None, :] - pts @ c.T).min(axis=1)
+    content = (region._rhs - pts @ _COEFFS.T).min(axis=1)
     axes = pts.min(axis=1)
     return np.minimum(content, axes)
 
@@ -342,8 +386,8 @@ _BOUND_STARTS = np.flatnonzero(np.diff(_BOUND_ROW, prepend=-1))
 # rhs b; the coordinate planes have rhs 0, so their columns are dropped.
 _SOLVE = _ADJ @ np.eye(len(_BOUND_DISTINCT) + 3)[_TRIPLES]
 _SOLVE = _SOLVE[:, :, :len(_BOUND_DISTINCT)].reshape(-1, len(_BOUND_DISTINCT))
-# the distinct patterns and the negated coordinate planes, as columns
-_FACES = np.vstack([_BOUND_DISTINCT, -np.eye(3)]).T
+# the distinct patterns and the negated coordinate planes, as rows
+_FACES = np.vstack([_BOUND_DISTINCT, -np.eye(3)])
 
 
 def _dual_table(objectives: tuple[tuple[int, int, int], ...]):
@@ -418,10 +462,11 @@ def _candidates(rhs: np.ndarray) -> tuple[np.ndarray, float]:
     intersection passes it.
     """
     b = _least_rhs(rhs)
-    tol = _CANDIDATE_RTOL * np.max(rhs, initial=0.0)
+    tol = _CANDIDATE_RTOL * rhs.max()
     # + 0.0 maps -0.0 to 0.0, so displayed vertices never read -0.0
     x = (_SOLVE @ b).reshape(-1, 3) / _DET[:, None] + 0.0
-    feasible = (x @ _FACES <= np.concatenate([b, np.zeros(3)]) + tol).all(axis=1)
+    # one row per face, so the test over faces reduces along the long axis
+    feasible = (_FACES @ x.T <= np.concatenate([b, np.zeros(3)])[:, None] + tol).all(axis=0)
     return x[feasible], tol
 
 
@@ -432,7 +477,7 @@ def vertices(region: RateRegion) -> np.ndarray:
     and so on, so of a chain a ~ b ~ c with a and c apart both are kept.
     The near relation is one (K, K) matrix from a (3, K, K) array of
     per-coordinate gaps, its rows packed into ints for the greedy pass."""
-    x, tol = _candidates(region.rhs_vector())
+    x, tol = _candidates(region._rhs)
     columns = x.T.copy()   # contiguous: the broadcast below is 2.5-7x faster than on x.T
     gaps = columns[:, :, None] - columns[:, None, :]
     rows = np.packbits((np.abs(gaps, out=gaps) <= tol).all(axis=0), axis=1, bitorder="little")
@@ -481,8 +526,8 @@ def _gap_certificate(cover: RateRegion, target: RateRegion, bits: float, clip: b
     the witness, read on demand, is a display candidate attaining the
     binding row."""
     bits = _nonneg_finite("bits", bits)
-    rhs = target.rhs_vector()
-    rows = _gap_rows(cover.rhs_vector()[:, None], _reach(rhs[:, None]), bits, clip)[:, 0]
+    rhs = target._rhs
+    rows = _gap_rows(cover._rhs[:, None], _reach(rhs[:, None]), bits, clip)[:, 0]
     row = int(rows.argmin())
     return GapCertificate(float(rows[row]), row, rhs, bits, clip)
 
@@ -541,7 +586,7 @@ def region_as_dict(region: RateRegion, include_vertices: bool = True) -> dict:
     """JSON-ready description: label, half-spaces, enumerated vertices."""
     out: dict = {
         "label": region.label,
-        "halfspaces": [hs.as_dict() for hs in region.halfspaces],
+        "halfspaces": [{"c": list(c), "rhs": rhs} for c, rhs in zip(BOUND_PATTERNS, region._rhs.tolist())],
     }
     if include_vertices:
         out["vertices"] = vertices(region).tolist()

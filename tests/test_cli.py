@@ -118,6 +118,9 @@ class TestGap:
             assert "tol must be finite and nonnegative" in err
 
 
+BAD_GRIDS = [["--alpha-min", "-1"], ["--alpha-max", "nan"], ["--step", "0"], ["--alpha-min", "2", "--alpha-max", "1"]]
+
+
 class TestGdofCurve:
     def test_writes_csv_file(self, capsys, tmp_path):
         out_path = tmp_path / "curve.csv"
@@ -138,13 +141,21 @@ class TestGdofCurve:
         assert out.splitlines()[0].startswith("alpha,")
         assert len(out.splitlines()) == 3
 
-    @pytest.mark.parametrize("flags", [["--alpha-min", "-1"], ["--alpha-max", "nan"], ["--step", "0"],
-                                       ["--alpha-min", "2", "--alpha-max", "1"]])
+    @pytest.mark.parametrize("flags", BAD_GRIDS)
     def test_bad_grid_is_invalid_input(self, capsys, flags):
         # rejected before the CSV header is written
         code, out, err = run(capsys, ["gdof-curve", *flags])
         assert (code, out) == (2, "")
         assert err.startswith("icci: ")
+
+    @pytest.mark.parametrize("flags", BAD_GRIDS)
+    def test_bad_grid_leaves_the_out_file_alone(self, capsys, tmp_path, flags):
+        out_path = tmp_path / "curve.csv"
+        out_path.write_text("alpha,1\n", encoding="utf-8")
+        code, out, err = run(capsys, ["gdof-curve", "--out", str(out_path), *flags])
+        assert (code, out) == (2, "")
+        assert err.startswith("icci: ")
+        assert out_path.read_text(encoding="utf-8") == "alpha,1\n"
 
 
 class TestVerifyMi:

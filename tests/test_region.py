@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from scipy.optimize import linprog
 
 import icci.region
 from icci.bounds import BoundCoeffs, inner_coeffs, outer_coeffs
-from icci.channel import ChannelGains
+from icci.channel import ChannelGains, GdofExponents
 from icci.cli import dispatch
+from icci.gdof import build_gdof_region, gdof_coeffs
 from icci.region import (
     _BOUND_DISTINCT,
     _BOUND_ROW,
@@ -23,11 +25,13 @@ from icci.region import (
     _least_rhs,
     _plane_solver,
     _reach,
+    bound_rhs,
     build_inner,
     build_outer,
     containment_slack,
     contains,
     region_as_dict,
+    region_from_coeffs,
     vertices,
     within_bits,
     within_bits_slack,
@@ -72,11 +76,78 @@ def test_build_equals_the_validated_half_spaces(worked_channel):
         assert all(type(k) is int for hs in region.halfspaces for k in hs.c)
 
 
+def certificates(cover: RateRegion, target: RateRegion) -> list:
+    """Both gap certificates at one bit, each with its witness read."""
+    certs = [within_bits_slack(cover, target, 1.0), within_bits_unclipped_slack(cover, target, 1.0)]
+    return [(c.slack, c.halfspace_index, c.vertex, c.shifted) for c in certs]
+
+
+def test_rhs_vector_is_a_fresh_writable_copy(worked_channel):
+    inner = build_inner(inner_coeffs(worked_channel))
+    outer = build_outer(outer_coeffs(worked_channel))
+    want = (vertices(inner).tobytes(), vertices(outer).tobytes(), certificates(inner, outer))
+    rhs = inner.rhs_vector()
+    assert rhs.flags.writeable and rhs is not inner.rhs_vector()
+    rhs[:] = 0.0
+    outer.rhs_vector()[:] = 1e3
+    assert (vertices(inner).tobytes(), vertices(outer).tobytes(), certificates(inner, outer)) == want
+    assert inner.rhs_vector().tobytes() != rhs.tobytes()
+    # what a certificate keeps of its target is the region's own array, read-only
+    with pytest.raises(ValueError):
+        inner._rhs[0] = 0.0
+
+
+def test_a_rebuilt_region_is_the_built_one(worked_channel):
+    gains = [worked_channel] + seeded_channels(19, 10, 1.0 / MAG_LIMIT, MAG_LIMIT)
+    for g in gains:
+        built = (build_inner(inner_coeffs(g)), build_outer(outer_coeffs(g)))
+        rebuilt = tuple(RateRegion(r.label, tuple(HalfSpace(hs.c, hs.rhs) for hs in r.halfspaces)) for r in built)
+        for a, b in zip(built, rebuilt):
+            assert a == b and hash(a) == hash(b)
+            # the hash of the (label, halfspaces) pair a region used to be
+            assert hash(a) == hash((a.label, a.halfspaces))
+            assert a.rhs_vector().tobytes() == b.rhs_vector().tobytes()
+            assert vertices(a).tobytes() == vertices(b).tobytes()
+            assert region_as_dict(a) == region_as_dict(b)
+        assert certificates(*built) == certificates(*rebuilt)
+        assert certificates(*built[::-1]) == certificates(*rebuilt[::-1])
+    # the label is part of a region
+    assert built[0] != built[1] and built[0] != RateRegion("outer", built[0].halfspaces)
+
+
+def test_build_is_bound_rhs_bit_for_bit():
+    families = [f(g) for g in seeded_channels(3, 300, 1.0 / MAG_LIMIT, MAG_LIMIT) + EDGE_CHANNELS
+                for f in (inner_coeffs, outer_coeffs)]
+    families += [gdof_coeffs(GdofExponents(1, alpha, alpha, 1)) for alpha in (0.0, 0.3, 0.6, 1.0, 2.5)]
+    want = bound_rhs(np.array([c.values for c in families]).T)
+    for k, c in enumerate(families):
+        assert region_from_coeffs(c, c.side).rhs_vector().tobytes() == want[:, k].tobytes()
+    assert build_gdof_region(families[-1]).rhs_vector().tobytes() == want[:, -1].tobytes()
+
+
+def test_the_query_path_builds_no_half_space(monkeypatch, worked_channel):
+    def refuse(c, rhs):
+        raise AssertionError("a HalfSpace was built")
+
+    monkeypatch.setattr(HalfSpace, "_unchecked", refuse)
+    inner = build_inner(inner_coeffs(worked_channel))
+    outer = build_outer(outer_coeffs(worked_channel))
+    certificates(inner, outer)
+    shown = [region_as_dict(region) for region in (inner, outer)]
+    assert contains(outer, shown[0]["vertices"][-1]) and containment_slack(inner, (0, 0, 0))[0] == 0.0
+    assert len({inner, outer, build_inner(inner_coeffs(worked_channel))}) == 2
+    monkeypatch.undo()
+    assert [hs.c for hs in inner.halfspaces] == EXPECTED_PATTERNS
+    assert inner.halfspaces is inner.halfspaces
+
+
 def test_build_rejects_an_infinite_rhs():
     # finite coefficients whose row sums overflow
     coeffs = BoundCoeffs((1e308,) * 10, "outer")
-    with pytest.raises(ValueError):
-        build_outer(coeffs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # and with no overflow warning
+        with pytest.raises(ValueError):
+            build_outer(coeffs)
 
 
 def test_build_rejects_wrong_side(worked_channel):
