@@ -25,7 +25,8 @@ evaluates the same ten roles against the raw channel with no splitting.
 The signed differences outer minus inner are bounded: below one bit for
 the A, D and E coefficients, at most one bit for G, and below two bits
 for G'.  (The G bound is tight: outer minus inner for G_1 equals
-log2(1 + min(m12**2, 1)), which is exactly one bit whenever m12 >= 1.)
+log2(1 + min(m12**2, 1)), which is exactly one bit whenever m12 >= 1,
+and for G_2 the same in m21.)
 
 Every family of ten is one type, ``BoundCoeffs``: the values in the
 fixed order of ``_COEFF_FIELDS``, keyed by ``_COEFF_KEYS``, and a side

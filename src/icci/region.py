@@ -14,8 +14,8 @@ the origin, and is downward comprehensive: lowering any coordinate of a
 feasible point keeps it feasible, because every c_k is nonnegative.
 
 Only the right-hand sides depend on the channel, so a ``RateRegion`` is
-its label and one read-only (13,) array of them, summed once when the
-region is made; its ``HalfSpace`` rows are derived only when read.
+its label and one read-only (13,) array of them, summed once when
+``region_from_coeffs`` makes the region.
 Whatever depends on the coefficients is computed once, at import, over
 the 10 distinct patterns (rows 4-6 and rows 7-8 share one), each taken
 at its least rhs: a row whose parallel twin has a smaller rhs never
@@ -66,7 +66,6 @@ from .channel import _nonneg_finite
 
 __all__ = [
     "MEMBERSHIP_TOL",
-    "HalfSpace",
     "RateRegion",
     "GapCertificate",
     "build_inner",
@@ -146,86 +145,32 @@ _BOUND_DISTINCT = tuple(dict.fromkeys(BOUND_PATTERNS))
 _ROW_WEIGHT = np.sum(BOUND_PATTERNS, axis=1)[:, None]   # sum(c) of each row
 
 
-@dataclass(frozen=True)
-class HalfSpace:
-    """One constraint c . r <= rhs with small integer coefficients."""
-
-    c: tuple[int, int, int]
-    rhs: float
-
-    def __post_init__(self) -> None:
-        if len(self.c) != 3 or any(int(k) != k or k not in (0, 1, 2) for k in self.c):
-            raise ValueError(f"coefficients must be a triple over {{0, 1, 2}}, got {self.c!r}")
-        object.__setattr__(self, "c", tuple(int(k) for k in self.c))
-        if not (math.isfinite(self.rhs) and self.rhs >= 0):
-            raise ValueError(f"rhs must be finite and >= 0, got {self.rhs!r}")
-
-    @classmethod
-    def _unchecked(cls, c: tuple[int, int, int], rhs: float) -> "HalfSpace":
-        """A half-space whose pattern and rhs the caller has validated."""
-        hs = object.__new__(cls)
-        object.__setattr__(hs, "c", c)
-        object.__setattr__(hs, "rhs", rhs)
-        return hs
-
-    def as_dict(self) -> dict:
-        return {"c": list(self.c), "rhs": self.rhs}
-
-
-@dataclass(frozen=True, init=False, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class RateRegion:
     """A labeled intersection of the 13 ``BOUND_PATTERNS`` half-spaces,
     in that order, with the nonnegative octant.
 
     A region is its label and its 13 right-hand sides, one read-only
-    float64 array set when the region is made; ``halfspaces`` is derived
-    from them when first read.  ``RateRegion(label, halfspaces)`` checks
-    the label and that the patterns are ``BOUND_PATTERNS``.  Regions are
-    equal, and hash alike, when their labels and right-hand sides are.
+    float64 array; ``region_from_coeffs``, which checks both, is the
+    only way one is made.  ``halfspaces`` lists the (pattern, rhs)
+    pairs, and regions are equal, and hash alike, when their labels and
+    half-spaces are.
     """
 
     label: str
     _rhs: np.ndarray
 
-    def __init__(self, label: str, halfspaces) -> None:
-        halfspaces = tuple(halfspaces)
-        patterns = tuple(hs.c for hs in halfspaces)
-        if patterns != BOUND_PATTERNS:
-            raise ValueError(f"half-space patterns must be BOUND_PATTERNS, got {patterns!r}")
-        self._set(label, np.array([hs.rhs for hs in halfspaces], dtype=float))
-        self.__dict__["halfspaces"] = halfspaces   # the given objects, as read back
-
-    @classmethod
-    def _of_rhs(cls, label: str, rhs: np.ndarray) -> "RateRegion":
-        """A region of (13,) float64 right-hand sides the caller has validated."""
-        region = object.__new__(cls)
-        region._set(label, rhs)
-        return region
-
-    def _set(self, label: str, rhs: np.ndarray) -> None:
-        if label not in _REGION_LABELS:
-            raise ValueError(f"label must be one of {_REGION_LABELS}, got {label!r}")
-        rhs.flags.writeable = False
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "_rhs", rhs)
-
-    @cached_property
-    def halfspaces(self) -> tuple[HalfSpace, ...]:
-        return tuple(map(HalfSpace._unchecked, BOUND_PATTERNS, self._rhs.tolist()))
-
-    def _key(self) -> tuple:
-        # hashes as the (label, halfspaces) pair did: a tuple hashes its
-        # items' hashes, and a HalfSpace hashes as its (c, rhs) pair
-        return self.label, tuple(zip(BOUND_PATTERNS, self._rhs.tolist()))
+    @property
+    def halfspaces(self) -> tuple[tuple[tuple[int, int, int], float], ...]:
+        return tuple(zip(BOUND_PATTERNS, self._rhs.tolist()))
 
     def __eq__(self, other) -> bool:
-        return self._key() == other._key() if isinstance(other, RateRegion) else NotImplemented
+        if not isinstance(other, RateRegion):
+            return NotImplemented
+        return (self.label, self.halfspaces) == (other.label, other.halfspaces)
 
     def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"RateRegion(label={self.label!r}, halfspaces={self.halfspaces!r})"
+        return hash((self.label, self.halfspaces))
 
     def coefficient_matrix(self) -> np.ndarray:
         """The (13, 3) coefficients, shared by every region and read-only."""
@@ -302,14 +247,18 @@ def region_from_coeffs(coeffs: BoundCoeffs, label: str) -> RateRegion:
 
     Each rhs is summed left to right as ``bound_rhs`` sums it, bit for
     bit, in Python floats, whose overflow gives inf with no warning; the
-    patterns are the constant ``BOUND_PATTERNS``, so only the right-hand
-    sides are validated.
+    patterns are the constant ``BOUND_PATTERNS``, so only the label and
+    the right-hand sides are validated.
     """
+    if label not in _REGION_LABELS:
+        raise ValueError(f"label must be one of {_REGION_LABELS}, got {label!r}")
     v = coeffs.values + (0.0,)
     rhs = [v[i] + v[j] + v[k] for i, j, k in _RHS_TERMS]
     if not (min(rhs) >= 0 and max(rhs) < math.inf):
         raise ValueError(f"rhs must be finite and >= 0, got {rhs!r}")
-    return RateRegion._of_rhs(label, np.array(rhs))
+    rhs = np.array(rhs)
+    rhs.flags.writeable = False
+    return RateRegion(label, rhs)
 
 
 def build_inner(coeffs: BoundCoeffs) -> RateRegion:

@@ -24,6 +24,8 @@ from conftest import seeded_channels
 
 mags = st.floats(min_value=1e-3, max_value=1e3)
 gains_st = st.builds(ChannelGains, mags, mags, mags, mags)
+# the accepted envelope of the sweeps, exact zeros included
+envelope = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e6))
 
 LOG2_5_OVER_15 = math.log2(5) - math.log2(1.5)
 
@@ -110,6 +112,13 @@ class TestDeltas:
     @given(gains_st)
     def test_delta_limits_fuzz(self, gains):
         assert deltas_within_limits(gap_deltas(gains))
+
+    @given(st.builds(ChannelGains, envelope, envelope, envelope, envelope))
+    def test_g_delta_is_the_cross_gain_closed_form(self, gains):
+        # log2(1 + min(m12**2, 1)) and its mirror: one bit once the cross gain is >= 1
+        d = gap_deltas(gains)
+        assert abs(d.g1 - math.log2(1 + min(gains.m12 ** 2, 1))) <= 1e-13
+        assert abs(d.g2 - math.log2(1 + min(gains.m21 ** 2, 1))) <= 1e-13
 
 
 @given(gains_st)

@@ -118,7 +118,9 @@ class TestGap:
             assert "tol must be finite and nonnegative" in err
 
 
-BAD_GRIDS = [["--alpha-min", "-1"], ["--alpha-max", "nan"], ["--step", "0"], ["--alpha-min", "2", "--alpha-max", "1"]]
+BAD_GRIDS = [["--alpha-min", "-1"], ["--alpha-max", "nan"], ["--step", "0"], ["--alpha-min", "2", "--alpha-max", "1"],
+             # grids of an infinite and of an unbounded number of points
+             ["--alpha-max", "1e308", "--step", "0.001"], ["--step", "1e-300"]]
 
 
 class TestGdofCurve:

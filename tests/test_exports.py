@@ -1,6 +1,7 @@
 """Every exported name resolves, and so does every name the traced
-benchmark run wraps or reads off a region, so that deleting one fails
-here rather than in ``bench/run.py --trace 1``."""
+benchmark run wraps or reads off a region and every region method or
+``region_as_dict`` key the benchmark workloads use, so that deleting
+one fails here rather than in ``bench/run.py``."""
 
 import ast
 import importlib
@@ -11,7 +12,7 @@ import pytest
 from icci.bounds import inner_coeffs, outer_coeffs
 from icci.channel import ChannelGains, GdofExponents
 from icci.gdof import build_gdof_region, gdof_coeffs
-from icci.region import build_inner, build_outer
+from icci.region import build_inner, build_outer, region_as_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 # every module of the package but the entry point, which runs the CLI on import
@@ -19,14 +20,30 @@ MODULES = ["icci"] + [f"icci.{path.stem}" for path in sorted((ROOT / "src" / "ic
                       if path.stem not in ("__init__", "__main__")]
 
 
-def tracer_source() -> ast.Module:
-    return ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+def bench_source(name: str) -> ast.Module:
+    return ast.parse((ROOT / "bench" / name).read_text(encoding="utf-8"))
+
+
+def bench_function(name: str, function: str) -> ast.FunctionDef:
+    return next(node for node in bench_source(name).body if isinstance(node, ast.FunctionDef) and node.name == function)
+
+
+def built_regions() -> list:
+    gains = ChannelGains(10, 3, 3, 10)
+    return [build_inner(inner_coeffs(gains)), build_outer(outer_coeffs(gains)),
+            build_gdof_region(gdof_coeffs(GdofExponents(1, 0.6, 0.6, 1)))]
+
+
+def string_keys(tree: ast.AST, name: str) -> set[str]:
+    """The string constants ``name`` is subscripted with in tree."""
+    return {node.slice.value for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+            and ast.unparse(node.value) == name and isinstance(node.slice, ast.Constant)}
 
 
 def traced_names() -> list[tuple[str, str]]:
     """The (module, attribute) pairs of ``TIMED`` in bench/tracer.py, read
     from its source without importing it."""
-    tree = tracer_source()
+    tree = bench_source("tracer.py")
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TIMED" for t in node.targets):
             return [(module, attr) for module, attr, _span in ast.literal_eval(node.value)]
@@ -49,11 +66,32 @@ def test_every_traced_name_resolves():
 def test_every_attribute_the_tracer_reads_off_a_region_resolves():
     # the tracer counts triples from the region ``vertices`` is called on,
     # as math.comb(len(args[0].halfspaces) + 3, 3)
-    attrs = {node.attr for node in ast.walk(tracer_source())
+    attrs = {node.attr for node in ast.walk(bench_source("tracer.py"))
              if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "args[0]"}
     assert "halfspaces" in attrs
-    gains = ChannelGains(10, 3, 3, 10)
-    for region in (build_inner(inner_coeffs(gains)), build_outer(outer_coeffs(gains)),
-                   build_gdof_region(gdof_coeffs(GdofExponents(1, 0.6, 0.6, 1)))):
+    for region in built_regions():
         assert [attr for attr in attrs if not hasattr(region, attr)] == []
         assert len(region.halfspaces) == 13
+
+
+def test_every_method_the_lp_oracle_calls_on_a_region_resolves():
+    # lp_gap_slack(cover, target, bits) gets built regions and sets up its LPs from their methods
+    fn = bench_function("workloads.py", "lp_gap_slack")
+    names = {arg.arg for arg in fn.args.args[:2]}
+    methods = {node.func.attr for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute) and ast.unparse(node.func.value) in names}
+    assert names == {"cover", "target"} and {"coefficient_matrix", "rhs_vector"} <= methods
+    for region in built_regions():
+        assert [method for method in methods if not callable(getattr(region, method, None))] == []
+        assert region.coefficient_matrix().shape == (13, 3) and region.rhs_vector().shape == (13,)
+
+
+def test_every_key_the_vertex_check_reads_off_a_region_dict_exists():
+    # _vertices_feasible reads region_dict[...] and, per half-space, hs[...]
+    fn = bench_function("workloads.py", "_vertices_feasible")
+    keys, row_keys = string_keys(fn, "region_dict"), string_keys(fn, "hs")
+    assert {"vertices", "halfspaces"} <= keys and {"c", "rhs"} <= row_keys
+    for region in built_regions():
+        shown = region_as_dict(region)
+        assert keys <= shown.keys() and len(shown["halfspaces"]) == 13
+        assert all(row_keys <= row.keys() for row in shown["halfspaces"])

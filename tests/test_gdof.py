@@ -8,8 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import icci.gdof
 from icci.channel import GdofExponents
 from icci.gdof import (
+    _MAX_CURVE_POINTS,
     CURVE_CSV_HEADER,
     build_gdof_region,
     dof_curve_samples,
@@ -210,6 +212,19 @@ class TestCurveCsv:
         assert s.alpha == pytest.approx(0.6, abs=1e-12)
         assert s.d_icci == pytest.approx(0.7, abs=1e-9)
         assert s.d_uplift == pytest.approx(s.d_icci - s.d_ic, abs=0)
+
+    def test_an_oversized_grid_is_rejected_before_it_is_built(self, monkeypatch):
+        def refuse(alpha):
+            raise AssertionError("a grid point was computed")
+
+        monkeypatch.setattr(icci.gdof, "dof_ic", refuse)
+        # an infinite count, an unbounded one, and one point over the limit
+        for grid in ((0.0, 1e308, 0.001), (0.0, 3.0, 1e-300), (0.0, float(_MAX_CURVE_POINTS), 1.0)):
+            with pytest.raises(ValueError, match=f"over {_MAX_CURVE_POINTS} points"):
+                dof_curve_samples(*grid)
+        # a grid of exactly the limit is accepted, so its first point is computed
+        with pytest.raises(AssertionError, match="a grid point was computed"):
+            dof_curve_samples(0.0, float(_MAX_CURVE_POINTS - 1), 1.0)
 
     def test_csv_round_trip(self):
         buf = io.StringIO()

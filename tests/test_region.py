@@ -18,7 +18,6 @@ from icci.region import (
     _OBJECTIVE_WEIGHT,
     BOUND_PATTERNS,
     MEMBERSHIP_TOL,
-    HalfSpace,
     RateRegion,
     _candidates,
     _gap_rows,
@@ -64,16 +63,10 @@ def lp_max(region: RateRegion, weights) -> float:
 
 def test_constraint_patterns_fixed_order(worked_channel):
     region = build_inner(inner_coeffs(worked_channel))
-    assert [hs.c for hs in region.halfspaces] == EXPECTED_PATTERNS
+    assert [c for c, _ in region.halfspaces] == EXPECTED_PATTERNS
+    assert [rhs for _, rhs in region.halfspaces] == region.rhs_vector().tolist()
     assert list(BOUND_PATTERNS) == EXPECTED_PATTERNS
     assert region.label == "inner"
-
-
-def test_build_equals_the_validated_half_spaces(worked_channel):
-    for region in (build_inner(inner_coeffs(worked_channel)), build_outer(outer_coeffs(worked_channel))):
-        validated = tuple(HalfSpace(c=hs.c, rhs=hs.rhs) for hs in region.halfspaces)
-        assert region == RateRegion(label=region.label, halfspaces=validated)
-        assert all(type(k) is int for hs in region.halfspaces for k in hs.c)
 
 
 def certificates(cover: RateRegion, target: RateRegion) -> list:
@@ -101,9 +94,9 @@ def test_a_rebuilt_region_is_the_built_one(worked_channel):
     gains = [worked_channel] + seeded_channels(19, 10, 1.0 / MAG_LIMIT, MAG_LIMIT)
     for g in gains:
         built = (build_inner(inner_coeffs(g)), build_outer(outer_coeffs(g)))
-        rebuilt = tuple(RateRegion(r.label, tuple(HalfSpace(hs.c, hs.rhs) for hs in r.halfspaces)) for r in built)
+        rebuilt = (build_inner(inner_coeffs(g)), build_outer(outer_coeffs(g)))
         for a, b in zip(built, rebuilt):
-            assert a == b and hash(a) == hash(b)
+            assert a is not b and a == b and hash(a) == hash(b)
             # the hash of the (label, halfspaces) pair a region used to be
             assert hash(a) == hash((a.label, a.halfspaces))
             assert a.rhs_vector().tobytes() == b.rhs_vector().tobytes()
@@ -111,8 +104,11 @@ def test_a_rebuilt_region_is_the_built_one(worked_channel):
             assert region_as_dict(a) == region_as_dict(b)
         assert certificates(*built) == certificates(*rebuilt)
         assert certificates(*built[::-1]) == certificates(*rebuilt[::-1])
-    # the label is part of a region
-    assert built[0] != built[1] and built[0] != RateRegion("outer", built[0].halfspaces)
+    # the label is part of a region: the same coefficients under another label
+    coeffs = inner_coeffs(worked_channel)
+    inner, outer = region_from_coeffs(coeffs, "inner"), region_from_coeffs(coeffs, "outer")
+    assert inner.halfspaces == outer.halfspaces and inner != outer and inner != built[1]
+    assert len({inner, outer, region_from_coeffs(coeffs, "inner")}) == 2
 
 
 def test_build_is_bound_rhs_bit_for_bit():
@@ -123,22 +119,6 @@ def test_build_is_bound_rhs_bit_for_bit():
     for k, c in enumerate(families):
         assert region_from_coeffs(c, c.side).rhs_vector().tobytes() == want[:, k].tobytes()
     assert build_gdof_region(families[-1]).rhs_vector().tobytes() == want[:, -1].tobytes()
-
-
-def test_the_query_path_builds_no_half_space(monkeypatch, worked_channel):
-    def refuse(c, rhs):
-        raise AssertionError("a HalfSpace was built")
-
-    monkeypatch.setattr(HalfSpace, "_unchecked", refuse)
-    inner = build_inner(inner_coeffs(worked_channel))
-    outer = build_outer(outer_coeffs(worked_channel))
-    certificates(inner, outer)
-    shown = [region_as_dict(region) for region in (inner, outer)]
-    assert contains(outer, shown[0]["vertices"][-1]) and containment_slack(inner, (0, 0, 0))[0] == 0.0
-    assert len({inner, outer, build_inner(inner_coeffs(worked_channel))}) == 2
-    monkeypatch.undo()
-    assert [hs.c for hs in inner.halfspaces] == EXPECTED_PATTERNS
-    assert inner.halfspaces is inner.halfspaces
 
 
 def test_build_rejects_an_infinite_rhs():
@@ -459,7 +439,7 @@ def test_unclipped_slack_matches_row_lp():
     for gains in seeded_channels(seed=71, count=5):
         inner = build_inner(inner_coeffs(gains))
         outer = build_outer(outer_coeffs(gains))
-        expected = min(hs.rhs + sum(hs.c) - lp_max(outer, hs.c) for hs in inner.halfspaces)
+        expected = min(rhs + sum(c) - lp_max(outer, c) for c, rhs in inner.halfspaces)
         assert within_bits_unclipped_slack(inner, outer, 1.0).slack == pytest.approx(expected, abs=1e-9)
 
 
@@ -474,14 +454,5 @@ def test_region_as_dict_shape(worked_channel):
 
 
 def test_type_validation(worked_channel):
-    with pytest.raises(ValueError):
-        HalfSpace((1, 3, 0), 1.0)
-    with pytest.raises(ValueError):
-        HalfSpace((1, 1, 0), -1.0)
-    with pytest.raises(ValueError):
-        RateRegion(label="bogus", halfspaces=(HalfSpace((0, 1, 0), 1.0),))
-    # every region has the one shape: the 13 rows of BOUND_PATTERNS, in order
-    rows = build_outer(outer_coeffs(worked_channel)).halfspaces
-    for other in (rows[:9], rows[1:] + rows[:1], rows[:12] + (HalfSpace((0, 1, 0), 1.0),)):
-        with pytest.raises(ValueError):
-            RateRegion(label="outer", halfspaces=other)
+    with pytest.raises(ValueError, match="label must be one of"):
+        region_from_coeffs(outer_coeffs(worked_channel), "bogus")
