@@ -111,12 +111,13 @@ class ChannelGains:
         p = _real("p", p)
         if not (math.isfinite(p) and p > 0):
             raise ValueError(f"base power p must be finite and > 0, got {p!r}")
-        return cls(
-            m11=p ** (exponents.a11 / 2.0),
-            m12=p ** (exponents.a12 / 2.0),
-            m21=p ** (exponents.a21 / 2.0),
-            m22=p ** (exponents.a22 / 2.0),
-        )
+        gains = {}
+        for key, alpha in zip(_GAIN_KEYS, (exponents.a11, exponents.a12, exponents.a21, exponents.a22)):
+            try:
+                gains[key] = p ** (alpha / 2.0)
+            except OverflowError:
+                raise ValueError(f"{key} = p**({alpha!r} / 2) is too large for a float at p={p!r}") from None
+        return cls(**gains)
 
     @classmethod
     def symmetric(cls, alpha: float, p: float) -> "ChannelGains":

@@ -239,7 +239,11 @@ def _chunks(count: int):
 
 
 def _check_chunk(indices, gains: Sequence[ChannelGains], bits: float, tol: float) -> list[ChannelCheck]:
-    results = (r.tolist() for r in _certify(_gain_rows(gains), bits, tol))
+    try:  # finite gains make a coefficient infinite only through an overflow
+        with np.errstate(over="raise"):
+            results = [r.tolist() for r in _certify(_gain_rows(gains), bits, tol)]
+    except (OverflowError, FloatingPointError):
+        raise ValueError("a coefficient of these gains is not finite: a gain is too large") from None
     return [ChannelCheck(*fields) for fields in zip(indices, gains, *results)]
 
 

@@ -126,6 +126,15 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 ChannelGains(bad, 1, 1, 1)
 
+    @pytest.mark.parametrize("realize", [
+        lambda: ChannelGains.from_exponents(GdofExponents(700, 0, 0, 0), 10.0),
+        lambda: ChannelGains.symmetric(700, 10.0),
+        lambda: multiplexing_gain(GdofExponents(1, 0, 700, 1), 10.0),
+    ])
+    def test_an_exponent_too_large_for_a_float_gain_is_invalid_input(self, realize):
+        with pytest.raises(ValueError, match=r"m(11|12|21) = p\*\*\(700.0 / 2\) is too large for a float"):
+            realize()
+
     def test_rejects_an_int_too_large_for_a_float(self):
         with pytest.raises(ValueError, match="too large"):
             ChannelGains(10**400, 1, 1, 1)

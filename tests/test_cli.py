@@ -174,6 +174,20 @@ class TestVerifyMi:
         assert out.startswith("verify-mi samples=5")
         assert out.rstrip().endswith("pass")
 
+    def test_the_whole_envelope_passes(self, capsys):
+        code, out, _ = run(capsys, ["verify-mi", "--samples", "200", "--mag-min", "1e-6", "--mag-max", "1e6", "--json"])
+        assert code == 0
+        assert json.loads(out)["max_abs_error"] <= 1e-13
+
+    def test_a_tripped_guard_exits_1(self, capsys, monkeypatch):
+        def tripped(gains):
+            raise icci.CovarianceError("negative pivot")
+
+        monkeypatch.setattr("icci.cli.mi_discrepancy", tripped)
+        code, out, err = run(capsys, ["verify-mi", "--samples", "3"])
+        assert (code, out) == (1, "")
+        assert err == "verify-mi: covariance guard tripped at sample 0: negative pivot\n"
+
 
 class TestExample:
     def test_json_ratios(self, capsys):

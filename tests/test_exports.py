@@ -1,5 +1,6 @@
-"""Every exported name resolves, and so does every name the traced
-benchmark run wraps or reads off a region and every region method or
+"""Every exported name resolves, and so does every name the benchmark
+imports from icci or reads off the package, every name the traced run
+wraps or reads off a region and every region method or
 ``region_as_dict`` key the benchmark workloads use, so that deleting
 one fails here rather than in ``bench/run.py``."""
 
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import icci
 from icci.bounds import inner_coeffs, outer_coeffs
 from icci.channel import ChannelGains, GdofExponents
 from icci.gdof import build_gdof_region, gdof_coeffs
@@ -61,6 +63,24 @@ def test_every_traced_name_resolves():
     assert ("icci.gdof", "per_user_dof_optimum") in pairs
     # the tracer wraps each as a function
     assert [pair for pair in pairs if not callable(getattr(importlib.import_module(pair[0]), pair[1], None))] == []
+
+
+def test_every_name_the_benchmark_imports_from_icci_resolves():
+    # module-level and function-level imports alike, such as the tracer's
+    # CovarianceError inside install()
+    imports = [(node.module, alias.name) for path in sorted((ROOT / "bench").glob("*.py"))
+               for node in ast.walk(bench_source(path.name))
+               if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "icci"
+               for alias in node.names]
+    assert ("icci.gaussian_mi", "CovarianceError") in imports
+    assert [pair for pair in imports if not hasattr(importlib.import_module(pair[0]), pair[1])] == []
+
+
+def test_every_icci_attribute_the_workloads_read_resolves():
+    attrs = {node.attr for node in ast.walk(bench_source("workloads.py"))
+             if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "icci"}
+    assert {"mi_discrepancy", "check_channel", "run_gap_sweep"} <= attrs
+    assert [attr for attr in sorted(attrs) if not hasattr(icci, attr)] == []
 
 
 def test_every_attribute_the_tracer_reads_off_a_region_resolves():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -7,13 +8,58 @@ from hypothesis import strategies as st
 from icci.bounds import cap, inner_coeffs
 from icci.channel import ChannelGains
 from icci.gaussian_mi import (
+    CovarianceError,
+    _chain_variances,
     mi_discrepancy,
     mutual_info_terms,
     successive_decode_chain,
 )
 
-mags = st.floats(min_value=1e-2, max_value=1e2)
+from conftest import seeded_channels
+
+# the whole accepted envelope (sweep.MAG_LIMIT), exact zeros, and the
+# kink of the noise-floor split at m = 1 with its neighbouring floats
+mags = st.one_of(
+    st.floats(min_value=1e-6, max_value=1e6),
+    st.sampled_from([0.0, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)]),
+)
 gains_st = st.builds(ChannelGains, mags, mags, mags, mags)
+
+
+def reference_terms(gains: ChannelGains) -> tuple[float, ...]:
+    """The oracle's ten values from scratch: the covariance as A D A^T of
+    the independent sources (public 1, private 1, public 2, private 2,
+    Z1, Z2) with variances D, and each conditional variance by its own
+    elimination of the whole conditioning set."""
+    m11, m12, m21, m22 = map(Fraction, (gains.m11, gains.m12, gains.m21, gains.m22))
+    x12 = 1 / (m12 * m12) if m12 * m12 > 1 else Fraction(1)
+    x21 = 1 / (m21 * m21) if m21 * m21 > 1 else Fraction(1)
+    d = [1 - x21, x21, 1 - x12, x12, 1, 1]
+    # rows U1, U2, X1, X2, Y1, Y2 in terms of the sources
+    a = [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0],
+         [m11, m11, m12, m12, 1, 0], [m21, m21, m22, m22, 0, 1]]
+    cov = [[sum(p * q * w for p, q, w in zip(r, c, d)) for c in a] for r in a]
+
+    def var(y, given):
+        s = [[cov[i][j] for j in (*given, y)] for i in (*given, y)]
+        for t in range(len(given)):
+            if s[t][t]:
+                for i in range(t + 1, len(s)):
+                    f = s[i][t] / s[t][t]
+                    s[i] = [v - f * w for v, w in zip(s[i], s[t])]
+        return s[-1][-1]
+
+    def info(y, given, extra):
+        return math.log2(var(y, given) / var(y, given + extra))
+
+    u1, u2, x1, x2, y1, y2 = range(6)
+    terms = {}
+    for i, (y, x, u, v) in enumerate(((y1, x1, u1, u2), (y2, x2, u2, u1)), start=1):
+        terms[f"a{i}"] = info(y, (u, v), (x,))
+        terms[f"d{i}"] = info(y, (v,), (x,))
+        terms[f"e{i}"] = info(y, (u,), (x, v))
+        terms[f"g{i}"] = info(y, (), (x, v))
+    return tuple(terms[key] for key in ("a1", "a2", "d1", "d2", "e1", "e2", "g1", "g2", "g1", "g2"))
 
 STAGE_TARGETS = (0.2, 0.2, 0.2, 0.4)
 
@@ -40,7 +86,26 @@ class TestMiOracle:
 
     @given(gains_st)
     def test_discrepancy_fuzz(self, gains):
-        assert mi_discrepancy(gains) <= 1e-9
+        assert mi_discrepancy(gains) <= 1e-13
+
+    @pytest.mark.parametrize("mag_range", [(1e-2, 1e2), (1e-6, 1e6)])
+    def test_chained_eliminations_equal_the_reference_bitwise(self, mag_range):
+        for gains in seeded_channels(5, 150, *mag_range):
+            assert mutual_info_terms(gains).values == reference_terms(gains), gains
+
+    def test_guard_trips_on_an_indefinite_covariance(self):
+        # a negative pivot, then a positive pivot leaving Var(y | 0) = 1 - 4
+        for cov in ([[-1, 0], [0, 1]], [[1, 2], [2, 1]]):
+            with pytest.raises(CovarianceError):
+                _chain_variances([[Fraction(v) for v in row] for row in cov], 1, (0,))
+
+    def test_a_zero_variance_conditioner_is_skipped(self):
+        cov = [[Fraction(v) for v in row] for row in ([0, 0, 0], [0, 4, 2], [0, 2, 3])]
+        assert _chain_variances(cov, 2, (0, 1)) == [3, 3, 2]
+
+    def test_a_ratio_past_the_float_range_is_invalid_input(self):
+        with pytest.raises(ValueError, match="too large for a float"):
+            mutual_info_terms(ChannelGains(1e200, 1, 1, 1))
 
     @given(gains_st)
     def test_conditioning_order(self, gains):

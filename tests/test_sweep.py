@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -104,6 +105,26 @@ class TestCheckChannel:
         assert check.gap_slack < 0
         assert 0 <= check.gap_constraint < 13
 
+
+    @pytest.mark.parametrize("gains", [ChannelGains(1e200, 1, 1, 1), ChannelGains(1, 1e160, 1, 1),
+                                       ChannelGains(1e154, 1e154, 1, 1)])
+    def test_a_coefficient_past_the_float_range_is_invalid_input(self, gains):
+        # as the scalar families reject these gains, so does the core,
+        # with no overflow warning on the way
+        with pytest.raises(ValueError):
+            inner_coeffs(gains)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                check_channel(0, gains)
+            with pytest.raises(ValueError, match="not finite"):
+                check_channels([ChannelGains(1, 1, 1, 1), gains])
+
+    def test_huge_gains_with_finite_coefficients_are_checked(self):
+        gains = ChannelGains(1e150, 1e150, 1e150, 1e150)
+        check = check_channel(1, gains)
+        assert check == check_channels([ChannelGains(1, 1, 1, 1), gains])[1]
+        assert math.isfinite(check.gap_slack) and math.isfinite(check.per_rate_gap_slack)
 
     def test_per_rate_slack_matches_region_certificate(self):
         gains = sample_gains(42, 9)
