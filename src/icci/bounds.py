@@ -149,6 +149,10 @@ def outer_coeffs(gains: ChannelGains) -> BoundCoeffs:
     s2 = gains.m22 * gains.m22
     i1 = gains.m12 * gains.m12
     i2 = gains.m21 * gains.m21
+    try:  # Python's float power raises where a summed square passes the float range
+        b1, b2 = (gains.m11 + gains.m12) ** 2, (gains.m22 + gains.m21) ** 2
+    except OverflowError:
+        raise ValueError(f"an outer coefficient of {gains} is too large for a float") from None
     return BoundCoeffs((
         cap(s1 / (1.0 + i2)),
         cap(s2 / (1.0 + i1)),
@@ -158,8 +162,8 @@ def outer_coeffs(gains: ChannelGains) -> BoundCoeffs:
         cap(i2 + s2 / (1.0 + i1)),
         cap(s1 + i1),
         cap(s2 + i2),
-        cap((gains.m11 + gains.m12) ** 2),
-        cap((gains.m22 + gains.m21) ** 2),
+        cap(b1),
+        cap(b2),
     ), "outer")
 
 

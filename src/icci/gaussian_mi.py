@@ -21,19 +21,24 @@ of conditional variances with no 1/2 factor:
     I(S; Y | C) = log2( Var(Y | C) / Var(Y | C, S) ).
 
 The joint covariance of (U1, U2, X1, X2, Y1, Y2) is built exactly, in
-``fractions.Fraction``, from the float gains, split included, and each
-conditional variance comes from exact elimination, so a value rounds
-only where its variance ratio becomes a float and in the log2; it meets
-the closed forms within about 1e-14 bits over the whole accepted
-envelope.  A conditioner of exactly zero variance is a constant and is
-skipped (the common layer never even enters, being exactly zero).
+Python ints: each float gain is exactly M / D with one common power of
+two D, and a ratio Var(Y | C) / Var(Y | C, S) is unchanged when Y or a
+conditioner is rescaled, so Y_i is scaled by D and U_i by M**2 over the
+cross gain M / D its private part crosses (U_i is the constant 0 where
+M**2 <= D**2, its public power being zero).  Bareiss's fraction-free
+elimination (Math. Comp. 22, 1968) along a chain of conditioners gives
+each Var(y | first k) = det(S_k + y) / det(S_k) as a pair of ints, so a
+value rounds only where its variance ratio becomes a float (one
+correctly rounded int division) and in the log2, within about 1e-14
+bits of the closed forms over the whole accepted envelope.  A
+conditioner of exactly zero variance given the earlier ones is a
+constant and is skipped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bounds import BoundCoeffs, cap, inner_coeffs
 from .channel import ChannelGains, _real
@@ -55,54 +60,52 @@ class CovarianceError(ArithmeticError):
     """Elimination met a negative pivot or a final variance that is not positive."""
 
 
-def _joint_covariance(gains: ChannelGains) -> list[list[Fraction]]:
-    m11, m12, m21, m22 = map(Fraction, (gains.m11, gains.m12, gains.m21, gains.m22))
-    # public power 1 - x of each transmitter, x = 1/m**2 over the gain m
-    # its private part crosses when m**2 > 1, and x = 1 otherwise
-    pu1, pu2 = (1 - 1 / (m * m) if m * m > 1 else 0 for m in (m21, m12))
-    cov = [[0] * 6 for _ in range(6)]
-    for a, b, value in (
-        (_U1, _U1, pu1), (_U2, _U2, pu2), (_X1, _X1, 1), (_X2, _X2, 1), (_U1, _X1, pu1), (_U2, _X2, pu2),
-        # Y1 = m11 X1 + m12 X2 + Z1 and Y2 = m21 X1 + m22 X2 + Z2
-        (_Y1, _X1, m11), (_Y1, _X2, m12), (_Y1, _U1, m11 * pu1), (_Y1, _U2, m12 * pu2),
-        (_Y2, _X1, m21), (_Y2, _X2, m22), (_Y2, _U1, m21 * pu1), (_Y2, _U2, m22 * pu2),
-        (_Y1, _Y1, m11 * m11 + m12 * m12 + 1), (_Y2, _Y2, m21 * m21 + m22 * m22 + 1),
-        (_Y1, _Y2, m11 * m21 + m12 * m22),
-    ):
-        cov[a][b] = cov[b][a] = value
-    return cov
+def _joint_covariance(gains: ChannelGains) -> list[list[int]]:
+    ratios = [m.as_integer_ratio() for m in (gains.m11, gains.m12, gains.m21, gains.m22)]
+    den = max(d for _, d in ratios)
+    m11, m12, m21, m22 = (n * (den // d) for n, d in ratios)
+    dd, y12 = den * den, m11 * m21 + m12 * m22
+    w1, w2 = (max(m * m - dd, 0) for m in (m21, m12))  # M**2 times the public power
+    # rows and columns U1, U2, X1, X2, D Y1, D Y2, with D Y_i = M_i1 X1 + M_i2 X2 + D Z_i
+    return [
+        [m21 * m21 * w1, 0, w1, 0, m11 * w1, m21 * w1],
+        [0, m12 * m12 * w2, 0, w2, m12 * w2, m22 * w2],
+        [w1, 0, 1, 0, m11, m21],
+        [0, w2, 0, 1, m12, m22],
+        [m11 * w1, m12 * w2, m11, m12, m11 * m11 + m12 * m12 + dd, y12],
+        [m21 * w1, m22 * w2, m21, m22, y12, m21 * m21 + m22 * m22 + dd],
+    ]
 
 
-def _chain_variances(cov: list[list[Fraction]], y: int, order: tuple[int, ...]) -> list[Fraction]:
-    """Var(y | first k of order) for k = 0 .. len(order), by exact
-    elimination of one conditioner at a time."""
+def _chain_variances(cov: list[list[int]], y: int, order: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Var(y | first k of order), k = 0 .. len(order), as (numerator,
+    denominator) pairs of ints, by fraction-free elimination."""
     keep = (*order, y)
     s = [[cov[a][b] for b in keep] for a in keep]
-    out = [s[-1][-1]]
+    prev, out = 1, [(s[-1][-1], 1)]
     for t in range(len(order)):
-        pivot = s[t][t]
+        pivot, row = s[t][t], s[t]
         if pivot < 0:
-            raise CovarianceError(f"negative pivot {float(pivot):.3e} at conditioner {order[t]}")
+            raise CovarianceError(f"negative pivot {pivot / prev:.3e} at conditioner {order[t]}")
         if pivot:  # a zero-variance conditioner is a constant: nothing to remove
-            # the upper triangle; most pairs are uncorrelated, so skip zeros
+            # the upper triangle; every division is exact (Sylvester's identity)
             for a in range(t + 1, len(keep)):
-                if s[t][a]:
-                    f = s[t][a] / pivot
-                    for b in range(a, len(keep)):
-                        if s[t][b]:
-                            s[a][b] -= f * s[t][b]
-        out.append(s[-1][-1])
-    if out[-1] <= 0:
-        raise CovarianceError(f"conditional variance {float(out[-1]):.3e} is not positive")
+                sa, f = s[a], row[a]
+                for b in range(a, len(keep)):
+                    sa[b] = (pivot * sa[b] - f * row[b]) // prev
+            prev = pivot
+        out.append((s[-1][-1], prev))
+    if out[-1][0] <= 0:
+        raise CovarianceError(f"conditional variance {out[-1][0] / prev:.3e} is not positive")
     return out
 
 
-def _receiver_terms(cov: list[list[Fraction]], y: int, x: int, u: int, v: int) -> tuple[float, ...]:
+def _receiver_terms(cov: list[list[int]], y: int, x: int, u: int, v: int) -> tuple[float, ...]:
     """(a, d, e, g) at the receiver observing y, own signal x with public
     part u, other public part v: two chains give the six variances used."""
     var, var_v, var_vx, var_vxu = _chain_variances(cov, y, (v, x, u))
     _, var_u, var_uv = _chain_variances(cov, y, (u, v))
-    return tuple(math.log2(small / big) for small, big in
+    return tuple(math.log2(n_small * d_big / (d_small * n_big)) for (n_small, d_small), (n_big, d_big) in
                  ((var_uv, var_vxu), (var_v, var_vx), (var_u, var_vxu), (var, var_vx)))
 
 
@@ -167,14 +170,7 @@ class DecodeChainReport:
     per_user_ratio: float
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "include_common": self.include_common,
-            "stages": [s.as_dict() for s in self.stages],
-            "individual_ratio": self.individual_ratio,
-            "common_ratio": self.common_ratio,
-            "per_user_ratio": self.per_user_ratio,
-        }
+        return {**vars(self), "stages": [s.as_dict() for s in self.stages]}
 
 
 def successive_decode_chain(p: float, include_common: bool = True) -> DecodeChainReport:

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +85,14 @@ class TestOuterCoeffs:
     def test_interference_free_collapse(self):
         c = outer_coeffs(ChannelGains(math.sqrt(3), 0, 0, math.sqrt(3)))
         assert c.a1 == c.d1 == c.e1 == c.g1 == c.g1p == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("gains", [ChannelGains(1e200, 1, 1, 1), ChannelGains(1, 1, 1e200, 1e-3),
+                                       ChannelGains(1e154, 1e154, 1, 1)])
+    def test_a_square_past_the_float_range_is_invalid_input(self, gains):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"of {gains} is too large for a float")):
+                outer_coeffs(gains)
 
 
 class TestDeltas:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,8 +9,13 @@ from hypothesis import strategies as st
 from icci.bounds import cap, inner_coeffs
 from icci.channel import ChannelGains
 from icci.gaussian_mi import (
+    _U1,
+    _U2,
+    _X1,
+    _Y1,
     CovarianceError,
     _chain_variances,
+    _joint_covariance,
     mi_discrepancy,
     mutual_info_terms,
     successive_decode_chain,
@@ -24,6 +30,8 @@ mags = st.one_of(
     st.sampled_from([0.0, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)]),
 )
 gains_st = st.builds(ChannelGains, mags, mags, mags, mags)
+# both ends of the envelope, exact zero and the kink of the split
+EDGES = (0.0, 1e-6, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 1e6)
 
 
 def reference_terms(gains: ChannelGains) -> tuple[float, ...]:
@@ -38,7 +46,7 @@ def reference_terms(gains: ChannelGains) -> tuple[float, ...]:
     # rows U1, U2, X1, X2, Y1, Y2 in terms of the sources
     a = [[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0],
          [m11, m11, m12, m12, 1, 0], [m21, m21, m22, m22, 0, 1]]
-    cov = [[sum(p * q * w for p, q, w in zip(r, c, d)) for c in a] for r in a]
+    cov = [[sum((p * q * w for p, q, w in zip(r, c, d) if p and q), Fraction(0)) for c in a] for r in a]
 
     def var(y, given):
         s = [[cov[i][j] for j in (*given, y)] for i in (*given, y)]
@@ -46,7 +54,8 @@ def reference_terms(gains: ChannelGains) -> tuple[float, ...]:
             if s[t][t]:
                 for i in range(t + 1, len(s)):
                     f = s[i][t] / s[t][t]
-                    s[i] = [v - f * w for v, w in zip(s[i], s[t])]
+                    if f:
+                        s[i] = [v - f * w for v, w in zip(s[i], s[t])]
         return s[-1][-1]
 
     def info(y, given, extra):
@@ -88,20 +97,31 @@ class TestMiOracle:
     def test_discrepancy_fuzz(self, gains):
         assert mi_discrepancy(gains) <= 1e-13
 
-    @pytest.mark.parametrize("mag_range", [(1e-2, 1e2), (1e-6, 1e6)])
+    @pytest.mark.parametrize("mag_range", [(1e-2, 1e2), (1e-6, 1e6), None])
     def test_chained_eliminations_equal_the_reference_bitwise(self, mag_range):
-        for gains in seeded_channels(5, 150, *mag_range):
+        # None: the 1296 channels of the edge grid
+        channels = (seeded_channels(5, 150, *mag_range) if mag_range else
+                    [ChannelGains(*mags) for mags in itertools.product(EDGES, repeat=4)])
+        for gains in channels:
             assert mutual_info_terms(gains).values == reference_terms(gains), gains
+
+    def test_a_conditioner_scale_cancels(self):
+        cov = _joint_covariance(ChannelGains(10.0, 3.0, 0.7, 2.5))
+        order = (_U2, _X1, _U1)
+        chain = [Fraction(n, d) for n, d in _chain_variances(cov, _Y1, order)]
+        for c in order:
+            scaled = [[v * 3 ** ((a == c) + (b == c)) for b, v in enumerate(row)] for a, row in enumerate(cov)]
+            assert [Fraction(n, d) for n, d in _chain_variances(scaled, _Y1, order)] == chain
 
     def test_guard_trips_on_an_indefinite_covariance(self):
         # a negative pivot, then a positive pivot leaving Var(y | 0) = 1 - 4
         for cov in ([[-1, 0], [0, 1]], [[1, 2], [2, 1]]):
             with pytest.raises(CovarianceError):
-                _chain_variances([[Fraction(v) for v in row] for row in cov], 1, (0,))
+                _chain_variances(cov, 1, (0,))
 
     def test_a_zero_variance_conditioner_is_skipped(self):
-        cov = [[Fraction(v) for v in row] for row in ([0, 0, 0], [0, 4, 2], [0, 2, 3])]
-        assert _chain_variances(cov, 2, (0, 1)) == [3, 3, 2]
+        cov = [[0, 0, 0], [0, 4, 2], [0, 2, 3]]
+        assert [Fraction(n, d) for n, d in _chain_variances(cov, 2, (0, 1))] == [3, 3, 2]
 
     def test_a_ratio_past_the_float_range_is_invalid_input(self):
         with pytest.raises(ValueError, match="too large for a float"):

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,13 @@ class TestMultiplexing:
     def test_rejects_small_power(self):
         with pytest.raises(ValueError):
             multiplexing_gain(GdofExponents(1, 1, 1, 1), 1.0)
+
+    def test_a_gain_whose_square_overflows_is_invalid_input(self):
+        # a gain of 1e300 is a float, its square is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"ChannelGains\(m11=1e\+300, .* is too large for a float"):
+                multiplexing_gain(GdofExponents(600, 0, 0, 1), 10.0)
 
 
 class TestCurveCsv:
