@@ -28,6 +28,12 @@ for G'.  (The G bound is tight: outer minus inner for G_1 equals
 log2(1 + min(m12**2, 1)), which is exactly one bit whenever m12 >= 1,
 and for G_2 the same in m21.)
 
+Each family's ten capacity arguments are written once, in
+``_inner_args`` and ``_outer_args``: the scalar ``inner_coeffs`` and
+``outer_coeffs`` run them on Python floats, and the batched
+``coeff_rows`` on numpy columns, in the same operations and order, so
+both give the same bits.
+
 Every family of ten is one type, ``BoundCoeffs``: the values in the
 fixed order of ``_COEFF_FIELDS``, keyed by ``_COEFF_KEYS``, and a side
 tag.  Besides the inner and outer families it holds their signed deltas
@@ -119,78 +125,15 @@ def power_split(gains: ChannelGains) -> tuple[float, float]:
     return x12, x21
 
 
-def inner_coeffs(gains: ChannelGains) -> BoundCoeffs:
-    """Achievable-side coefficients under the noise-floor power split."""
-    s1 = gains.m11 * gains.m11
-    s2 = gains.m22 * gains.m22
-    i1 = gains.m12 * gains.m12
-    i2 = gains.m21 * gains.m21
-    x12, x21 = power_split(gains)
+def _inner_args(s1, s2, i1, i2, x12, x21):
+    """The ten ``cap`` arguments of the inner family, in field order, from
+    the direct powers s, the cross powers i and the private power split;
+    on Python floats or numpy columns alike, in the same operations and
+    order, so both give the same bits."""
     # residual interference floors at each receiver
     n1 = 1.0 + i1 * x12
     n2 = 1.0 + i2 * x21
-    return BoundCoeffs((
-        cap(s1 * x21 / n1),
-        cap(s2 * x12 / n2),
-        cap(s1 / n1),
-        cap(s2 / n2),
-        cap((s1 * x21 + i1 * (1.0 - x12)) / n1),
-        cap((s2 * x12 + i2 * (1.0 - x21)) / n2),
-        cap((s1 + i1 * (1.0 - x12)) / n1),
-        cap((s2 + i2 * (1.0 - x21)) / n2),
-        cap((1.0 + s1 + i1) / n1 - 1.0),
-        cap((1.0 + s2 + i2) / n2 - 1.0),
-    ), "inner")
-
-
-def outer_coeffs(gains: ChannelGains) -> BoundCoeffs:
-    """Converse-side coefficients evaluated on the raw channel."""
-    s1 = gains.m11 * gains.m11
-    s2 = gains.m22 * gains.m22
-    i1 = gains.m12 * gains.m12
-    i2 = gains.m21 * gains.m21
-    try:  # Python's float power raises where a summed square passes the float range
-        b1, b2 = (gains.m11 + gains.m12) ** 2, (gains.m22 + gains.m21) ** 2
-    except OverflowError:
-        raise ValueError(f"an outer coefficient of {gains} is too large for a float") from None
-    return BoundCoeffs((
-        cap(s1 / (1.0 + i2)),
-        cap(s2 / (1.0 + i1)),
-        cap(s1),
-        cap(s2),
-        cap(i1 + s1 / (1.0 + i2)),
-        cap(i2 + s2 / (1.0 + i1)),
-        cap(s1 + i1),
-        cap(s2 + i2),
-        cap(b1),
-        cap(b2),
-    ), "outer")
-
-
-def coeff_rows(gains: np.ndarray) -> np.ndarray:
-    """Both coefficient families for an (N, 4) array of gains, columns
-    (m11, m12, m21, m22) each finite and >= 0.
-
-    Returns a (2, 10, N) array: the inner family in [0], the outer in
-    [1], rows in ``BoundCoeffs`` field order (a1, a2, ..., g2p).  The
-    expressions are those of ``inner_coeffs`` and ``outer_coeffs`` term
-    by term, in the same order of operations, and cap goes through
-    libm's log1p as ``cap`` does (numpy's SIMD log1p may differ from it
-    in the last bit), so every value is bit-identical to the scalar
-    family's.
-    """
-    m11, m12, m21, m22 = np.asarray(gains, dtype=float).T
-    s1 = m11 * m11
-    s2 = m22 * m22
-    i1 = m12 * m12
-    i2 = m21 * m21
-    # power_split: 1 / max(i, 1) is 1.0 exactly where i <= 1
-    x12 = 1.0 / np.maximum(i1, 1.0)
-    x21 = 1.0 / np.maximum(i2, 1.0)
-    n1 = 1.0 + i1 * x12
-    n2 = 1.0 + i2 * x21
-    args = np.array([
-        # inner
+    return (
         s1 * x21 / n1,
         s2 * x12 / n2,
         s1 / n1,
@@ -201,7 +144,14 @@ def coeff_rows(gains: np.ndarray) -> np.ndarray:
         (s2 + i2 * (1.0 - x21)) / n2,
         (1.0 + s1 + i1) / n1 - 1.0,
         (1.0 + s2 + i2) / n2 - 1.0,
-        # outer
+    )
+
+
+def _outer_args(s1, s2, i1, i2, b1, b2):
+    """The ten ``cap`` arguments of the outer family, in field order, from
+    the direct and cross powers and the squared sums b1 = (m11 + m12)**2,
+    b2 = (m22 + m21)**2; on floats or numpy columns, as ``_inner_args``."""
+    return (
         s1 / (1.0 + i2),
         s2 / (1.0 + i1),
         s1,
@@ -210,11 +160,54 @@ def coeff_rows(gains: np.ndarray) -> np.ndarray:
         i2 + s2 / (1.0 + i1),
         s1 + i1,
         s2 + i2,
-        # Python's float power, as in outer_coeffs: libm's pow(t, 2) is
-        # not always the correctly rounded t * t of numpy's power
-        [t ** 2 for t in (m11 + m12).tolist()],
-        [t ** 2 for t in (m22 + m21).tolist()],
-    ])
+        b1,
+        b2,
+    )
+
+
+def _powers(m11, m12, m21, m22):
+    """(s1, s2, i1, i2): the direct and cross powers, floats or columns."""
+    return m11 * m11, m22 * m22, m12 * m12, m21 * m21
+
+
+def inner_coeffs(gains: ChannelGains) -> BoundCoeffs:
+    """Achievable-side coefficients under the noise-floor power split."""
+    powers = _powers(gains.m11, gains.m12, gains.m21, gains.m22)
+    return BoundCoeffs(tuple(map(cap, _inner_args(*powers, *power_split(gains)))), "inner")
+
+
+def outer_coeffs(gains: ChannelGains) -> BoundCoeffs:
+    """Converse-side coefficients evaluated on the raw channel."""
+    try:  # Python's float power raises where a summed square passes the float range
+        b1, b2 = (gains.m11 + gains.m12) ** 2, (gains.m22 + gains.m21) ** 2
+    except OverflowError:
+        raise ValueError(f"an outer coefficient of {gains} is too large for a float") from None
+    powers = _powers(gains.m11, gains.m12, gains.m21, gains.m22)
+    return BoundCoeffs(tuple(map(cap, _outer_args(*powers, b1, b2))), "outer")
+
+
+def coeff_rows(gains: np.ndarray) -> np.ndarray:
+    """Both coefficient families for an (N, 4) array of gains, columns
+    (m11, m12, m21, m22) each finite and >= 0.
+
+    Returns a (2, 10, N) array: the inner family in [0], the outer in
+    [1], rows in ``BoundCoeffs`` field order (a1, a2, ..., g2p).  The
+    arguments are ``_inner_args`` and ``_outer_args`` on columns, the
+    expressions of ``inner_coeffs`` and ``outer_coeffs``; only the split
+    and the squared sums are taken per type, each giving the scalar
+    bits.  cap goes through libm's log1p as ``cap`` does (numpy's SIMD
+    log1p may differ from it in the last bit), so every value is
+    bit-identical to the scalar family's.
+    """
+    m11, m12, m21, m22 = np.asarray(gains, dtype=float).T
+    s1, s2, i1, i2 = _powers(m11, m12, m21, m22)
+    # power_split: 1 / max(i, 1) is 1.0 exactly where i <= 1
+    x12, x21 = 1.0 / np.maximum(i1, 1.0), 1.0 / np.maximum(i2, 1.0)
+    # Python's float power, as in outer_coeffs: libm's pow(t, 2) is not
+    # always the correctly rounded t * t of numpy's power
+    b1 = [t ** 2 for t in (m11 + m12).tolist()]
+    b2 = [t ** 2 for t in (m22 + m21).tolist()]
+    args = np.array(_inner_args(s1, s2, i1, i2, x12, x21) + _outer_args(s1, s2, i1, i2, b1, b2))
     caps = np.fromiter(map(math.log1p, args.ravel().tolist()), float, args.size) / _LN2
     return caps.reshape(2, len(_COEFF_FIELDS), len(m11))
 

@@ -18,7 +18,7 @@ from .bounds import BoundCoeffs, gap_deltas, inner_coeffs, outer_coeffs
 from .channel import ChannelGains, _nonneg_finite
 from .gaussian_mi import CovarianceError, mi_discrepancy, successive_decode_chain
 from .gdof import write_curve_csv
-from .region import build_inner, build_outer, region_as_dict, within_bits_slack
+from .region import MEMBERSHIP_TOL, build_inner, build_outer, region_as_dict, within_bits_slack
 from .sweep import SweepConfig, run_gap_sweep, sample_gains
 
 __all__ = ["build_parser", "dispatch", "main"]
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap = sub.add_parser("gap", help="certify the coordinatewise bit gap for one channel")
     _add_channel_args(p_gap)
     p_gap.add_argument("--bits", type=float, default=1.0)
-    p_gap.add_argument("--tol", type=float, default=1e-9)
+    p_gap.add_argument("--tol", type=float, default=MEMBERSHIP_TOL)
     p_gap.add_argument("--json", action="store_true")
     p_gap.set_defaults(func=_cmd_gap)
 
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--mag-min", type=float, default=1e-3)
     p_sweep.add_argument("--mag-max", type=float, default=1e3)
     p_sweep.add_argument("--bits", type=float, default=1.0)
-    p_sweep.add_argument("--tol", type=float, default=1e-9)
+    p_sweep.add_argument("--tol", type=float, default=MEMBERSHIP_TOL)
     p_sweep.add_argument("--json", action="store_true")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bounds import BoundCoeffs, outer_coeffs
 from .channel import ChannelGains, GdofExponents, _nonneg_finite, _real
-from .region import _OBJECTIVES, RateRegion, _reach, bound_rhs, region_from_coeffs
+from .region import _OBJECTIVES, RateRegion, _reach, _region_of_side, bound_rhs
 
 __all__ = [
     "DofCurveSample",
@@ -88,11 +88,11 @@ def gdof_coeffs(exponents: GdofExponents) -> BoundCoeffs:
 
 
 def build_gdof_region(coeffs: BoundCoeffs) -> RateRegion:
-    """The exponent region: the 13 rows of ``region_from_coeffs`` with
-    G' = G.  Rows 5, 6, 9 and 10 then drop r0 from rows 7, 8, 11 and 12
-    at the same rhs, so r0 >= 0 makes them redundant, and the region is
-    the one of the nine other rows."""
-    return region_from_coeffs(coeffs, "gdof")
+    """The exponent region of a gdof family: the 13 rows of
+    ``region_from_coeffs`` with G' = G.  Rows 5, 6, 9 and 10 then drop
+    r0 from rows 7, 8, 11 and 12 at the same rhs, so r0 >= 0 makes them
+    redundant, and the region is the one of the nine other rows."""
+    return _region_of_side(coeffs, "gdof")
 
 
 # r0 + r1 + r2 and r1 + r2 among the objectives of the dual table

@@ -14,8 +14,9 @@ the origin, and is downward comprehensive: lowering any coordinate of a
 feasible point keeps it feasible, because every c_k is nonnegative.
 
 Only the right-hand sides depend on the channel, so a ``RateRegion`` is
-its label and one read-only (13,) array of them, summed once when
-``region_from_coeffs`` makes the region.
+its label, the side of the family it came from, and one read-only
+(13,) array of them, summed once when ``region_from_coeffs`` makes the
+region.
 Whatever depends on the coefficients is computed once, at import, over
 the 10 distinct patterns (rows 4-6 and rows 7-8 share one), each taken
 at its least rhs: a row whose parallel twin has a smaller rhs never
@@ -99,8 +100,6 @@ MEMBERSHIP_TOL = 1e-9
 # unit of the region's largest rhs; certificates do not use it
 _CANDIDATE_RTOL = 2.0 ** -44
 
-_REGION_LABELS = ("inner", "outer", "gdof")
-
 # The constraint patterns of every region, in the fixed documented order.
 # Row k weights (r0, r1, r2) and is paired with the rhs BOUND_RHS_TERMS[k].
 BOUND_PATTERNS: tuple[tuple[int, int, int], ...] = (
@@ -150,11 +149,11 @@ class RateRegion:
     """A labeled intersection of the 13 ``BOUND_PATTERNS`` half-spaces,
     in that order, with the nonnegative octant.
 
-    A region is its label and its 13 right-hand sides, one read-only
-    float64 array; ``region_from_coeffs``, which checks both, is the
-    only way one is made.  ``halfspaces`` lists the (pattern, rhs)
-    pairs, and regions are equal, and hash alike, when their labels and
-    half-spaces are.
+    A region is its label, the side of its coefficient family, and its
+    13 right-hand sides, one read-only float64 array;
+    ``region_from_coeffs``, which checks both, is the only way one is
+    made.  ``halfspaces`` lists the (pattern, rhs) pairs, and regions
+    are equal, and hash alike, when their labels and half-spaces are.
     """
 
     label: str
@@ -242,35 +241,40 @@ def bound_rhs(coeffs: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def region_from_coeffs(coeffs: BoundCoeffs, label: str) -> RateRegion:
-    """The 13-constraint rate region generated by one coefficient family.
+def region_from_coeffs(coeffs: BoundCoeffs) -> RateRegion:
+    """The 13-constraint rate region generated by one coefficient family,
+    labelled by its side: inner, outer or gdof.  A delta family, a
+    difference of two families, is not a region.
 
     Each rhs is summed left to right as ``bound_rhs`` sums it, bit for
     bit, in Python floats, whose overflow gives inf with no warning; the
-    patterns are the constant ``BOUND_PATTERNS``, so only the label and
+    patterns are the constant ``BOUND_PATTERNS``, so only the side and
     the right-hand sides are validated.
     """
-    if label not in _REGION_LABELS:
-        raise ValueError(f"label must be one of {_REGION_LABELS}, got {label!r}")
+    if coeffs.side == "delta":
+        raise ValueError("a delta family is not a region; build one from an inner, outer or gdof family")
     v = coeffs.values + (0.0,)
     rhs = [v[i] + v[j] + v[k] for i, j, k in _RHS_TERMS]
     if not (min(rhs) >= 0 and max(rhs) < math.inf):
         raise ValueError(f"rhs must be finite and >= 0, got {rhs!r}")
     rhs = np.array(rhs)
     rhs.flags.writeable = False
-    return RateRegion(label, rhs)
+    return RateRegion(coeffs.side, rhs)
+
+
+def _region_of_side(coeffs: BoundCoeffs, side: str) -> RateRegion:
+    """``region_from_coeffs`` of a family that has to be of this side."""
+    if coeffs.side != side:
+        raise ValueError(f"need side={side!r} coefficients, got {coeffs.side!r}")
+    return region_from_coeffs(coeffs)
 
 
 def build_inner(coeffs: BoundCoeffs) -> RateRegion:
-    if coeffs.side != "inner":
-        raise ValueError(f"build_inner needs side='inner' coefficients, got {coeffs.side!r}")
-    return region_from_coeffs(coeffs, "inner")
+    return _region_of_side(coeffs, "inner")
 
 
 def build_outer(coeffs: BoundCoeffs) -> RateRegion:
-    if coeffs.side != "outer":
-        raise ValueError(f"build_outer needs side='outer' coefficients, got {coeffs.side!r}")
-    return region_from_coeffs(coeffs, "outer")
+    return _region_of_side(coeffs, "outer")
 
 
 def _as_points(points) -> np.ndarray:
@@ -531,12 +535,10 @@ def within_bits(
     return within_bits_slack(cover, target, bits).slack >= -tol
 
 
-def region_as_dict(region: RateRegion, include_vertices: bool = True) -> dict:
+def region_as_dict(region: RateRegion) -> dict:
     """JSON-ready description: label, half-spaces, enumerated vertices."""
-    out: dict = {
+    return {
         "label": region.label,
         "halfspaces": [{"c": list(c), "rhs": rhs} for c, rhs in zip(BOUND_PATTERNS, region._rhs.tolist())],
+        "vertices": vertices(region).tolist(),
     }
-    if include_vertices:
-        out["vertices"] = vertices(region).tolist()
-    return out

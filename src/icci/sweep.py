@@ -30,7 +30,7 @@ same report.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -96,14 +96,7 @@ class SweepConfig:
             object.__setattr__(self, name, _nonneg_finite(name, getattr(self, name)))
 
     def as_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "mag_min": self.mag_min,
-            "mag_max": self.mag_max,
-            "bits": self.bits,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -131,7 +124,7 @@ class ChannelCheck:
     per_rate_gap_slack: float
 
     def passed(self, tol: float = MEMBERSHIP_TOL) -> bool:
-        return _passed(self.deltas_ok, self.containment_slack, self.gap_slack, tol)
+        return _passed(self.deltas_ok, self.containment_slack, self.gap_slack, _nonneg_finite("tol", tol))
 
 
 def _passed(deltas_ok, containment_slack, gap_slack, tol):

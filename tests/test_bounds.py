@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -23,6 +24,7 @@ from icci.gaussian_mi import mutual_info_terms
 from icci.gdof import gdof_coeffs
 
 from conftest import seeded_channels
+from test_gaussian_mi import EDGES
 
 mags = st.floats(min_value=1e-3, max_value=1e3)
 gains_st = st.builds(ChannelGains, mags, mags, mags, mags)
@@ -199,12 +201,55 @@ def test_coeff_validation_rule():
 
 
 def test_coeff_rows_are_the_scalar_families_bit_for_bit():
-    gains = seeded_channels(3, 300, 1e-6, 1e6) + [
-        ChannelGains(0, 0, 0, 0),
-        ChannelGains(1, 1, 1, 1),
-        ChannelGains(1e6, float(np.nextafter(1.0, 2.0)), 0, 1e-6),
-    ]
+    # the wide envelope, and the 1296 channels of the MI oracle's edge grid
+    gains = seeded_channels(3, 300, 1e-6, 1e6) + [ChannelGains(*m) for m in itertools.product(EDGES, repeat=4)]
     rows = coeff_rows(np.array([(g.m11, g.m12, g.m21, g.m22) for g in gains]))
     for n, g in enumerate(gains):
         for side, coeffs in enumerate((inner_coeffs(g), outer_coeffs(g))):
             assert rows[side, :, n].tolist() == list(coeffs.values), g
+
+
+# float.hex of the inner and the outer family, each in field order, as
+# computed before the scalar and batched paths shared one copy of each
+# formula: zero, unit, both ends of the envelope around the kink of the
+# split at m = 1, an integer channel and the README channel
+PINNED_BITS = {
+    (0.0, 0.0, 0.0, 0.0): (
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0"
+        " 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0"
+        " 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+    ),
+    (1.0, 1.0, 1.0, 1.0): (
+        "0x1.2b803473f7ad1p-1 0x1.2b803473f7ad1p-1 0x1.2b803473f7ad1p-1 0x1.2b803473f7ad1p-1 0x1.2b803473f7ad1p-1"
+        " 0x1.2b803473f7ad1p-1 0x1.2b803473f7ad1p-1 0x1.2b803473f7ad1p-1 0x1.2b803473f7ad1p-1 0x1.2b803473f7ad1p-1",
+        "0x1.2b803473f7ad1p-1 0x1.2b803473f7ad1p-1 0x1.0000000000000p+0 0x1.0000000000000p+0 0x1.5269e12f346e3p+0"
+        " 0x1.5269e12f346e3p+0 0x1.95c01a39fbd68p+0 0x1.95c01a39fbd68p+0 0x1.2934f0979a371p+1 0x1.2934f0979a371p+1",
+    ),
+    (1e6, math.nextafter(1.0, 2.0), 0.0, 1e-6): (
+        "0x1.36e7b471b3c2bp+5 0x1.9615223217c74p-40 0x1.36e7b471b3c2bp+5 0x1.9615223217c77p-40 0x1.36e7b471b3c2bp+5"
+        " 0x1.9615223217c74p-40 0x1.36e7b471b3c2bp+5 0x1.9615223217c77p-40 0x1.36e7b471b3c2bp+5 0x1.961e601bf4a97p-40",
+        "0x1.3ee7b471b3b60p+5 0x1.961522321836fp-41 0x1.3ee7b471b3b60p+5 0x1.9615223217c77p-40 0x1.3ee7b471b3c2bp+5"
+        " 0x1.961522321836fp-41 0x1.3ee7b471b3c2bp+5 0x1.9615223217c77p-40 0x1.3ee7b5f4f8e8ep+5 0x1.9615223217c77p-40",
+    ),
+    (10.0, 3.0, 3.0, 10.0): (
+        "0x1.5b3a58518aaadp+1 0x1.5b3a58518aaadp+1 0x1.6b09044d313a7p+2 0x1.6b09044d313a7p+2 0x1.b330ed16a0c8ap+1"
+        " 0x1.b330ed16a0c8ap+1 0x1.7201cc2c0005ap+2 0x1.7201cc2c0005ap+2 0x1.7201cc2c0005ap+2 0x1.7201cc2c0005ap+2",
+        "0x1.bacea7c065d43p+1 0x1.bacea7c065d43p+1 0x1.aa20230e11520p+2 0x1.aa20230e11520p+2 0x1.149a784bcd1b9p+2"
+        " 0x1.149a784bcd1b9p+2 0x1.b201cc2c0005ap+2 0x1.b201cc2c0005ap+2 0x1.da33760a7f606p+2 0x1.da33760a7f606p+2",
+    ),
+    (10.0, 10.0**0.5, 10.0**0.5, 10.0): (
+        "0x1.4ae00d1cfdeb4p+1 0x1.4ae00d1cfdeb4p+1 0x1.6b09044d313a7p+2 0x1.6b09044d313a7p+2 0x1.b23775123e2e1p+1"
+        " 0x1.b23775123e2e1p+1 0x1.72d7b5a5596bep+2 0x1.72d7b5a5596bep+2 0x1.72d7b5a5596bep+2 0x1.72d7b5a5596bep+2",
+        "0x1.aae0c38a4d03cp+1 0x1.aae0c38a4d03cp+1 0x1.aa20230e11520p+2 0x1.aa20230e11520p+2 0x1.1505aafb0e6c5p+2"
+        " 0x1.1505aafb0e6c5p+2 0x1.b2d7b5a5596bfp+2 0x1.b2d7b5a5596bfp+2 0x1.dc7a851fcbc5fp+2 0x1.dc7a851fcbc5fp+2",
+    ),
+}
+
+
+@pytest.mark.parametrize("mags", list(PINNED_BITS))
+def test_coefficient_bits_are_pinned(mags):
+    want = [family.split() for family in PINNED_BITS[mags]]
+    g = ChannelGains(*mags)
+    assert [[v.hex() for v in f(g).values] for f in (inner_coeffs, outer_coeffs)] == want
+    assert [[v.hex() for v in row] for row in coeff_rows(np.array([mags]))[:, :, 0].tolist()] == want

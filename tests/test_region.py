@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 import icci.region
-from icci.bounds import BoundCoeffs, inner_coeffs, outer_coeffs
+from icci.bounds import BoundCoeffs, gap_deltas, inner_coeffs, outer_coeffs
 from icci.channel import ChannelGains, GdofExponents
 from icci.cli import dispatch
 from icci.gdof import build_gdof_region, gdof_coeffs
@@ -104,11 +104,12 @@ def test_a_rebuilt_region_is_the_built_one(worked_channel):
             assert region_as_dict(a) == region_as_dict(b)
         assert certificates(*built) == certificates(*rebuilt)
         assert certificates(*built[::-1]) == certificates(*rebuilt[::-1])
-    # the label is part of a region: the same coefficients under another label
+    # the label is part of a region: the same coefficients as another side
     coeffs = inner_coeffs(worked_channel)
-    inner, outer = region_from_coeffs(coeffs, "inner"), region_from_coeffs(coeffs, "outer")
+    inner, outer = region_from_coeffs(coeffs), region_from_coeffs(BoundCoeffs(coeffs.values, "outer"))
+    assert (inner.label, outer.label) == ("inner", "outer")
     assert inner.halfspaces == outer.halfspaces and inner != outer and inner != built[1]
-    assert len({inner, outer, region_from_coeffs(coeffs, "inner")}) == 2
+    assert len({inner, outer, region_from_coeffs(coeffs)}) == 2
 
 
 def test_build_is_bound_rhs_bit_for_bit():
@@ -117,7 +118,8 @@ def test_build_is_bound_rhs_bit_for_bit():
     families += [gdof_coeffs(GdofExponents(1, alpha, alpha, 1)) for alpha in (0.0, 0.3, 0.6, 1.0, 2.5)]
     want = bound_rhs(np.array([c.values for c in families]).T)
     for k, c in enumerate(families):
-        assert region_from_coeffs(c, c.side).rhs_vector().tobytes() == want[:, k].tobytes()
+        region = region_from_coeffs(c)
+        assert region.label == c.side and region.rhs_vector().tobytes() == want[:, k].tobytes()
     assert build_gdof_region(families[-1]).rhs_vector().tobytes() == want[:, -1].tobytes()
 
 
@@ -131,10 +133,23 @@ def test_build_rejects_an_infinite_rhs():
 
 
 def test_build_rejects_wrong_side(worked_channel):
-    with pytest.raises(ValueError):
-        build_inner(outer_coeffs(worked_channel))
-    with pytest.raises(ValueError):
-        build_outer(inner_coeffs(worked_channel))
+    families = {
+        "inner": inner_coeffs(worked_channel),
+        "outer": outer_coeffs(worked_channel),
+        "gdof": gdof_coeffs(GdofExponents(1, 0.6, 0.6, 1)),
+        "delta": gap_deltas(worked_channel),
+    }
+    builders = {"inner": build_inner, "outer": build_outer, "gdof": build_gdof_region}
+    for side, build in builders.items():
+        assert build(families[side]).label == side
+        for other, coeffs in families.items():
+            if other != side:
+                with pytest.raises(ValueError, match=f"need side='{side}'"):
+                    build(coeffs)
+    # a delta family is no region, even with rows a region would accept
+    for coeffs in (families["delta"], BoundCoeffs((0.5,) * 10, "delta")):
+        with pytest.raises(ValueError, match="delta family"):
+            region_from_coeffs(coeffs)
 
 
 def test_degenerate_region_is_origin():
@@ -450,9 +465,15 @@ def test_region_as_dict_shape(worked_channel):
     assert len(d["halfspaces"]) == 13
     assert d["halfspaces"][0] == {"c": [1, 1, 0], "rhs": pytest.approx(math.log2((10 + math.sqrt(10)) ** 2 + 1))}
     assert all(len(v) == 3 for v in d["vertices"])
-    assert "vertices" not in region_as_dict(region, include_vertices=False)
 
 
 def test_type_validation(worked_channel):
-    with pytest.raises(ValueError, match="label must be one of"):
-        region_from_coeffs(outer_coeffs(worked_channel), "bogus")
+    values = outer_coeffs(worked_channel).values
+    # no free label reaches a region: a family's side is checked when it is made
+    with pytest.raises(ValueError, match="side must be one of"):
+        BoundCoeffs(values, "bogus")
+    # the label is the family's side, and part of the region
+    outer = region_from_coeffs(BoundCoeffs(values, "outer"))
+    inner = region_from_coeffs(BoundCoeffs(values, "inner"))
+    assert outer.label == "outer" and outer == build_outer(outer_coeffs(worked_channel))
+    assert inner.halfspaces == outer.halfspaces and inner != outer

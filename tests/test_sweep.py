@@ -168,6 +168,7 @@ class TestConfig:
         cfg = SweepConfig(samples=5, seed=9, bits=2.0)
         d = cfg.as_dict()
         assert d["samples"] == 5 and d["seed"] == 9 and d["bits"] == 2.0
+        assert list(d) == ["samples", "seed", "mag_min", "mag_max", "bits", "tol"]
 
 
 class TestSweep:
@@ -381,7 +382,9 @@ class TestCertificationCore:
 def test_every_entry_rejects_a_bad_budget_or_tolerance(value):
     g = ChannelGains(1, 1, 1, 1)
     inner, outer = build_inner(inner_coeffs(g)), build_outer(outer_coeffs(g))
+    failing = check_channel(0, g, bits=0.0)   # gap slack about -2.15
     calls = {
+        "ChannelCheck.passed": lambda: failing.passed(value),
         "check_channel bits": lambda: check_channel(0, g, bits=value),
         "check_channel tol": lambda: check_channel(0, g, tol=value),
         "check_channels bits": lambda: check_channels([g], bits=value),
