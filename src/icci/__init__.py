@@ -1,110 +1,16 @@
 """Capacity bound families, polytope certification, and DoF analysis
-for the two-user Gaussian interference channel with a common message."""
+for the two-user Gaussian interference channel with a common message.
 
-from .bounds import (
-    BoundCoeffs,
-    cap,
-    coeff_deltas,
-    deltas_within_limits,
-    gap_deltas,
-    inner_coeffs,
-    outer_coeffs,
-    power_split,
-)
-from .channel import ChannelGains, GdofExponents, SnrView
-from .gaussian_mi import (
-    CovarianceError,
-    DecodeChainReport,
-    DecodeStage,
-    mi_discrepancy,
-    mutual_info_terms,
-    successive_decode_chain,
-)
-from .gdof import (
-    build_gdof_region,
-    dof_curve_samples,
-    dof_ic,
-    dof_ic_lp,
-    dof_icci,
-    dof_icci_lp,
-    dof_uplift,
-    gdof_coeffs,
-    multiplexing_gain,
-    multiplexing_targets,
-    per_user_dof_optimum,
-    write_curve_csv,
-)
-from .region import (
-    GapCertificate,
-    RateRegion,
-    build_inner,
-    build_outer,
-    containment_slack,
-    contains,
-    region_as_dict,
-    vertices,
-    within_bits,
-    within_bits_slack,
-    within_bits_unclipped_slack,
-)
-from .sweep import (
-    ChannelCheck,
-    SweepConfig,
-    SweepReport,
-    check_channel,
-    check_channels,
-    run_gap_sweep,
-    sample_gains,
-)
+The package namespace is the ``__all__`` of every module but the CLI."""
+
+from . import bounds, channel, gaussian_mi, gdof, region, sweep
+from .bounds import *
+from .channel import *
+from .gaussian_mi import *
+from .gdof import *
+from .region import *
+from .sweep import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundCoeffs",
-    "ChannelCheck",
-    "ChannelGains",
-    "CovarianceError",
-    "DecodeChainReport",
-    "DecodeStage",
-    "GapCertificate",
-    "GdofExponents",
-    "RateRegion",
-    "SnrView",
-    "SweepConfig",
-    "SweepReport",
-    "build_gdof_region",
-    "build_inner",
-    "build_outer",
-    "cap",
-    "check_channel",
-    "check_channels",
-    "coeff_deltas",
-    "containment_slack",
-    "contains",
-    "deltas_within_limits",
-    "dof_curve_samples",
-    "dof_ic",
-    "dof_ic_lp",
-    "dof_icci",
-    "dof_icci_lp",
-    "dof_uplift",
-    "gap_deltas",
-    "gdof_coeffs",
-    "inner_coeffs",
-    "mi_discrepancy",
-    "multiplexing_gain",
-    "multiplexing_targets",
-    "mutual_info_terms",
-    "outer_coeffs",
-    "per_user_dof_optimum",
-    "power_split",
-    "region_as_dict",
-    "run_gap_sweep",
-    "sample_gains",
-    "successive_decode_chain",
-    "vertices",
-    "within_bits",
-    "within_bits_slack",
-    "within_bits_unclipped_slack",
-    "write_curve_csv",
-]
+__all__ = [*channel.__all__, *bounds.__all__, *region.__all__, *gdof.__all__, *gaussian_mi.__all__, *sweep.__all__]

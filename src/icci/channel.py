@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 __all__ = ["ChannelGains", "SnrView", "GdofExponents"]
 
@@ -40,6 +40,14 @@ def _real(name: str, value) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"{name} is too large for a float, got {value!r}") from None
+
+
+def _int(name: str, value) -> int:
+    """value as a Python int, if it is an integer: a Python or numpy int,
+    but not a bool.  Raises ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return int(value)
 
 
 def _nonneg_finite(name: str, value) -> float:
@@ -133,7 +141,7 @@ class ChannelGains:
         )
 
     def as_dict(self) -> dict[str, float]:
-        return {key: float(getattr(self, key)) for key in _GAIN_KEYS}
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict())

@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from .bounds import BoundCoeffs, gap_deltas, inner_coeffs, outer_coeffs
+from .bounds import BoundCoeffs, coeff_deltas, inner_coeffs, outer_coeffs
 from .channel import ChannelGains, _nonneg_finite
 from .gaussian_mi import CovarianceError, mi_discrepancy, successive_decode_chain
 from .gdof import write_curve_csv
@@ -59,7 +59,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     gains = _gains_from_args(args)
     inner = inner_coeffs(gains)
     outer = outer_coeffs(gains)
-    deltas = gap_deltas(gains)
+    deltas = coeff_deltas(inner, outer)
     if args.json:
         print(json.dumps({
             "channel": gains.as_dict(),

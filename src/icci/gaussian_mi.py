@@ -38,7 +38,7 @@ constant and is skipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bounds import BoundCoeffs, cap, inner_coeffs
 from .channel import ChannelGains, _real
@@ -148,7 +148,7 @@ class DecodeStage:
     ratio: float
 
     def as_dict(self) -> dict:
-        return {"label": self.label, "sinr": self.sinr, "rate": self.rate, "ratio": self.ratio}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ class DecodeChainReport:
     per_user_ratio: float
 
     def as_dict(self) -> dict:
-        return {**vars(self), "stages": [s.as_dict() for s in self.stages]}
+        return asdict(self)
 
 
 def successive_decode_chain(p: float, include_common: bool = True) -> DecodeChainReport:

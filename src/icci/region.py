@@ -142,6 +142,8 @@ _RHS_TERMS = tuple(map(tuple, _RHS_INDEX.T.tolist()))   # the same, one index tr
 # the distinct patterns of BOUND_PATTERNS, in order of first appearance
 _BOUND_DISTINCT = tuple(dict.fromkeys(BOUND_PATTERNS))
 _ROW_WEIGHT = np.sum(BOUND_PATTERNS, axis=1)[:, None]   # sum(c) of each row
+# the sides of a coefficient family that make a region: a delta family makes none
+_REGION_SIDES = ("inner", "outer", "gdof")
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,15 +151,31 @@ class RateRegion:
     """A labeled intersection of the 13 ``BOUND_PATTERNS`` half-spaces,
     in that order, with the nonnegative octant.
 
-    A region is its label, the side of its coefficient family, and its
-    13 right-hand sides, one read-only float64 array;
-    ``region_from_coeffs``, which checks both, is the only way one is
-    made.  ``halfspaces`` lists the (pattern, rhs) pairs, and regions
+    A region is its label, the side of its coefficient family (inner,
+    outer or gdof), and its 13 right-hand sides, each finite and >= 0,
+    stored as one read-only float64 array; the constructor checks all
+    of it, and ``region_from_coeffs`` sums the right-hand sides of a
+    family.  ``halfspaces`` lists the (pattern, rhs) pairs, and regions
     are equal, and hash alike, when their labels and half-spaces are.
     """
 
     label: str
     _rhs: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.label not in _REGION_SIDES:
+            raise ValueError(f"label must be one of {_REGION_SIDES}, got {self.label!r}")
+        # checked in Python floats: on 13 values that costs less than numpy calls
+        try:
+            rhs = self._rhs.tolist() if isinstance(self._rhs, np.ndarray) else list(self._rhs)
+            bad = len(rhs) != len(BOUND_PATTERNS) or [x for x in rhs if not 0 <= x < math.inf]
+        except TypeError:
+            bad = True
+        if bad:
+            raise ValueError(f"need {len(BOUND_PATTERNS)} right-hand sides, each finite and >= 0, got {self._rhs!r}")
+        rhs = np.array(rhs, dtype=float)
+        rhs.flags.writeable = False
+        object.__setattr__(self, "_rhs", rhs)
 
     @property
     def halfspaces(self) -> tuple[tuple[tuple[int, int, int], float], ...]:
@@ -247,19 +265,13 @@ def region_from_coeffs(coeffs: BoundCoeffs) -> RateRegion:
     difference of two families, is not a region.
 
     Each rhs is summed left to right as ``bound_rhs`` sums it, bit for
-    bit, in Python floats, whose overflow gives inf with no warning; the
-    patterns are the constant ``BOUND_PATTERNS``, so only the side and
-    the right-hand sides are validated.
+    bit, in Python floats, whose overflow gives inf with no warning, and
+    ``RateRegion`` refuses it.
     """
     if coeffs.side == "delta":
         raise ValueError("a delta family is not a region; build one from an inner, outer or gdof family")
     v = coeffs.values + (0.0,)
-    rhs = [v[i] + v[j] + v[k] for i, j, k in _RHS_TERMS]
-    if not (min(rhs) >= 0 and max(rhs) < math.inf):
-        raise ValueError(f"rhs must be finite and >= 0, got {rhs!r}")
-    rhs = np.array(rhs)
-    rhs.flags.writeable = False
-    return RateRegion(coeffs.side, rhs)
+    return RateRegion(coeffs.side, [v[i] + v[j] + v[k] for i, j, k in _RHS_TERMS])
 
 
 def _region_of_side(coeffs: BoundCoeffs, side: str) -> RateRegion:

@@ -35,8 +35,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import coeff_rows, delta_rows_within_limits
-from .channel import ChannelGains, _nonneg_finite, _real
-from .region import _BOUND_ROW, MEMBERSHIP_TOL, _gap_rows, _reach, bound_rhs
+from .channel import ChannelGains, _int, _nonneg_finite, _real
+from .region import MEMBERSHIP_TOL, _gap_rows, _reach, bound_rhs
 
 __all__ = [
     "SweepConfig",
@@ -62,8 +62,9 @@ _CHUNK = 16
 
 
 def _key_word(name: str, value) -> int:
-    """value, if it is an int that fits a Philox key word, [0, 2**64)."""
-    if not (type(value) is int and 0 <= value < 2**64):
+    """``_int`` of value, if it fits a Philox key word, [0, 2**64)."""
+    value = _int(name, value)
+    if not 0 <= value < 2**64:
         raise ValueError(f"{name} must be an int in [0, 2**64), got {value!r}")
     return value
 
@@ -86,9 +87,11 @@ class SweepConfig:
     tol: float = MEMBERSHIP_TOL
 
     def __post_init__(self) -> None:
-        if not (type(self.samples) is int and self.samples >= 1):
-            raise ValueError(f"samples must be a positive int, got {self.samples!r}")
-        _key_word("seed", self.seed)
+        samples = _int("samples", self.samples)
+        if samples < 1:
+            raise ValueError(f"samples must be a positive int, got {samples!r}")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", _key_word("seed", self.seed))
         mag_min, mag_max = _mag_range(self.mag_min, self.mag_max)
         object.__setattr__(self, "mag_min", mag_min)
         object.__setattr__(self, "mag_max", mag_max)
@@ -213,9 +216,9 @@ def _certify(gains: np.ndarray, bits: float, tol: float) -> tuple[np.ndarray, ..
     reach = _reach(np.concatenate([inner_rhs, outer_rhs], axis=1))
     inner_reach, outer_reach = reach[:, :n], reach[:, n:]
 
-    # the inner region against the outer rows; the origin is an inner
-    # vertex, so the coordinate planes add exactly 0
-    containment = np.minimum((outer_rhs - inner_reach[_BOUND_ROW]).min(axis=0), 0.0)
+    # the inner region against the outer rows, an unshifted gap; the
+    # origin is an inner vertex, so the coordinate planes add exactly 0
+    containment = np.minimum(_gap_rows(outer_rhs, inner_reach, 0.0, clip=False).min(axis=0), 0.0)
 
     # the outer region, shifted down by bits, against the inner rows
     rows = _gap_rows(inner_rhs, outer_reach, bits, clip=True)

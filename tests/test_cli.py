@@ -10,6 +10,9 @@ import pytest
 
 import icci
 from icci.cli import dispatch
+from icci.sweep import check_channel, sample_gains
+
+from test_sweep import EDGE_CHANNELS, TIE_CHANNELS
 
 WORKED = ["--m11", "10", "--m12", "3.16227766016837933", "--m21", "3.16227766016837933", "--m22", "10"]
 UNIT = ["--m11", "1", "--m12", "1", "--m21", "1", "--m22", "1"]
@@ -109,6 +112,20 @@ class TestGap:
         assert data["pass"] is False
         assert data["worst_slack"] < 0
         assert data["constraint"] in range(13)
+
+    @pytest.mark.parametrize("bits", [0.0, 1.0, 2.0])
+    def test_json_is_check_channel_bit_for_bit(self, capsys, monkeypatch, unit_channel, worked_channel, bits):
+        # gap reports check_channel's gap_slack and gap_constraint bit for bit,
+        # and where rows tie (TIE_CHANNELS, at one bit) the lowest of them
+        channels = [unit_channel, worked_channel] + [sample_gains(42, i) for i in TIE_CHANNELS] + EDGE_CHANNELS
+        for gains in channels:
+            # JSON round-trips each float exactly
+            monkeypatch.setattr("sys.stdin", io.StringIO(gains.to_json()))
+            code, out, _ = run(capsys, ["gap", "--channel", "-", "--bits", repr(bits), "--json"])
+            data = json.loads(out)
+            check = check_channel(0, gains, bits=bits)
+            assert (data["worst_slack"].hex(), data["constraint"]) == (check.gap_slack.hex(), check.gap_constraint), gains
+            assert code == (0 if data["pass"] else 1)
 
     @pytest.mark.parametrize("command", [["gap", *UNIT], ["verify-mi", "--samples", "1"]])
     def test_bad_tolerance_is_invalid_input(self, capsys, command):

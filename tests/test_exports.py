@@ -52,6 +52,16 @@ def traced_names() -> list[tuple[str, str]]:
     raise AssertionError("bench/tracer.py assigns no TIMED")
 
 
+def test_the_package_namespace_is_its_modules_exports():
+    # every module but the CLI is re-exported, each name once and as the module's own object
+    modules = [icci.channel, icci.bounds, icci.region, icci.gdof, icci.gaussian_mi, icci.sweep]
+    assert sorted(m.__name__ for m in modules) == sorted(set(MODULES) - {"icci", "icci.cli"})
+    names = [name for module in modules for name in module.__all__]
+    assert icci.__all__ == names
+    assert len(set(names)) == len(names)
+    assert [(m.__name__, n) for m in modules for n in m.__all__ if getattr(icci, n) is not getattr(m, n)] == []
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)

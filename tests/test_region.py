@@ -477,3 +477,26 @@ def test_type_validation(worked_channel):
     inner = region_from_coeffs(BoundCoeffs(values, "inner"))
     assert outer.label == "outer" and outer == build_outer(outer_coeffs(worked_channel))
     assert inner.halfspaces == outer.halfspaces and inner != outer
+
+
+def test_the_constructor_checks_a_region(worked_channel):
+    # a label and 13 right-hand sides, each finite and >= 0, whoever makes the region
+    good = region_from_coeffs(outer_coeffs(worked_channel)).rhs_vector()
+    bad = [("bogus", np.full(13, -1.0)), ("bogus", good), ("delta", good), ("outer", good[:12]),
+           ("outer", np.full(13, -1.0)), ("outer", np.append(good[:12], -1e-300)), ("outer", 1.0),
+           ("outer", good[:, None]), ("outer", [None] * 13), ("outer", ["1"] * 13)]
+    for value in (math.nan, math.inf):
+        for k in (0, 6, 12):   # a NaN anywhere, not only where min or max would meet it
+            rhs = good.copy()
+            rhs[k] = value
+            bad.append(("outer", rhs))
+    for label, rhs in bad:
+        with pytest.raises(ValueError):
+            RateRegion(label, rhs)
+            pytest.fail(f"{label!r}, {rhs!r}")
+    # a writeable input is stored as a read-only float64 copy, and is the built region
+    region = RateRegion("outer", good)
+    assert good.flags.writeable and not region._rhs.flags.writeable and region._rhs.dtype == np.float64
+    good[0] += 1.0
+    assert region == build_outer(outer_coeffs(worked_channel))
+    assert RateRegion("gdof", [0, 1, 2] * 4 + [3]).rhs_vector().tolist() == [0.0, 1.0, 2.0] * 4 + [3.0]

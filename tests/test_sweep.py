@@ -164,6 +164,21 @@ class TestConfig:
                 sample_gains(*args)
                 pytest.fail(repr(args))
 
+    def test_integer_arguments_share_one_int_rule(self):
+        # Python or numpy ints pass and are stored as Python ints; bools and floats do not
+        want = SweepConfig(samples=5, seed=7)
+        for kind in (np.int64, np.uint64, np.int32):
+            cfg = SweepConfig(samples=kind(5), seed=kind(7))
+            assert cfg == want and type(cfg.samples) is int and type(cfg.seed) is int
+            assert cfg.as_dict() == want.as_dict()
+            assert sample_gains(kind(7), kind(3)) == sample_gains(7, 3)
+        assert SweepConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
+        for bad in (True, np.bool_(True), 3.0, np.float64(3.0), "3", None):
+            for call in (lambda b: SweepConfig(samples=b), lambda b: SweepConfig(seed=b),
+                         lambda b: sample_gains(b, 0), lambda b: sample_gains(0, b)):
+                with pytest.raises(ValueError, match="must be an int"):
+                    call(bad)
+
     def test_dict_round_trip(self):
         cfg = SweepConfig(samples=5, seed=9, bits=2.0)
         d = cfg.as_dict()
