@@ -19,7 +19,7 @@ from .channel import ChannelGains, _nonneg_finite
 from .gaussian_mi import CovarianceError, mi_discrepancy, successive_decode_chain
 from .gdof import write_curve_csv
 from .region import MEMBERSHIP_TOL, build_inner, build_outer, region_as_dict, within_bits_slack
-from .sweep import SweepConfig, run_gap_sweep, sample_gains
+from .sweep import SweepConfig, _sampled_chunks, run_gap_sweep
 
 __all__ = ["build_parser", "dispatch", "main"]
 
@@ -122,16 +122,16 @@ def _cmd_gdof_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_mi(args: argparse.Namespace) -> int:
-    # the sampling arguments follow the sweep's rules
-    SweepConfig(samples=args.samples, seed=args.seed, mag_min=args.mag_min, mag_max=args.mag_max, tol=args.tol)
+    # the sampling arguments follow the sweep's rules, and so does the draw
+    config = SweepConfig(samples=args.samples, seed=args.seed, mag_min=args.mag_min, mag_max=args.mag_max, tol=args.tol)
     worst = 0.0
     worst_index = 0
     try:
-        for index in range(args.samples):
-            gains = sample_gains(args.seed, index, args.mag_min, args.mag_max)
-            err = mi_discrepancy(gains)
-            if err > worst:
-                worst, worst_index = err, index
+        for part, rows in _sampled_chunks(config):
+            for index, row in zip(part, rows.tolist()):
+                err = mi_discrepancy(ChannelGains(*row))
+                if err > worst:
+                    worst, worst_index = err, index
     except CovarianceError as exc:
         print(f"verify-mi: covariance guard tripped at sample {index}: {exc}", file=sys.stderr)
         return 1

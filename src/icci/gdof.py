@@ -10,15 +10,20 @@ depends only on the link exponents alpha_ij.  With shorthand
     e_i = max(alpha_ii - alpha_ji, alpha_ij)
     g_i = max(alpha_ii, alpha_ij)         (shared by G and G')
 
-These generate the exponent region, the 13 rows of the rate region on
-these numbers with G' = G (``gdof_coeffs`` is the gdof side of
-``BoundCoeffs``).  On the fully symmetric channel (direct exponents 1,
-cross exponents alpha) the best per-user total (r0 + r1 + r2)/2 over
-that region has a closed piecewise form in alpha, both with and without
-the common layer.  The module provides the closed forms, an independent
+Each is the larger of two integer forms in the exponents, written once
+in the table ``_GDOF_FORMS``: the batched ``gdof_rows`` takes the ten
+coefficients of N exponent quadruples as columns, and ``gdof_coeffs``
+(the gdof side of ``BoundCoeffs``) is its N = 1 case.  They generate
+the exponent region, the 13 rows of the rate region on these numbers
+with G' = G.  On the fully symmetric channel (direct exponents 1, cross
+exponents alpha) the best per-user total (r0 + r1 + r2)/2 over that
+region has a closed piecewise form in alpha, both with and without the
+common layer.  The module provides the closed forms, an independent
 optimizer to cross-check them (the region's exact maximum from the dual
-table of ``icci.region``, ``per_user_dof_optimum``), and finite-P
-multiplexing-gain ratios that converge to the exponent targets.
+table of ``icci.region``), and finite-P multiplexing-gain ratios that
+converge to the exponent targets.  The optimizer is one batched core
+over alphas: ``per_user_dof_optimum`` is its N = 1 case, and
+``dof_curve_samples`` runs a grid through it in fixed passes.
 """
 
 from __future__ import annotations
@@ -29,12 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundCoeffs, outer_coeffs
+from .bounds import _COEFF_FIELDS, BoundCoeffs, outer_coeffs
 from .channel import ChannelGains, GdofExponents, _nonneg_finite, _real
 from .region import _OBJECTIVES, RateRegion, _reach, _region_of_side, bound_rhs
 
 __all__ = [
     "DofCurveSample",
+    "gdof_rows",
     "gdof_coeffs",
     "build_gdof_region",
     "per_user_dof_optimum",
@@ -52,10 +58,16 @@ __all__ = [
 
 CURVE_CSV_HEADER = ("alpha", "d_ic", "d_icci", "d_uplift", "d_icci_lp")
 # A curve is for plotting; the default grid has 301 points.  On the
-# largest grid, 10**5 points, ``icci gdof-curve`` takes about 5 s and
-# peaks at about 70 MB RSS, against 30 MB on the default grid (shared
-# 2-vCPU Xeon): each point is a sample and a CSV row held in memory.
+# largest grid, 10**5 points, ``dof_curve_samples`` takes about 0.9 s and
+# peaks at about 57 MB RSS in process, and ``icci gdof-curve`` about 1.5 s
+# and 70 MB, against 32 MB on the default grid (shared 2-vCPU Xeon): each
+# point is a sample and a CSV row held in memory.
 _MAX_CURVE_POINTS = 10**5
+# Alphas per pass of the batched optimizer.  A pass holds about 6 KB of
+# temporaries per alpha, mostly the (232, N) arrays of _reach: passes of
+# 8192 peaked at 84 MB on the largest grid, and one pass would need about
+# 600 MB.  At 1024 the peak is that of the samples themselves.
+_CURVE_PASS = 1024
 
 
 @dataclass(frozen=True)
@@ -67,24 +79,43 @@ class DofCurveSample:
     d_icci_lp: float
 
 
+# Each exponent coefficient is the larger of two integer forms in the
+# exponents (a11, a12, a21, a22), given as their weights; G' = G.
+_GDOF_FORMS = {
+    "a1": ((1, 0, -1, 0), (0, 0, 0, 0)),
+    "a2": ((0, -1, 0, 1), (0, 0, 0, 0)),
+    "d1": ((1, 0, 0, 0), (0, 0, 0, 0)),
+    "d2": ((0, 0, 0, 1), (0, 0, 0, 0)),
+    "e1": ((1, 0, -1, 0), (0, 1, 0, 0)),
+    "e2": ((0, -1, 0, 1), (0, 0, 1, 0)),
+    "g1": ((1, 0, 0, 0), (0, 1, 0, 0)),
+    "g2": ((0, 0, 0, 1), (0, 0, 1, 0)),
+}
+_GDOF_FORMS.update(g1p=_GDOF_FORMS["g1"], g2p=_GDOF_FORMS["g2"])
+# (20, 4): the first form of each coefficient in field order, then the second
+_FORM_MATRIX = np.array([_GDOF_FORMS[name] for name in _COEFF_FIELDS], dtype=float).transpose(1, 0, 2).reshape(-1, 4)
+_FORM_MATRIX.flags.writeable = False
+
+
+def gdof_rows(exponents: np.ndarray) -> np.ndarray:
+    """The exponent-scale coefficients for an (N, 4) array of exponents,
+    columns (a11, a12, a21, a22) each finite and >= 0, as a (10, N)
+    array, rows in ``BoundCoeffs`` field order.
+
+    Each form has at most two nonzero weights, each 1 or -1, so its
+    products are exact and its sum rounds once in any order: each value
+    is the scalar difference or copy of the exponents, bit for bit up to
+    the sign of a zero, and each column the same whatever N is.
+    """
+    forms = _FORM_MATRIX @ np.asarray(exponents, dtype=float).T
+    return np.maximum(forms[:len(_COEFF_FIELDS)], forms[len(_COEFF_FIELDS):])
+
+
 def gdof_coeffs(exponents: GdofExponents) -> BoundCoeffs:
-    """The exponent-scale coefficients, G' = G (the gdof side)."""
-    a11, a12 = exponents.a11, exponents.a12
-    a21, a22 = exponents.a21, exponents.a22
-    g1 = max(a11, a12)
-    g2 = max(a22, a21)
-    return BoundCoeffs((
-        max(a11 - a21, 0.0),
-        max(a22 - a12, 0.0),
-        a11,
-        a22,
-        max(a11 - a21, a12),
-        max(a22 - a12, a21),
-        g1,
-        g2,
-        g1,
-        g2,
-    ), "gdof")
+    """The exponent-scale coefficients, G' = G (the gdof side):
+    ``gdof_rows`` at N = 1."""
+    row = (exponents.a11, exponents.a12, exponents.a21, exponents.a22)
+    return BoundCoeffs(gdof_rows([row])[:, 0].tolist(), "gdof")
 
 
 def build_gdof_region(coeffs: BoundCoeffs) -> RateRegion:
@@ -99,23 +130,31 @@ def build_gdof_region(coeffs: BoundCoeffs) -> RateRegion:
 _SUM_ALL, _SUM_INDIVIDUAL = _OBJECTIVES.index((1, 1, 1)), _OBJECTIVES.index((0, 1, 1))
 
 
+def _symmetric_reach(alphas) -> np.ndarray:
+    """The (15, N) ``_reach`` of the exponent regions of N symmetric
+    channels (direct exponents 1, cross exponents alpha), one column per
+    alpha: the batched core of ``per_user_dof_optimum``."""
+    exponents = np.ones((len(alphas), 4))
+    exponents[:, 1] = exponents[:, 2] = alphas
+    return _reach(bound_rhs(gdof_rows(exponents)))
+
+
 def per_user_dof_optimum(alpha: float, allow_common: bool = True) -> float:
     """The best per-user total (r0 + r1 + r2)/2 over the exponent region
     of the symmetric channel (direct exponents 1, cross exponents alpha),
     or (r1 + r2)/2 with allow_common False, the no-common-message
     baseline of Etkin, Tse and Wang (2008), exact by the dual table of
-    ``icci.region``.
+    ``icci.region``: the batched core at N = 1.
 
     The region is convex and mirror-symmetric in (r1, r2), so the
     average of a maximizer and its mirror image is a symmetric
     maximizer: the best per-user total needs no symmetry constraint.  It
     is downward comprehensive, so the best r1 + r2 is reached at r0 = 0.
-    The rows come from ``gdof_coeffs``, not from the closed forms, so the
+    The rows come from ``gdof_rows``, not from the closed forms, so the
     two stay independent checks of each other.
     """
     alpha = _nonneg_finite("alpha", alpha)
-    coeffs = gdof_coeffs(GdofExponents(1.0, alpha, alpha, 1.0))
-    reach = _reach(bound_rhs(np.array(coeffs.values))[:, None])
+    reach = _symmetric_reach([alpha])
     return float(reach[_SUM_ALL if allow_common else _SUM_INDIVIDUAL, 0]) / 2.0
 
 
@@ -194,7 +233,8 @@ def multiplexing_targets(exponents: GdofExponents) -> dict[str, float]:
 def dof_curve_samples(
     alpha_min: float = 0.0, alpha_max: float = 3.0, step: float = 0.01
 ) -> list[DofCurveSample]:
-    """Closed-form curve values and the dual-table optimum on an inclusive grid."""
+    """Closed-form curve values and the dual-table optimum on an inclusive
+    grid, the optima in fixed passes of the batched core."""
     alpha_min = _nonneg_finite("alpha_min", alpha_min)
     alpha_max = _nonneg_finite("alpha_max", alpha_max)
     step = _real("step", step)
@@ -205,8 +245,16 @@ def dof_curve_samples(
     points = (alpha_max - alpha_min) / step + 1e-9   # the grid has int(points) + 1 points
     if not points < _MAX_CURVE_POINTS:   # inf included
         raise ValueError(f"the grid {alpha_min}..{alpha_max} in steps of {step} has over {_MAX_CURVE_POINTS} points")
-    return [DofCurveSample(alpha, dof_ic(alpha), dof_icci(alpha), dof_uplift(alpha), dof_icci_lp(alpha))
-            for alpha in (alpha_min + k * step for k in range(int(points) + 1))]
+    alphas = [alpha_min + k * step for k in range(int(points) + 1)]
+    optima = []
+    # Near the top of the float range a sum of coefficients in bound_rhs,
+    # or a multiplier sum in _reach, overflows to inf; such a sum is never
+    # the least one, so every optimum stays right and the warning is noise.
+    with np.errstate(over="ignore"):
+        for start in range(0, len(alphas), _CURVE_PASS):
+            optima += (_symmetric_reach(alphas[start:start + _CURVE_PASS])[_SUM_ALL] / 2.0).tolist()
+    return [DofCurveSample(alpha, dof_ic(alpha), dof_icci(alpha), dof_uplift(alpha), optimum)
+            for alpha, optimum in zip(alphas, optima)]
 
 
 def write_curve_csv(

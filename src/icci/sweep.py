@@ -262,12 +262,18 @@ def check_channel(
     return _check_chunk([index], [gains], bits, tol)[0]
 
 
+def _sampled_chunks(config: SweepConfig):
+    """The channels of a config, chunk by chunk: each chunk's index range
+    and its (N, 4) gains, drawn in one pass."""
+    for part in _chunks(config.samples):
+        yield part, _sample_rows(config.seed, part, config.mag_min, config.mag_max)
+
+
 def run_gap_sweep(config: SweepConfig) -> SweepReport:
     """Sample, certify chunk by chunk, and reduce in index order."""
     failed: list[int] = []
     worst = None   # (slack, index, constraint, gains row), the first channel of least slack
-    for part in _chunks(config.samples):
-        gains = _sample_rows(config.seed, part, config.mag_min, config.mag_max)
+    for part, gains in _sampled_chunks(config):
         deltas_ok, containment, gap, constraint, _ = _certify(gains, config.bits, config.tol)
         passed = _passed(deltas_ok, containment, gap, config.tol)
         failed.extend((part.start + np.flatnonzero(~passed)).tolist())

@@ -24,6 +24,18 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def source_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(icci.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_module(argv):
+    """``python -m icci argv`` in a new process, which shows what reaches stderr."""
+    return subprocess.run([sys.executable, "-m", "icci", *argv], capture_output=True, text=True,
+                          env=source_env(), timeout=120)
+
+
 class TestParsing:
     def test_no_arguments_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -160,6 +172,12 @@ class TestGdofCurve:
         assert out.splitlines()[0].startswith("alpha,")
         assert len(out.splitlines()) == 3
 
+    def test_a_grid_at_the_top_of_the_float_range_warns_nothing(self):
+        # its coefficient sums overflow to inf, which no optimum uses
+        proc = run_module(["gdof-curve", "--alpha-min", "1e308", "--alpha-max", "1e308"])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "alpha,d_ic,d_icci,d_uplift,d_icci_lp\n1e+308,1.0,5e+307,5e+307,5e+307\n"
+
     @pytest.mark.parametrize("flags", BAD_GRIDS)
     def test_bad_grid_is_invalid_input(self, capsys, flags):
         # rejected before the CSV header is written
@@ -195,6 +213,15 @@ class TestVerifyMi:
         code, out, _ = run(capsys, ["verify-mi", "--samples", "200", "--mag-min", "1e-6", "--mag-max", "1e6", "--json"])
         assert code == 0
         assert json.loads(out)["max_abs_error"] <= 1e-13
+
+    def test_the_batched_draw_is_the_per_sample_loop(self, capsys):
+        code, out, _ = run(capsys, ["verify-mi", "--samples", "200", "--seed", "7",
+                                    "--mag-min", "1e-6", "--mag-max", "1e6", "--json"])
+        errors = [icci.mi_discrepancy(sample_gains(7, i, 1e-6, 1e6)) for i in range(200)]
+        worst = max(errors)
+        data = json.loads(out)
+        assert code == 0
+        assert (data["max_abs_error"], data["worst_index"]) == (worst, errors.index(worst))
 
     def test_a_tripped_guard_exits_1(self, capsys, monkeypatch):
         def tripped(gains):
@@ -269,8 +296,6 @@ def test_runs_on_numpy_alone(capsys):
               "sys.modules.update(scipy=None, hypothesis=None)  # import of either now raises\n"
               "import icci, icci.cli\n"
               "sys.exit(icci.cli.dispatch(['sweep', '--samples', '5']))\n")
-    src = str(Path(icci.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=source_env(), timeout=120)
     assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
     assert "Traceback" not in proc.stderr

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -13,7 +14,10 @@ import icci.gdof
 from icci.channel import GdofExponents
 from icci.gdof import (
     _MAX_CURVE_POINTS,
+    _SUM_ALL,
+    _SUM_INDIVIDUAL,
     CURVE_CSV_HEADER,
+    _symmetric_reach,
     build_gdof_region,
     dof_curve_samples,
     dof_ic,
@@ -22,6 +26,7 @@ from icci.gdof import (
     dof_icci_lp,
     dof_uplift,
     gdof_coeffs,
+    gdof_rows,
     multiplexing_gain,
     multiplexing_targets,
     per_user_dof_optimum,
@@ -31,6 +36,17 @@ from icci.region import _CANDIDATE_RTOL, contains, vertices
 
 exps = st.floats(min_value=0.0, max_value=3.0)
 GRID = [k / 100.0 for k in range(301)]
+MAX_FLOAT = sys.float_info.max
+# exponents at the edges of the accepted range: zero, the least and the
+# largest float, and two ordinary values
+EDGE_EXPONENTS = [list(q) for q in itertools.product((0.0, 5e-324, 1.0, 2.0, MAX_FLOAT), repeat=4)]
+
+
+def whole_range_alphas(count=2000):
+    """Log-uniform alphas from the least float up to the largest, plus
+    the breakpoints of the closed forms and both ends."""
+    logs = np.random.default_rng(5).uniform(math.log(5e-324), math.log(MAX_FLOAT), count)
+    return np.exp(logs).tolist() + [0.0, 5e-324, 0.5, 2.0 / 3.0, 1.0, 2.0, MAX_FLOAT]
 
 
 class TestGdofCoeffs:
@@ -46,6 +62,20 @@ class TestGdofCoeffs:
     def test_strong_interference(self):
         c = gdof_coeffs(GdofExponents(1, 2, 2, 1))
         assert c.a1 == 0.0 and c.e1 == 2.0 and c.g1 == 2.0
+
+    def test_the_form_table_is_the_documented_maxima(self):
+        # the module docstring's expressions in Python floats, bit for bit,
+        # against every column of one batch and against its N = 1 call
+        quads = EDGE_EXPONENTS + np.random.default_rng(3).uniform(0, 3, (500, 4)).tolist()
+        rows = gdof_rows(np.array(quads))
+        assert rows.shape == (10, len(quads))
+        for column, (a11, a12, a21, a22) in zip(rows.T.tolist(), quads):
+            g1, g2 = max(a11, a12), max(a22, a21)
+            expected = [v.hex() for v in (max(a11 - a21, 0.0), max(a22 - a12, 0.0), a11, a22,
+                                          max(a11 - a21, a12), max(a22 - a12, a21), g1, g2, g1, g2)]
+            assert [v.hex() for v in column] == expected, (a11, a12, a21, a22)
+            single = gdof_coeffs(GdofExponents(a11, a12, a21, a22)).values
+            assert [v.hex() for v in single] == expected, (a11, a12, a21, a22)
 
     @given(exps, exps, exps, exps)
     def test_ordering(self, a11, a12, a21, a22):
@@ -148,6 +178,29 @@ class TestLpCrossCheck:
             assert dof_icci_lp(alpha) == pytest.approx(dof_icci(alpha), abs=1e-9)
             assert dof_ic_lp(alpha) == pytest.approx(dof_ic(alpha), abs=1e-9)
 
+    def test_the_whole_accepted_range(self):
+        # within 2 ulp of the closed forms from the least float to the
+        # largest; past about 9e307 a coefficient sum overflows to inf in
+        # bound_rhs, which is never the least multiplier sum
+        with np.errstate(over="ignore"):
+            for alpha in whole_range_alphas():
+                for optimum, closed_form in ((dof_icci_lp, dof_icci), (dof_ic_lp, dof_ic)):
+                    expected = closed_form(alpha)
+                    assert abs(optimum(alpha) - expected) <= 2 * math.ulp(expected), (alpha, optimum)
+
+    def test_every_batched_column_is_its_scalar_call(self):
+        alphas = GRID + whole_range_alphas(500)
+        with np.errstate(over="ignore"):
+            reach = _symmetric_reach(alphas)
+            for k, alpha in enumerate(alphas):
+                for row, allow_common in ((_SUM_ALL, True), (_SUM_INDIVIDUAL, False)):
+                    assert (reach[row, k] / 2.0).hex() == per_user_dof_optimum(alpha, allow_common).hex(), alpha
+            # a curve of three passes and a part, up to the top of the range
+            samples = dof_curve_samples(0.0, 1.5e308, 5e304)
+            assert len(samples) == 3001
+            for sample in samples:
+                assert sample.d_icci_lp.hex() == dof_icci_lp(sample.alpha).hex(), sample.alpha
+
     def test_alpha06_optimum_point(self):
         assert per_user_dof_optimum(0.6) == pytest.approx(0.7, abs=1e-12)
         assert per_user_dof_optimum(0.6, allow_common=False) == pytest.approx(0.6, abs=1e-12)
@@ -222,15 +275,15 @@ class TestCurveCsv:
         assert s.d_uplift == pytest.approx(s.d_icci - s.d_ic, abs=0)
 
     def test_an_oversized_grid_is_rejected_before_it_is_built(self, monkeypatch):
-        def refuse(alpha):
+        def refuse(alphas):
             raise AssertionError("a grid point was computed")
 
-        monkeypatch.setattr(icci.gdof, "dof_ic", refuse)
+        monkeypatch.setattr(icci.gdof, "_symmetric_reach", refuse)
         # an infinite count, an unbounded one, and one point over the limit
         for grid in ((0.0, 1e308, 0.001), (0.0, 3.0, 1e-300), (0.0, float(_MAX_CURVE_POINTS), 1.0)):
             with pytest.raises(ValueError, match=f"over {_MAX_CURVE_POINTS} points"):
                 dof_curve_samples(*grid)
-        # a grid of exactly the limit is accepted, so its first point is computed
+        # a grid of exactly the limit is accepted, so its first pass is computed
         with pytest.raises(AssertionError, match="a grid point was computed"):
             dof_curve_samples(0.0, float(_MAX_CURVE_POINTS - 1), 1.0)
 
