@@ -9,7 +9,6 @@ stdout (it goes to stderr) so equal configs give byte-identical output.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 import time
@@ -17,7 +16,7 @@ import time
 from .bounds import BoundCoeffs, coeff_deltas, inner_coeffs, outer_coeffs
 from .channel import ChannelGains, _nonneg_finite
 from .gaussian_mi import CovarianceError, mi_discrepancy, successive_decode_chain
-from .gdof import write_curve_csv
+from .gdof import _write_curve_rows, dof_curve_samples
 from .region import MEMBERSHIP_TOL, build_inner, build_outer, region_as_dict, within_bits_slack
 from .sweep import SweepConfig, _sampled_chunks, run_gap_sweep
 
@@ -110,14 +109,13 @@ def _cmd_gap(args: argparse.Namespace) -> int:
 
 
 def _cmd_gdof_curve(args: argparse.Namespace) -> int:
-    # the whole CSV is made first, so a bad grid exits before --out is opened
-    text = io.StringIO()
-    write_curve_csv(text, args.alpha_min, args.alpha_max, args.step)
+    # the samples check the grid first, so a bad grid exits before --out is opened
+    samples = dof_curve_samples(args.alpha_min, args.alpha_max, args.step)
     if args.out == "-":
-        sys.stdout.write(text.getvalue())
+        _write_curve_rows(sys.stdout, samples)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text.getvalue())
+            _write_curve_rows(handle, samples)
     return 0
 
 

@@ -59,12 +59,13 @@ __all__ = [
 CURVE_CSV_HEADER = ("alpha", "d_ic", "d_icci", "d_uplift", "d_icci_lp")
 # A curve is for plotting; the default grid has 301 points.  On the
 # largest grid, 10**5 points, ``dof_curve_samples`` takes about 0.9 s and
-# peaks at about 57 MB RSS in process, and ``icci gdof-curve`` about 1.5 s
-# and 70 MB, against 32 MB on the default grid (shared 2-vCPU Xeon): each
-# point is a sample and a CSV row held in memory.
+# peaks at about 57 MB RSS in process, and ``icci gdof-curve``, which
+# writes each row as it is formatted, about 1.1 s and 65 MB, against
+# 32 MB on the default grid (shared 2-vCPU Xeon): each point is a sample
+# held in memory.
 _MAX_CURVE_POINTS = 10**5
-# Alphas per pass of the batched optimizer.  A pass holds about 6 KB of
-# temporaries per alpha, mostly the (232, N) arrays of _reach: passes of
+# Alphas per pass of the batched optimizer.  A pass holds a few KB of
+# temporaries per alpha, mostly the (N, 232) product of _reach: passes of
 # 8192 peaked at 84 MB on the largest grid, and one pass would need about
 # 600 MB.  At 1024 the peak is that of the samples themselves.
 _CURVE_PASS = 1024
@@ -133,10 +134,17 @@ _SUM_ALL, _SUM_INDIVIDUAL = _OBJECTIVES.index((1, 1, 1)), _OBJECTIVES.index((0, 
 def _symmetric_reach(alphas) -> np.ndarray:
     """The (15, N) ``_reach`` of the exponent regions of N symmetric
     channels (direct exponents 1, cross exponents alpha), one column per
-    alpha: the batched core of ``per_user_dof_optimum``."""
+    alpha: the batched core of ``per_user_dof_optimum``.
+
+    Near the top of the float range a sum of coefficients in
+    ``bound_rhs``, or a multiplier sum in ``_reach``, overflows to inf;
+    such a sum is never the least one, so every optimum stays right and
+    the warning is noise.
+    """
     exponents = np.ones((len(alphas), 4))
     exponents[:, 1] = exponents[:, 2] = alphas
-    return _reach(bound_rhs(gdof_rows(exponents)))
+    with np.errstate(over="ignore"):
+        return _reach(bound_rhs(gdof_rows(exponents)))
 
 
 def per_user_dof_optimum(alpha: float, allow_common: bool = True) -> float:
@@ -247,12 +255,8 @@ def dof_curve_samples(
         raise ValueError(f"the grid {alpha_min}..{alpha_max} in steps of {step} has over {_MAX_CURVE_POINTS} points")
     alphas = [alpha_min + k * step for k in range(int(points) + 1)]
     optima = []
-    # Near the top of the float range a sum of coefficients in bound_rhs,
-    # or a multiplier sum in _reach, overflows to inf; such a sum is never
-    # the least one, so every optimum stays right and the warning is noise.
-    with np.errstate(over="ignore"):
-        for start in range(0, len(alphas), _CURVE_PASS):
-            optima += (_symmetric_reach(alphas[start:start + _CURVE_PASS])[_SUM_ALL] / 2.0).tolist()
+    for start in range(0, len(alphas), _CURVE_PASS):
+        optima += (_symmetric_reach(alphas[start:start + _CURVE_PASS])[_SUM_ALL] / 2.0).tolist()
     return [DofCurveSample(alpha, dof_ic(alpha), dof_icci(alpha), dof_uplift(alpha), optimum)
             for alpha, optimum in zip(alphas, optima)]
 
@@ -265,7 +269,12 @@ def write_curve_csv(
     Floats are written in shortest round-trip form so the file parses
     back to the exact values computed.
     """
-    samples = dof_curve_samples(alpha_min, alpha_max, step)   # checks the arguments first
+    return _write_curve_rows(stream, dof_curve_samples(alpha_min, alpha_max, step))
+
+
+def _write_curve_rows(stream, samples: list[DofCurveSample]) -> int:
+    """The CSV of ``write_curve_csv`` for samples already computed, each
+    row written as it is formatted."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CURVE_CSV_HEADER)
     for s in samples:

@@ -32,10 +32,14 @@ of an objective w depends on the patterns A alone, so its basic
 solutions, read off the adjugates, form one table (``_dual_table``) of
 232 multipliers over the 15 objectives certificates need, and a
 region's maximum of w . x is the least y . b over w's multipliers
-(``_reach``).  ``within_bits_slack`` and ``within_bits_unclipped_slack``
-are ``_gap_rows`` on those maxima at N = 1, and the sweep of
-``icci.sweep`` runs the same path over chunks of channels, so both give
-the same bits.  Only the display (``vertices``, ``region_as_dict``) and
+(``_reach``), all of them one product of the least rhs with the table
+spread into a dense (10, 232) matrix.  The product would make 0 * inf =
+NaN, so an infinite rhs, which only the exponent region near the top of
+the float range has, takes the table's terms one by one.
+``within_bits_slack`` and ``within_bits_unclipped_slack`` are
+``_gap_rows`` on those maxima at N = 1, and the sweep of ``icci.sweep``
+runs the same path over chunks of channels, so both give the same
+bits.  Only the display (``vertices``, ``region_as_dict``) and
 a certificate's witness vertex, once read, solve a region's triples
 (``_candidates``), all in one product with a solve map of adjugate
 entries fixed at import (``_SOLVE``); ``vertices`` merges the candidates
@@ -399,6 +403,12 @@ _RESTRICTION_LISTS = [[o for o, w in enumerate(_OBJECTIVES) if all(wk in (0, ck)
 _RESTRICTIONS = np.concatenate(_RESTRICTION_LISTS)
 _RESTRICTION_STARTS = np.cumsum([0] + [len(r) for r in _RESTRICTION_LISTS[:-1]])
 _DUAL_Y, _DUAL_PLANE, _DUAL_STARTS = _dual_table(_OBJECTIVES)
+# The table as one dense (10, 232) matrix, column m multiplier m spread
+# over the distinct patterns: a multiplier's planes are distinct, and
+# its padding adds 0.0 to plane 0.
+_DUAL_DENSE = np.zeros((len(_BOUND_DISTINCT), _DUAL_Y.shape[1]))
+np.add.at(_DUAL_DENSE, (_DUAL_PLANE, np.arange(_DUAL_Y.shape[1])), _DUAL_Y[:, :, 0])
+_DUAL_DENSE.flags.writeable = False
 
 
 def _least_rhs(rhs: np.ndarray) -> np.ndarray:
@@ -459,12 +469,29 @@ def _reach(rhs: np.ndarray) -> np.ndarray:
     ``_OBJECTIVES``: (15, N) for rhs (13, N).
 
     By LP duality each is the least y . b over w's multipliers in the
-    dual table, b each pattern's least rhs.  Every term y_j b_j is
-    nonnegative, so a sum is within about 4 u of itself.  Every
+    dual table, b each pattern's least rhs: one product of b with the
+    dense table ``_DUAL_DENSE``, then one minimum per objective's run
+    along the contiguous axis.  einsum sums each y . b over the patterns
+    in order, adding an exact 0.0 for every pattern the multiplier does
+    not use, so a value is the one ``_reach_by_terms`` sums from its at
+    most three terms, bit for bit (a test pins that order, which numpy
+    does not document).  Every term y_j b_j is nonnegative, so a sum is
+    within about 4 u of itself.  An infinite b, which only the exponent
+    region near the top of the float range gives, would make 0 * inf =
+    NaN in the dense product, so such rhs take the term form.  Every
     operation is elementwise or reduces within one column, so each
     region's results are bitwise the same whatever N is.
     """
     b = _least_rhs(rhs)
+    if np.isinf(b).any():
+        return _reach_by_terms(b)
+    value = np.einsum("jn,jm->nm", b, _DUAL_DENSE, optimize=False)
+    return np.minimum.reduceat(value, _DUAL_STARTS, axis=1).T
+
+
+def _reach_by_terms(b: np.ndarray) -> np.ndarray:
+    """``_reach`` from the (10, N) least rhs b, each multiplier summed
+    from its three padded (plane, y) terms in plane order."""
     value = _DUAL_Y[0] * b[_DUAL_PLANE[0]]
     value += _DUAL_Y[1] * b[_DUAL_PLANE[1]]
     value += _DUAL_Y[2] * b[_DUAL_PLANE[2]]

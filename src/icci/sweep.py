@@ -29,6 +29,7 @@ same report.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
@@ -49,15 +50,15 @@ __all__ = [
 ]
 
 MAG_LIMIT = 1e6  # validated operating envelope for link magnitudes
-# Channels per pass of the core.  Its largest temporaries are the
-# (232, 2 * chunk) float arrays of the dual table: 58 KiB at 16 channels,
-# under glibc's default 128 KiB mmap threshold, so they are recycled from
-# the heap rather than mapped and faulted in again on every pass (at 64
-# channels they are not: a pass measured 0.68 ms, against 0.30 at 32).
-# A pass costs a fixed ~0.12 ms of numpy calls plus ~6 us per channel
-# (2-vCPU Xeon), so larger passes amortize more: on 50-channel sweeps, 32
-# channels per pass gave about 25% more throughput than 16, for about
-# 0.15 MB more peak RSS at equal work; 16 is kept for the lower peak RSS.
+# Channels per pass of the core.  Its largest temporary is the
+# (2 * chunk, 232) float product of _reach with the dual table: 58 KiB at
+# 16 channels, under glibc's default 128 KiB mmap threshold, so it is
+# recycled from the heap rather than mapped and faulted in again on every
+# pass.  A pass costs a fixed ~0.09 ms of numpy calls plus ~5-6 us per
+# channel (timeit, best of 40, on a shared 2-vCPU Xeon), so larger passes
+# amortize more.  16 stays because a faster sweep reads a higher peak RSS
+# in the benchmark, whose bookkeeping grows with the items done, and 32
+# would pass its bound there.
 _CHUNK = 16
 
 
@@ -167,6 +168,15 @@ class SweepReport:
         }
 
 
+# The one bit generator of every draw and its state template: counter 0
+# and an empty buffer, as a freshly keyed generator has.  A fixed seed
+# draws no system entropy; _sample_rows sets every key, under the lock,
+# so threads that sample at once each draw their own keys.
+_BITGEN = np.random.Philox(0)
+_BITGEN_STATE = _BITGEN.state
+_BITGEN_LOCK = threading.Lock()
+
+
 def _sample_rows(seed: int, indices: Sequence[int], mag_min: float, mag_max: float) -> np.ndarray:
     """Channels ``indices`` of stream ``seed`` as an (N, 4) array of gains
     (m11, m12, m21, m22).
@@ -175,17 +185,18 @@ def _sample_rows(seed: int, indices: Sequence[int], mag_min: float, mag_max: flo
     ``np.random.Generator(np.random.Philox(key=[seed, i])).uniform(size=4)``:
     the first four raw outputs of Philox at that key and counter 0, each
     formed into a double as ``Generator.uniform`` forms it,
-    (raw >> 11) * 2**-53.  One bit generator serves every channel and is
-    rekeyed for each, which costs far less than building one.
+    (raw >> 11) * 2**-53.  The module's one bit generator serves every
+    channel of every call: it is rekeyed for each from the state
+    template, which costs far less than building a generator or reading
+    its state, and no state carries from one channel or call to the next.
     """
-    bitgen = np.random.Philox(0)   # a fixed seed draws no system entropy; every key is set below
-    state = bitgen.state   # counter 0 and an empty buffer, as a freshly keyed generator has
-    key = state["state"]["key"]
     raw = np.empty((len(indices), 4), dtype=np.uint64)
-    for row, index in zip(raw, indices):
-        key[:] = (seed, index)
-        bitgen.state = state
-        row[:] = bitgen.random_raw(4)
+    with _BITGEN_LOCK:
+        key = _BITGEN_STATE["state"]["key"]
+        for row, index in zip(raw, indices):
+            key[:] = (seed, index)
+            _BITGEN.state = _BITGEN_STATE
+            row[:] = _BITGEN.random_raw(4)
     u = (raw >> np.uint64(11)) * 2.0 ** -53
     return mag_min * (mag_max / mag_min) ** u
 
@@ -207,13 +218,13 @@ def _certify(gains: np.ndarray, bits: float, tol: float) -> tuple[np.ndarray, ..
     region's slack against a row is rhs - max over the region of c . v,
     the maximum taken by ``_reach``.
     """
-    inner, outer = coeff_rows(gains)
-    deltas_ok = delta_rows_within_limits(outer - inner, tol=tol)
-    inner_rhs = bound_rhs(inner)
-    outer_rhs = bound_rhs(outer)
+    coeffs = coeff_rows(gains)
+    deltas_ok = delta_rows_within_limits(coeffs[1] - coeffs[0], tol=tol)
     # both regions of every channel in one pass: inner columns first, then outer
     n = len(gains)
-    reach = _reach(np.concatenate([inner_rhs, outer_rhs], axis=1))
+    rhs = bound_rhs(coeffs.swapaxes(0, 1)).reshape(-1, 2 * n)
+    reach = _reach(rhs)
+    inner_rhs, outer_rhs = rhs[:, :n], rhs[:, n:]
     inner_reach, outer_reach = reach[:, :n], reach[:, n:]
 
     # the inner region against the outer rows, an unshifted gap; the

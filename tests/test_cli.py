@@ -194,6 +194,14 @@ class TestGdofCurve:
         assert err.startswith("icci: ")
         assert out_path.read_text(encoding="utf-8") == "alpha,1\n"
 
+    @pytest.mark.parametrize("flags", BAD_GRIDS)
+    def test_bad_grid_creates_no_out_file(self, capsys, tmp_path, flags):
+        out_path = tmp_path / "curve.csv"
+        code, out, err = run(capsys, ["gdof-curve", "--out", str(out_path), *flags])
+        assert (code, out) == (2, "")
+        assert err.startswith("icci: ")
+        assert not out_path.exists()
+
 
 class TestVerifyMi:
     def test_small_sample_passes(self, capsys):

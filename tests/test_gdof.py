@@ -182,24 +182,30 @@ class TestLpCrossCheck:
         # within 2 ulp of the closed forms from the least float to the
         # largest; past about 9e307 a coefficient sum overflows to inf in
         # bound_rhs, which is never the least multiplier sum
-        with np.errstate(over="ignore"):
-            for alpha in whole_range_alphas():
-                for optimum, closed_form in ((dof_icci_lp, dof_icci), (dof_ic_lp, dof_ic)):
-                    expected = closed_form(alpha)
-                    assert abs(optimum(alpha) - expected) <= 2 * math.ulp(expected), (alpha, optimum)
+        for alpha in whole_range_alphas():
+            for optimum, closed_form in ((dof_icci_lp, dof_icci), (dof_ic_lp, dof_ic)):
+                expected = closed_form(alpha)
+                assert abs(optimum(alpha) - expected) <= 2 * math.ulp(expected), (alpha, optimum)
+
+    @pytest.mark.parametrize("alpha", [8e307, 1e308, MAX_FLOAT])
+    def test_the_top_of_the_float_range_warns_nothing(self, alpha):
+        # its coefficient sums overflow to inf, which no optimum uses
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dof_icci_lp(alpha).hex() == (alpha / 2.0).hex()
+            assert dof_ic_lp(alpha).hex() == (1.0).hex()
 
     def test_every_batched_column_is_its_scalar_call(self):
         alphas = GRID + whole_range_alphas(500)
-        with np.errstate(over="ignore"):
-            reach = _symmetric_reach(alphas)
-            for k, alpha in enumerate(alphas):
-                for row, allow_common in ((_SUM_ALL, True), (_SUM_INDIVIDUAL, False)):
-                    assert (reach[row, k] / 2.0).hex() == per_user_dof_optimum(alpha, allow_common).hex(), alpha
-            # a curve of three passes and a part, up to the top of the range
-            samples = dof_curve_samples(0.0, 1.5e308, 5e304)
-            assert len(samples) == 3001
-            for sample in samples:
-                assert sample.d_icci_lp.hex() == dof_icci_lp(sample.alpha).hex(), sample.alpha
+        reach = _symmetric_reach(alphas)
+        for k, alpha in enumerate(alphas):
+            for row, allow_common in ((_SUM_ALL, True), (_SUM_INDIVIDUAL, False)):
+                assert (reach[row, k] / 2.0).hex() == per_user_dof_optimum(alpha, allow_common).hex(), alpha
+        # a curve of three passes and a part, up to the top of the range
+        samples = dof_curve_samples(0.0, 1.5e308, 5e304)
+        assert len(samples) == 3001
+        for sample in samples:
+            assert sample.d_icci_lp.hex() == dof_icci_lp(sample.alpha).hex(), sample.alpha
 
     def test_alpha06_optimum_point(self):
         assert per_user_dof_optimum(0.6) == pytest.approx(0.7, abs=1e-12)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -7,14 +8,15 @@ import pytest
 from scipy.optimize import linprog
 
 import icci.region
-from icci.bounds import BoundCoeffs, gap_deltas, inner_coeffs, outer_coeffs
+from icci.bounds import BoundCoeffs, coeff_rows, gap_deltas, inner_coeffs, outer_coeffs
 from icci.channel import ChannelGains, GdofExponents
 from icci.cli import dispatch
-from icci.gdof import build_gdof_region, gdof_coeffs
+from icci.gdof import build_gdof_region, gdof_coeffs, gdof_rows
 from icci.region import (
     _BOUND_DISTINCT,
     _BOUND_ROW,
     _CANDIDATE_RTOL,
+    _DUAL_DENSE,
     _OBJECTIVE_WEIGHT,
     BOUND_PATTERNS,
     MEMBERSHIP_TOL,
@@ -24,6 +26,7 @@ from icci.region import (
     _least_rhs,
     _plane_solver,
     _reach,
+    _reach_by_terms,
     bound_rhs,
     build_inner,
     build_outer,
@@ -36,9 +39,10 @@ from icci.region import (
     within_bits_slack,
     within_bits_unclipped_slack,
 )
-from icci.sweep import MAG_LIMIT, sample_gains
+from icci.sweep import _CHUNK, MAG_LIMIT, sample_gains
 
 from conftest import seeded_channels
+from test_gaussian_mi import EDGES
 from test_sweep import EDGE_CHANNELS, TIE_CHANNELS, TWIN_CHANNELS, exact_vertices
 
 EXPECTED_PATTERNS = [
@@ -337,6 +341,49 @@ def test_within_bits_validation(worked_channel):
     for bits in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             within_bits_unclipped_slack(region, region, bits)
+
+
+def both_regions_rhs(gains) -> np.ndarray:
+    """The (13, 2N) rhs of N channels, inner columns first, as the sweep
+    core takes them."""
+    return bound_rhs(coeff_rows(gains).swapaxes(0, 1)).reshape(len(BOUND_PATTERNS), -1)
+
+
+def assert_reach_is_the_term_form(rhs, sizes):
+    want = _reach_by_terms(_least_rhs(rhs))
+    assert not np.isnan(want).any()
+    for size in sizes:
+        got = np.concatenate([_reach(rhs[:, s:s + size]) for s in range(0, rhs.shape[1], size)], axis=1)
+        assert got.tobytes() == want.tobytes(), size
+
+
+def test_reach_sums_each_multiplier_in_plane_order():
+    # numpy does not document einsum's order of summation, and a sum of
+    # three multiplier terms (1/3, 2/3 and 3/4 among them) depends on it:
+    # the dense product has to be the term form, bit for bit, in the
+    # sweep's passes of 2 * _CHUNK columns, in larger ones and on a whole
+    # set at once
+    edges = np.array(list(itertools.product(EDGES, repeat=4)))
+    assert_reach_is_the_term_form(both_regions_rhs(edges), (2 * _CHUNK, 2048, len(edges) * 2))
+    wide = 10.0 ** np.random.default_rng(17).uniform(-6.0, 6.0, (20000, 4))
+    assert_reach_is_the_term_form(both_regions_rhs(wide), (2 * _CHUNK, 2048, len(wide) * 2))
+
+
+def test_reach_at_the_top_of_the_float_range():
+    # the alphas of `icci gdof-curve --alpha-min 1e300 --alpha-max 1.7e308
+    # --step 1e304` and the largest float: above about 9e307 a least rhs
+    # is inf, where the dense product would give 0 * inf = NaN, so those
+    # columns take the term form; the finite ones the product
+    alphas = np.array([1e300 + k * 1e304 for k in range(17000)] + [sys.float_info.max])
+    exponents = np.ones((len(alphas), 4))
+    exponents[:, 1] = exponents[:, 2] = alphas
+    with np.errstate(over="ignore"):
+        rhs = bound_rhs(gdof_rows(exponents))
+        infinite = np.isinf(_least_rhs(rhs)).any(axis=0)
+        assert 0 < infinite.sum() < len(alphas)
+        assert np.isnan(np.einsum("jn,jm->nm", _least_rhs(rhs[:, infinite]), _DUAL_DENSE)).any()
+        assert_reach_is_the_term_form(rhs[:, ~infinite], (2 * _CHUNK, 1024, len(alphas)))
+        assert_reach_is_the_term_form(rhs, (1, 1024, len(alphas)))
 
 
 def test_unclipped_equals_clipped_without_clip():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -74,6 +75,40 @@ class TestSampling:
                 want = np.array([literal(i, lo, hi) for i in indices])
                 assert _sample_rows(seed, indices, lo, hi).tobytes() == want.tobytes(), (lo, indices)
                 assert sample_gains(seed, indices[-1], lo, hi) == ChannelGains(*want[-1])
+
+    def test_threads_sampling_at_once_draw_the_serial_rows(self):
+        # the bit generator is shared: four threads rekey it at once, with
+        # a short switch interval, in calls of a few channels each
+        jobs = [(0, range(0, 600)), (42, range(5000, 5600)), (2**63, range(2**62, 2**62 + 600)),
+                (2**64 - 1, range(2**64 - 600, 2**64))]
+        want = [_sample_rows(seed, indices, 1e-6, 1e6) for seed, indices in jobs]
+        got = [None] * len(jobs)
+        start = threading.Barrier(len(jobs))
+
+        def draw(k):
+            seed, indices = jobs[k]
+            start.wait()
+            got[k] = np.concatenate([_sample_rows(seed, indices[s:s + 3], 1e-6, 1e6)
+                                     for s in range(0, len(indices), 3)])
+
+        threads = [threading.Thread(target=draw, args=(k,)) for k in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for k, (rows, serial) in enumerate(zip(got, want)):
+            assert rows.tobytes() == serial.tobytes(), jobs[k]
+
+    def test_no_state_carries_from_one_call_to_the_next(self):
+        before = sample_gains(42, 7)
+        run_gap_sweep(SweepConfig(samples=50, seed=3, mag_min=1e-6, mag_max=1e6))
+        assert sample_gains(42, 7) == before
 
     def test_deterministic_per_index(self):
         assert sample_gains(42, 7) == sample_gains(42, 7)
