@@ -28,11 +28,12 @@ for G'.  (The G bound is tight: outer minus inner for G_1 equals
 log2(1 + min(m12**2, 1)), which is exactly one bit whenever m12 >= 1,
 and for G_2 the same in m21.)
 
-Each family's ten capacity arguments are written once, in
+Each family's capacity arguments are written once, per receiver, in
 ``_inner_args`` and ``_outer_args``: the scalar ``inner_coeffs`` and
-``outer_coeffs`` run them on Python floats, and the batched
-``coeff_rows`` on numpy columns, in the same operations and order, so
-both give the same bits.
+``outer_coeffs`` run them on Python floats once per receiver and
+interleave the two results into field order, and the batched
+``coeff_rows`` once on numpy columns stacked by receiver, in the same
+operations and order, so both give the same bits.
 
 Every family of ten is one type, ``BoundCoeffs``: the values in the
 fixed order of ``_COEFF_FIELDS``, keyed by ``_COEFF_KEYS``, and a side
@@ -46,6 +47,7 @@ names in order.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,55 +127,51 @@ def power_split(gains: ChannelGains) -> tuple[float, float]:
     return x12, x21
 
 
-def _inner_args(s1, s2, i1, i2, x12, x21):
-    """The ten ``cap`` arguments of the inner family, in field order, from
-    the direct powers s, the cross powers i and the private power split;
-    on Python floats or numpy columns alike, in the same operations and
-    order, so both give the same bits."""
-    # residual interference floors at each receiver
-    n1 = 1.0 + i1 * x12
-    n2 = 1.0 + i2 * x21
+def _inner_args(s, i, x, x_other):
+    """The five ``cap`` arguments (A, D, E, G, G') of the inner family at
+    one receiver, from its direct power s, its cross power i, the private
+    fraction x of the interferer's signal there and the private fraction
+    x_other of its own transmitter's; on Python floats or numpy columns
+    alike, in the same operations and order, so both give the same bits."""
+    n = 1.0 + i * x   # the residual interference floor
     return (
-        s1 * x21 / n1,
-        s2 * x12 / n2,
-        s1 / n1,
-        s2 / n2,
-        (s1 * x21 + i1 * (1.0 - x12)) / n1,
-        (s2 * x12 + i2 * (1.0 - x21)) / n2,
-        (s1 + i1 * (1.0 - x12)) / n1,
-        (s2 + i2 * (1.0 - x21)) / n2,
-        (1.0 + s1 + i1) / n1 - 1.0,
-        (1.0 + s2 + i2) / n2 - 1.0,
+        s * x_other / n,
+        s / n,
+        (s * x_other + i * (1.0 - x)) / n,
+        (s + i * (1.0 - x)) / n,
+        (1.0 + s + i) / n - 1.0,
     )
 
 
-def _outer_args(s1, s2, i1, i2, b1, b2):
-    """The ten ``cap`` arguments of the outer family, in field order, from
-    the direct and cross powers and the squared sums b1 = (m11 + m12)**2,
-    b2 = (m22 + m21)**2; on floats or numpy columns, as ``_inner_args``."""
+def _outer_args(s, i, i_other, b):
+    """The five ``cap`` arguments of the outer family at one receiver,
+    from its direct and cross powers, the other receiver's cross power
+    and its squared sum b = (m_ii + m_ij)**2; on floats or numpy columns,
+    as ``_inner_args``."""
     return (
-        s1 / (1.0 + i2),
-        s2 / (1.0 + i1),
-        s1,
-        s2,
-        i1 + s1 / (1.0 + i2),
-        i2 + s2 / (1.0 + i1),
-        s1 + i1,
-        s2 + i2,
-        b1,
-        b2,
+        s / (1.0 + i_other),
+        s,
+        i + s / (1.0 + i_other),
+        s + i,
+        b,
     )
 
 
-def _powers(m11, m12, m21, m22):
-    """(s1, s2, i1, i2): the direct and cross powers, floats or columns."""
-    return m11 * m11, m22 * m22, m12 * m12, m21 * m21
+def _powers(gains: ChannelGains) -> tuple[float, float, float, float]:
+    """(s1, s2, i1, i2): the direct and cross powers of one channel."""
+    return gains.m11 * gains.m11, gains.m22 * gains.m22, gains.m12 * gains.m12, gains.m21 * gains.m21
+
+
+# receiver 1's five arguments then receiver 2's, taken in field order
+_FIELD_ORDER = operator.itemgetter(0, 5, 1, 6, 2, 7, 3, 8, 4, 9)
 
 
 def inner_coeffs(gains: ChannelGains) -> BoundCoeffs:
     """Achievable-side coefficients under the noise-floor power split."""
-    powers = _powers(gains.m11, gains.m12, gains.m21, gains.m22)
-    return BoundCoeffs(tuple(map(cap, _inner_args(*powers, *power_split(gains)))), "inner")
+    s1, s2, i1, i2 = _powers(gains)
+    x12, x21 = power_split(gains)
+    args = _FIELD_ORDER(_inner_args(s1, i1, x12, x21) + _inner_args(s2, i2, x21, x12))
+    return BoundCoeffs(tuple(map(cap, args)), "inner")
 
 
 def outer_coeffs(gains: ChannelGains) -> BoundCoeffs:
@@ -182,8 +180,9 @@ def outer_coeffs(gains: ChannelGains) -> BoundCoeffs:
         b1, b2 = (gains.m11 + gains.m12) ** 2, (gains.m22 + gains.m21) ** 2
     except OverflowError:
         raise ValueError(f"an outer coefficient of {gains} is too large for a float") from None
-    powers = _powers(gains.m11, gains.m12, gains.m21, gains.m22)
-    return BoundCoeffs(tuple(map(cap, _outer_args(*powers, b1, b2))), "outer")
+    s1, s2, i1, i2 = _powers(gains)
+    args = _FIELD_ORDER(_outer_args(s1, i1, i2, b1) + _outer_args(s2, i2, i1, b2))
+    return BoundCoeffs(tuple(map(cap, args)), "outer")
 
 
 def coeff_rows(gains: np.ndarray) -> np.ndarray:
@@ -192,24 +191,28 @@ def coeff_rows(gains: np.ndarray) -> np.ndarray:
 
     Returns a (2, 10, N) array: the inner family in [0], the outer in
     [1], rows in ``BoundCoeffs`` field order (a1, a2, ..., g2p).  The
-    arguments are ``_inner_args`` and ``_outer_args`` on columns, the
-    expressions of ``inner_coeffs`` and ``outer_coeffs``; only the split
+    arguments are ``_inner_args`` and ``_outer_args`` called once each,
+    on (2, N) columns stacked by receiver: own gains (m11, m22), cross
+    gains (m12, m21), and the other receiver's values in reverse order,
+    so each of the ten results is a coefficient's two receiver rows and
+    they stack straight into field order.  Each element sees the
+    operations of ``inner_coeffs`` and ``outer_coeffs``; only the split
     and the squared sums are taken per type, each giving the scalar
     bits.  cap goes through libm's log1p as ``cap`` does (numpy's SIMD
     log1p may differ from it in the last bit), so every value is
     bit-identical to the scalar family's.
     """
-    m11, m12, m21, m22 = np.asarray(gains, dtype=float).T
-    s1, s2, i1, i2 = _powers(m11, m12, m21, m22)
+    m = np.asarray(gains, dtype=float).T
+    own, cross = m[::3], m[1:3]   # (m11, m22) and (m12, m21)
+    s, i = own * own, cross * cross
     # power_split: 1 / max(i, 1) is 1.0 exactly where i <= 1
-    x12, x21 = 1.0 / np.maximum(i1, 1.0), 1.0 / np.maximum(i2, 1.0)
+    x = 1.0 / np.maximum(i, 1.0)
     # Python's float power, as in outer_coeffs: libm's pow(t, 2) is not
     # always the correctly rounded t * t of numpy's power
-    b1 = [t ** 2 for t in (m11 + m12).tolist()]
-    b2 = [t ** 2 for t in (m22 + m21).tolist()]
-    args = np.array(_inner_args(s1, s2, i1, i2, x12, x21) + _outer_args(s1, s2, i1, i2, b1, b2))
+    b = np.array([t ** 2 for t in (own + cross).ravel().tolist()]).reshape(own.shape)
+    args = np.array(_inner_args(s, i, x, x[::-1]) + _outer_args(s, i, i[::-1], b))
     caps = np.fromiter(map(math.log1p, args.ravel().tolist()), float, args.size) / _LN2
-    return caps.reshape(2, len(_COEFF_FIELDS), len(m11))
+    return caps.reshape(2, len(_COEFF_FIELDS), m.shape[1])
 
 
 def coeff_deltas(inner: BoundCoeffs, outer: BoundCoeffs) -> BoundCoeffs:

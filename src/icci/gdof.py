@@ -30,13 +30,24 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import _COEFF_FIELDS, BoundCoeffs, outer_coeffs
 from .channel import ChannelGains, GdofExponents, _nonneg_finite, _real
-from .region import _OBJECTIVES, RateRegion, _reach, _region_of_side, bound_rhs
+from .region import (
+    _DUAL_DENSE,
+    _OBJECTIVES,
+    _RHS_INDEX,
+    RateRegion,
+    _least_rhs,
+    _reach,
+    _reach_by_terms,
+    _region_of_side,
+    bound_rhs,
+)
 
 __all__ = [
     "DofCurveSample",
@@ -131,20 +142,35 @@ def build_gdof_region(coeffs: BoundCoeffs) -> RateRegion:
 _SUM_ALL, _SUM_INDIVIDUAL = _OBJECTIVES.index((1, 1, 1)), _OBJECTIVES.index((0, 1, 1))
 
 
+# The largest alpha whose exponent region no sum can overflow: its
+# coefficients are at most max(1, alpha), a rhs sums at most three of
+# them, and a multiplier of the dual table sums to at most 3, so every
+# sum of ``bound_rhs`` and ``_reach`` is at most 9 alpha up to rounding.
+# On the symmetric channel no rhs exceeds 2 alpha, which leaves room for
+# the rounding.
+_FINITE_ALPHA = sys.float_info.max / (len(_RHS_INDEX) * float(_DUAL_DENSE.sum(axis=0).max()))
+
+
 def _symmetric_reach(alphas) -> np.ndarray:
     """The (15, N) ``_reach`` of the exponent regions of N symmetric
     channels (direct exponents 1, cross exponents alpha), one column per
     alpha: the batched core of ``per_user_dof_optimum``.
 
-    Near the top of the float range a sum of coefficients in
-    ``bound_rhs``, or a multiplier sum in ``_reach``, overflows to inf;
-    such a sum is never the least one, so every optimum stays right and
-    the warning is noise.
+    Up to ``_FINITE_ALPHA`` (about 2e307) no sum can overflow, and
+    ``_reach`` takes the product.  Above it a sum of coefficients in
+    ``bound_rhs``, or a multiplier sum, may overflow to inf (from about
+    4e307), and a least rhs too (from about 9e307), where the product
+    would give 0 * inf = NaN; such a pass takes ``_reach_by_terms``,
+    which sums the same terms in the same order, so a column has the
+    same bits on either route.  An overflowed sum is never the least
+    one, so every optimum stays right and the warning is noise.
     """
     exponents = np.ones((len(alphas), 4))
     exponents[:, 1] = exponents[:, 2] = alphas
-    with np.errstate(over="ignore"):
+    if max(alphas) <= _FINITE_ALPHA:
         return _reach(bound_rhs(gdof_rows(exponents)))
+    with np.errstate(over="ignore"):
+        return _reach_by_terms(_least_rhs(bound_rhs(gdof_rows(exponents))))
 
 
 def per_user_dof_optimum(alpha: float, allow_common: bool = True) -> float:

@@ -34,8 +34,8 @@ solutions, read off the adjugates, form one table (``_dual_table``) of
 region's maximum of w . x is the least y . b over w's multipliers
 (``_reach``), all of them one product of the least rhs with the table
 spread into a dense (10, 232) matrix.  The product would make 0 * inf =
-NaN, so an infinite rhs, which only the exponent region near the top of
-the float range has, takes the table's terms one by one.
+NaN, so the exponent region near the top of the float range, the only
+region with an infinite rhs, takes the table's terms one by one.
 ``within_bits_slack`` and ``within_bits_unclipped_slack`` are
 ``_gap_rows`` on those maxima at N = 1, and the sweep of ``icci.sweep``
 runs the same path over chunks of channels, so both give the same
@@ -466,7 +466,7 @@ def vertices(region: RateRegion) -> np.ndarray:
 
 def _reach(rhs: np.ndarray) -> np.ndarray:
     """The largest w . x over each of N regions for the objectives w of
-    ``_OBJECTIVES``: (15, N) for rhs (13, N).
+    ``_OBJECTIVES``: (15, N) for rhs (13, N), every rhs finite.
 
     By LP duality each is the least y . b over w's multipliers in the
     dual table, b each pattern's least rhs: one product of b with the
@@ -476,16 +476,15 @@ def _reach(rhs: np.ndarray) -> np.ndarray:
     not use, so a value is the one ``_reach_by_terms`` sums from its at
     most three terms, bit for bit (a test pins that order, which numpy
     does not document).  Every term y_j b_j is nonnegative, so a sum is
-    within about 4 u of itself.  An infinite b, which only the exponent
-    region near the top of the float range gives, would make 0 * inf =
-    NaN in the dense product, so such rhs take the term form.  Every
-    operation is elementwise or reduces within one column, so each
-    region's results are bitwise the same whatever N is.
+    within about 4 u of itself.  An infinite b would make 0 * inf = NaN
+    in the dense product: ``RateRegion`` refuses an infinite rhs and the
+    sweep raises on an overflow, and the exponent region near the top of
+    the float range, the one input that can have one, takes the term
+    form (``icci.gdof``).  Every operation is elementwise or reduces
+    within one column, so each region's results are bitwise the same
+    whatever N is.
     """
-    b = _least_rhs(rhs)
-    if np.isinf(b).any():
-        return _reach_by_terms(b)
-    value = np.einsum("jn,jm->nm", b, _DUAL_DENSE, optimize=False)
+    value = np.einsum("jn,jm->nm", _least_rhs(rhs), _DUAL_DENSE, optimize=False)
     return np.minimum.reduceat(value, _DUAL_STARTS, axis=1).T
 
 
@@ -498,15 +497,15 @@ def _reach_by_terms(b: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(value, _DUAL_STARTS, axis=0)
 
 
-def _gap_rows(cover_rhs: np.ndarray, reach: np.ndarray, bits: float, clip: bool) -> np.ndarray:
+def _gap_rows(cover_rhs: np.ndarray, reach: np.ndarray, bits, clip: bool) -> np.ndarray:
     """The (13, N) slack of each cover row against N target regions,
-    given as their ``_reach``, shifted down by bits: clipped at zero, or
-    per rate with no clip.  A row's slack is rhs minus the largest
-    c . shift(v) over the target.  The per-rate shift lowers every c . v
-    by bits * sum(c); the clipped one has c . max(v - bits, 0) =
-    max over subsets S of the rates of c_S . v - bits * sum(c_S), so its
-    largest value is the largest such difference over the restrictions
-    of c, or 0 for the empty subset."""
+    given as their ``_reach``, shifted down by bits (a number, or one
+    per target): clipped at zero, or per rate with no clip.  A row's
+    slack is rhs minus the largest c . shift(v) over the target.  The
+    per-rate shift lowers every c . v by bits * sum(c); the clipped one
+    has c . max(v - bits, 0) = max over subsets S of the rates of
+    c_S . v - bits * sum(c_S), so its largest value is the largest such
+    difference over the restrictions of c, or 0 for the empty subset."""
     if clip:
         top = np.maximum.reduceat((reach - bits * _OBJECTIVE_WEIGHT)[_RESTRICTIONS], _RESTRICTION_STARTS)
         return cover_rhs - np.maximum(top, 0.0)[_BOUND_ROW]

@@ -1,14 +1,18 @@
 """Randomized certification sweep.
 
 Channels are drawn with log-uniform link magnitudes from keyed Philox
-substreams, so sample i of a sweep depends only on (seed, i); a sweep
-draws each chunk of channels in one pass, and ``sample_gains`` is the
-same draw at N = 1.  Each channel is checked three ways: the
-per-coefficient gap limits, containment of the achievable region in
-the converse region, and the clipped-shift bit-gap
-certificate.  The per-rate bit-gap certificate is computed alongside,
-from the same converse maxima, and carried in each channel's result
-without entering its verdict.
+substreams, so sample i of a sweep depends only on (seed, i).  The
+Philox4x64-10 blocks are computed here, every channel of a pass at once
+in lanes of packed Python ints, with the bits of numpy's keyed
+generators but without ``numpy.random`` and without shared state; a
+sweep draws blocks of up to 1024 channels in one pass each, and
+``sample_gains`` is the same draw at N = 1.
+
+Each channel is checked three ways: the per-coefficient gap limits,
+containment of the achievable region in the converse region, and the
+clipped-shift bit-gap certificate.  The per-rate bit-gap certificate
+is computed alongside, from the same converse maxima, and carried in
+each channel's result without entering its verdict.
 
 All of it runs in one array-first core over an (N, 4) gains array: both
 coefficient families as column expressions, the (13, N) right-hand
@@ -29,7 +33,6 @@ same report.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
@@ -54,12 +57,16 @@ MAG_LIMIT = 1e6  # validated operating envelope for link magnitudes
 # (2 * chunk, 232) float product of _reach with the dual table: 58 KiB at
 # 16 channels, under glibc's default 128 KiB mmap threshold, so it is
 # recycled from the heap rather than mapped and faulted in again on every
-# pass.  A pass costs a fixed ~0.09 ms of numpy calls plus ~5-6 us per
-# channel (timeit, best of 40, on a shared 2-vCPU Xeon), so larger passes
-# amortize more.  16 stays because a faster sweep reads a higher peak RSS
-# in the benchmark, whose bookkeeping grows with the items done, and 32
-# would pass its bound there.
+# pass.  A pass costs a fixed ~0.06 ms of numpy calls plus ~5 us per
+# channel (timeit, best of 40 interleaved rounds, on a shared 2-vCPU
+# Xeon), so larger passes amortize more.  16 stays because a faster sweep
+# reads a higher peak RSS in the benchmark, whose bookkeeping grows with
+# the items done: at 32, two readings of sweep-accept gave
+# 50.3-50.4 MB and 47.4-47.5 MB against 44.5-46.8 MB at 16, the first
+# past its 0.1 bound.
 _CHUNK = 16
+# Channels per pass of the sampler, 64 chunks: 32 KiB of gains.
+_BLOCK = 64 * _CHUNK
 
 
 def _key_word(name: str, value) -> int:
@@ -168,13 +175,12 @@ class SweepReport:
         }
 
 
-# The one bit generator of every draw and its state template: counter 0
-# and an empty buffer, as a freshly keyed generator has.  A fixed seed
-# draws no system entropy; _sample_rows sets every key, under the lock,
-# so threads that sample at once each draw their own keys.
-_BITGEN = np.random.Philox(0)
-_BITGEN_STATE = _BITGEN.state
-_BITGEN_LOCK = threading.Lock()
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as
+# 1, 2, 3", SC 2011): the round multipliers and the Weyl key increments.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_WORD = 2**64 - 1
+_ONE_LANE = (1).to_bytes(16, "little")   # 1 in one 128-bit lane of a packed int
 
 
 def _sample_rows(seed: int, indices: Sequence[int], mag_min: float, mag_max: float) -> np.ndarray:
@@ -183,20 +189,33 @@ def _sample_rows(seed: int, indices: Sequence[int], mag_min: float, mag_max: flo
 
     Channel i is four log-uniform magnitudes drawn from the uniforms of
     ``np.random.Generator(np.random.Philox(key=[seed, i])).uniform(size=4)``:
-    the first four raw outputs of Philox at that key and counter 0, each
-    formed into a double as ``Generator.uniform`` forms it,
-    (raw >> 11) * 2**-53.  The module's one bit generator serves every
-    channel of every call: it is rekeyed for each from the state
-    template, which costs far less than building a generator or reading
-    its state, and no state carries from one channel or call to the next.
+    the first Philox4x64-10 block at key (seed, i), whose counter is
+    (1, 0, 0, 0) because numpy steps the counter before its first block,
+    each word formed into a double as ``Generator.uniform`` forms it,
+    (raw >> 11) * 2**-53.  The block is computed here, with no state and
+    no ``numpy.random``: all N channels in one pass, each 64-bit word of
+    the block packed into a 128-bit lane of one Python int per word, so
+    a lane's 64 x 64-bit product fits its own lane and one int multiply
+    is every lane's mulhilo.  Round 1 at that counter is (k0, 0, k1, M0).
     """
-    raw = np.empty((len(indices), 4), dtype=np.uint64)
-    with _BITGEN_LOCK:
-        key = _BITGEN_STATE["state"]["key"]
-        for row, index in zip(raw, indices):
-            key[:] = (seed, index)
-            _BITGEN.state = _BITGEN_STATE
-            row[:] = _BITGEN.random_raw(4)
+    n = len(indices)
+    ones = int.from_bytes(_ONE_LANE * n, "little")
+    low = ones * _WORD   # the low word of every lane
+    keys = np.zeros((n, 2), dtype="<u8")
+    keys[:, 0] = indices
+    k1 = int.from_bytes(keys.tobytes(), "little")
+    (m0, m1), (w0, w1) = _PHILOX_M, _PHILOX_W
+    x0, x1, x2, x3, k0, w1 = seed * ones, 0, k1, m0 * ones, seed, w1 * ones
+    # rounds 2-10: bump the key, then one round; a key word stays below
+    # 2**68, inside its lane, and is cut to 64 bits with the high word
+    for _ in range(9):
+        k0, k1 = k0 + w0, k1 + w1
+        p0, p1 = x0 * m0, x2 * m1
+        x0, x1, x2, x3 = ((p1 >> 64) ^ x1 ^ k0 * ones) & low, p1 & low, ((p0 >> 64) ^ x3 ^ k1) & low, p0 & low
+    # words (x0, x1) then (x2, x3) of each lane, read back in (N, 4) order
+    size = 16 * n
+    packed = (x0 | x1 << 64).to_bytes(size, "little") + (x2 | x3 << 64).to_bytes(size, "little")
+    raw = np.frombuffer(packed, dtype="<u8").reshape(2, n, 2).swapaxes(0, 1).reshape(n, 4)
     u = (raw >> np.uint64(11)) * 2.0 ** -53
     return mag_min * (mag_max / mag_min) ** u
 
@@ -224,16 +243,17 @@ def _certify(gains: np.ndarray, bits: float, tol: float) -> tuple[np.ndarray, ..
     n = len(gains)
     rhs = bound_rhs(coeffs.swapaxes(0, 1)).reshape(-1, 2 * n)
     reach = _reach(rhs)
-    inner_rhs, outer_rhs = rhs[:, :n], rhs[:, n:]
-    inner_reach, outer_reach = reach[:, :n], reach[:, n:]
+    inner_rhs, outer_reach = rhs[:, :n], reach[:, n:]
 
-    # the inner region against the outer rows, an unshifted gap; the
-    # origin is an inner vertex, so the coordinate planes add exactly 0
-    containment = np.minimum(_gap_rows(outer_rhs, inner_reach, 0.0, clip=False).min(axis=0), 0.0)
-
-    # the outer region, shifted down by bits, against the inner rows
+    # Unclipped, in one call: the inner region against the outer rows, an
+    # unshifted gap (the origin is an inner vertex, so the coordinate
+    # planes add exactly 0), then the outer region shifted down by bits
+    # against the inner rows.
+    cover = np.concatenate((rhs[:, n:], inner_rhs), axis=1)
+    unclipped = _gap_rows(cover, reach, np.array([0.0] * n + [bits] * n), clip=False).min(axis=0)
+    containment, per_rate = np.minimum(unclipped[:n], 0.0), unclipped[n:]
+    # the outer region, shifted down by bits and clipped, against the inner rows
     rows = _gap_rows(inner_rhs, outer_reach, bits, clip=True)
-    per_rate = _gap_rows(inner_rhs, outer_reach, bits, clip=False).min(axis=0)
     return deltas_ok, containment, rows.min(axis=0), rows.argmin(axis=0), per_rate
 
 
@@ -241,8 +261,8 @@ def _gain_rows(gains: Sequence[ChannelGains]) -> np.ndarray:
     return np.array([(g.m11, g.m12, g.m21, g.m22) for g in gains], dtype=float)
 
 
-def _chunks(count: int):
-    return (range(start, min(start + _CHUNK, count)) for start in range(0, count, _CHUNK))
+def _chunks(indices: range, size: int = _CHUNK):
+    return (indices[start:start + size] for start in range(0, len(indices), size))
 
 
 def _check_chunk(indices, gains: Sequence[ChannelGains], bits: float, tol: float) -> list[ChannelCheck]:
@@ -260,7 +280,7 @@ def check_channels(
     """``check_channel`` on every channel, indexed by position, in
     batched passes of the certification core."""
     bits, tol = _nonneg_finite("bits", bits), _nonneg_finite("tol", tol)
-    return [check for part in _chunks(len(gains))
+    return [check for part in _chunks(range(len(gains)))
             for check in _check_chunk(part, gains[part.start:part.stop], bits, tol)]
 
 
@@ -275,9 +295,14 @@ def check_channel(
 
 def _sampled_chunks(config: SweepConfig):
     """The channels of a config, chunk by chunk: each chunk's index range
-    and its (N, 4) gains, drawn in one pass."""
-    for part in _chunks(config.samples):
-        yield part, _sample_rows(config.seed, part, config.mag_min, config.mag_max)
+    and its (N, 4) gains.  Blocks of up to ``_BLOCK`` channels are drawn
+    in one pass each, since a pass of the sampler costs far less per
+    channel at a thousand channels than at a chunk's 16, and each block
+    is handed out in chunks."""
+    for block in _chunks(range(config.samples), _BLOCK):
+        gains = _sample_rows(config.seed, block, config.mag_min, config.mag_max)
+        for start in range(0, len(block), _CHUNK):
+            yield block[start:start + _CHUNK], gains[start:start + _CHUNK]
 
 
 def run_gap_sweep(config: SweepConfig) -> SweepReport:

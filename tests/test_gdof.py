@@ -13,6 +13,7 @@ from scipy.optimize import linprog
 import icci.gdof
 from icci.channel import GdofExponents
 from icci.gdof import (
+    _FINITE_ALPHA,
     _MAX_CURVE_POINTS,
     _SUM_ALL,
     _SUM_INDIVIDUAL,
@@ -32,7 +33,17 @@ from icci.gdof import (
     per_user_dof_optimum,
     write_curve_csv,
 )
-from icci.region import _CANDIDATE_RTOL, contains, vertices
+from icci.region import (
+    _CANDIDATE_RTOL,
+    _DUAL_DENSE,
+    _least_rhs,
+    _reach,
+    _reach_by_terms,
+    bound_rhs,
+    contains,
+    vertices,
+)
+from icci.sweep import _CHUNK
 
 exps = st.floats(min_value=0.0, max_value=3.0)
 GRID = [k / 100.0 for k in range(301)]
@@ -194,6 +205,41 @@ class TestLpCrossCheck:
             warnings.simplefilter("error")
             assert dof_icci_lp(alpha).hex() == (alpha / 2.0).hex()
             assert dof_ic_lp(alpha).hex() == (1.0).hex()
+
+    def test_reach_at_the_top_of_the_float_range(self):
+        # the alphas of `icci gdof-curve --alpha-min 1e300 --alpha-max 1.7e308
+        # --step 1e304` and the largest float: above about 9e307 a least rhs
+        # is inf, where the dense product would give 0 * inf = NaN, so those
+        # columns take the term form; the finite ones the product
+        alphas = [1e300 + k * 1e304 for k in range(17000)] + [MAX_FLOAT]
+        exponents = np.ones((len(alphas), 4))
+        exponents[:, 1] = exponents[:, 2] = alphas
+        with np.errstate(over="ignore"):
+            rhs = bound_rhs(gdof_rows(exponents))
+            infinite = np.isinf(_least_rhs(rhs)).any(axis=0)
+            assert 0 < infinite.sum() < len(alphas)
+            assert np.isnan(np.einsum("jn,jm->nm", _least_rhs(rhs[:, infinite]), _DUAL_DENSE)).any()
+            want = _reach_by_terms(_least_rhs(rhs))
+            assert not np.isnan(want).any()
+            finite = rhs[:, ~infinite]
+            for size in (2 * _CHUNK, 1024, len(alphas)):
+                got = np.concatenate([_reach(finite[:, s:s + size]) for s in range(0, finite.shape[1], size)], axis=1)
+                assert got.tobytes() == want[:, ~infinite].tobytes(), size
+            for size in (1, 1024, len(alphas)):
+                got = np.concatenate([_symmetric_reach(alphas[s:s + size]) for s in range(0, len(alphas), size)], axis=1)
+                assert got.tobytes() == want.tobytes(), size
+
+    def test_both_routes_agree_at_the_alpha_bound(self):
+        # at the bound and one ulp either side the product overflows nowhere,
+        # and it and the term form give the same bits
+        assert _FINITE_ALPHA == MAX_FLOAT / 9
+        for alpha in (math.nextafter(_FINITE_ALPHA, 0.0), _FINITE_ALPHA, math.nextafter(_FINITE_ALPHA, math.inf)):
+            exponents = np.array([[1.0, alpha, alpha, 1.0]])
+            with np.errstate(all="raise"):
+                rhs = bound_rhs(gdof_rows(exponents))
+                product = _reach(rhs)
+            assert product.tobytes() == _reach_by_terms(_least_rhs(rhs)).tobytes(), alpha
+            assert _symmetric_reach([alpha]).tobytes() == product.tobytes(), alpha
 
     def test_every_batched_column_is_its_scalar_call(self):
         alphas = GRID + whole_range_alphas(500)

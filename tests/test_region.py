@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -11,12 +10,11 @@ import icci.region
 from icci.bounds import BoundCoeffs, coeff_rows, gap_deltas, inner_coeffs, outer_coeffs
 from icci.channel import ChannelGains, GdofExponents
 from icci.cli import dispatch
-from icci.gdof import build_gdof_region, gdof_coeffs, gdof_rows
+from icci.gdof import build_gdof_region, gdof_coeffs
 from icci.region import (
     _BOUND_DISTINCT,
     _BOUND_ROW,
     _CANDIDATE_RTOL,
-    _DUAL_DENSE,
     _OBJECTIVE_WEIGHT,
     BOUND_PATTERNS,
     MEMBERSHIP_TOL,
@@ -367,23 +365,6 @@ def test_reach_sums_each_multiplier_in_plane_order():
     assert_reach_is_the_term_form(both_regions_rhs(edges), (2 * _CHUNK, 2048, len(edges) * 2))
     wide = 10.0 ** np.random.default_rng(17).uniform(-6.0, 6.0, (20000, 4))
     assert_reach_is_the_term_form(both_regions_rhs(wide), (2 * _CHUNK, 2048, len(wide) * 2))
-
-
-def test_reach_at_the_top_of_the_float_range():
-    # the alphas of `icci gdof-curve --alpha-min 1e300 --alpha-max 1.7e308
-    # --step 1e304` and the largest float: above about 9e307 a least rhs
-    # is inf, where the dense product would give 0 * inf = NaN, so those
-    # columns take the term form; the finite ones the product
-    alphas = np.array([1e300 + k * 1e304 for k in range(17000)] + [sys.float_info.max])
-    exponents = np.ones((len(alphas), 4))
-    exponents[:, 1] = exponents[:, 2] = alphas
-    with np.errstate(over="ignore"):
-        rhs = bound_rhs(gdof_rows(exponents))
-        infinite = np.isinf(_least_rhs(rhs)).any(axis=0)
-        assert 0 < infinite.sum() < len(alphas)
-        assert np.isnan(np.einsum("jn,jm->nm", _least_rhs(rhs[:, infinite]), _DUAL_DENSE)).any()
-        assert_reach_is_the_term_form(rhs[:, ~infinite], (2 * _CHUNK, 1024, len(alphas)))
-        assert_reach_is_the_term_form(rhs, (1, 1024, len(alphas)))
 
 
 def test_unclipped_equals_clipped_without_clip():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -30,12 +31,14 @@ from icci.region import (
     within_bits_unclipped_slack,
 )
 from icci.sweep import (
+    _BLOCK,
     _CHUNK,
     MAG_LIMIT,
     SweepConfig,
     _certify,
     _gain_rows,
     _sample_rows,
+    _sampled_chunks,
     check_channel,
     check_channels,
     run_gap_sweep,
@@ -64,21 +67,36 @@ TWIN_CHANNELS = (1489, 3839, 3848, 3911, 7655)
 
 
 class TestSampling:
-    @pytest.mark.parametrize("seed", [0, 42, 2**63])
+    @pytest.mark.parametrize("seed", [0, 42, 2**63, 2**64 - 1])
     def test_batch_is_the_keyed_generator_formula(self, seed):
-        def literal(i, lo, hi):
-            u = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64))).uniform(size=4)
-            return lo * (hi / lo) ** u
+        # numpy has no keyed multi-stream draw, so a generator per channel
+        # is the independent reference of the packed sampler: over chunk
+        # and block edges, in one pass and as a sweep hands them out
+        uniforms = {}
 
+        def literal(i, lo, hi):
+            if i not in uniforms:
+                key = np.array([seed, i], dtype=np.uint64)
+                uniforms[i] = np.random.Generator(np.random.Philox(key=key)).uniform(size=4)
+            return lo * (hi / lo) ** uniforms[i]
+
+        blocks = (range(_BLOCK - 1), range(_BLOCK), range(_BLOCK + 1), range(2 * _BLOCK + 1))
         for lo, hi in ((1e-3, 1e3), (1e-6, 1e6), (2.0, 2.0)):
-            for indices in (range(1), range(_CHUNK), range(50), range(_CHUNK - 1, 2 * _CHUNK + 1), [7, 2**62, 3]):
+            for indices in (range(1), range(_CHUNK), range(50), range(_CHUNK - 1, 2 * _CHUNK + 1), [7, 2**62, 3],
+                            range(2**64 - 3, 2**64), *blocks):
                 want = np.array([literal(i, lo, hi) for i in indices])
                 assert _sample_rows(seed, indices, lo, hi).tobytes() == want.tobytes(), (lo, indices)
                 assert sample_gains(seed, indices[-1], lo, hi) == ChannelGains(*want[-1])
+            for indices in blocks:
+                config = SweepConfig(samples=len(indices), seed=seed, mag_min=lo, mag_max=hi)
+                parts, rows = zip(*_sampled_chunks(config))
+                assert list(parts) == [indices[s:s + _CHUNK] for s in range(0, len(indices), _CHUNK)]
+                want = np.array([literal(i, lo, hi) for i in indices])
+                assert np.concatenate(rows).tobytes() == want.tobytes(), (lo, indices)
 
     def test_threads_sampling_at_once_draw_the_serial_rows(self):
-        # the bit generator is shared: four threads rekey it at once, with
-        # a short switch interval, in calls of a few channels each
+        # no state is shared: four threads draw at once, with a short
+        # switch interval, in calls of a few channels each
         jobs = [(0, range(0, 600)), (42, range(5000, 5600)), (2**63, range(2**62, 2**62 + 600)),
                 (2**64 - 1, range(2**64 - 600, 2**64))]
         want = [_sample_rows(seed, indices, 1e-6, 1e6) for seed, indices in jobs]
@@ -454,6 +472,13 @@ def test_every_entry_rejects_a_bad_budget_or_tolerance(value):
             pytest.fail(name)
 
 
+def fresh_modules(code: str) -> str:
+    """The stdout of code in a fresh interpreter that imports this icci."""
+    src = os.path.dirname(os.path.dirname(icci.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
 def test_certifying_leaves_numpy_ma_unimported():
     # numpy.ma costs about a megabyte resident; np.unique(..., axis=0) imports it
     code = ("import sys, icci\n"
@@ -461,10 +486,36 @@ def test_certifying_leaves_numpy_ma_unimported():
             "g = icci.ChannelGains(1, 2, 3, 4)\n"
             "icci.within_bits_slack(icci.build_inner(icci.inner_coeffs(g)), icci.build_outer(icci.outer_coeffs(g)), 1.0)\n"
             "print('numpy.ma' in sys.modules)\n")
-    src = os.path.dirname(os.path.dirname(icci.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert fresh_modules(code).strip() == "False"
+
+
+def test_sampling_leaves_numpy_random_unimported():
+    # the sampler computes its Philox blocks itself: numpy.random costs
+    # about 5 MB resident
+    if fresh_modules("import sys, numpy\nprint('numpy.random' in sys.modules)\n").strip() == "True":
+        pytest.skip("this numpy imports numpy.random itself")
+    code = ("import sys, icci\n"
+            "icci.run_gap_sweep(icci.SweepConfig(samples=20))\n"
+            "icci.sample_gains(42, 7)\n"
+            "print('numpy.random' in sys.modules)\n")
+    assert fresh_modules(code).strip() == "False"
+
+
+@pytest.mark.parametrize(("seed", "mag_min", "mag_max", "bits", "digest"), [
+    (42, 1e-3, 1e3, 1.0, "eeca3caf62d1e9ca"),   # the acceptance channels
+    (7, 1e-6, 1e6, 2.0, "30fedeeab2439d1e"),    # the whole envelope
+])
+def test_certificates_are_pinned(seed, mag_min, mag_max, bits, digest):
+    # every field of every check on 10000 channels, bit for bit, as
+    # computed before the sampler packed its lanes and the coefficient
+    # arguments were written per receiver; like
+    # test_coefficient_bits_are_pinned, the pin also holds libm's log1p
+    # and numpy's einsum order
+    checks = check_channels(seeded_channels(seed, 10000, mag_min, mag_max), bits=bits)
+    lines = [f"{c.index} {c.gains.m11.hex()} {c.gains.m12.hex()} {c.gains.m21.hex()} {c.gains.m22.hex()}"
+             f" {int(c.deltas_ok)} {c.containment_slack.hex()} {c.gap_slack.hex()} {c.gap_constraint}"
+             f" {c.per_rate_gap_slack.hex()}" for c in checks]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == digest
 
 
 def assert_shows_the_exact_vertices(g: ChannelGains) -> None:
