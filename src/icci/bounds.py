@@ -17,10 +17,15 @@ splits off a private part sized so that it crosses into the other
 receiver at or below the noise floor; transmitter i keeps private power
 fraction
 
-    x_ji = min(1, 1 / m_ji**2)     (x_ji = 1 when m_ji = 0),
+    x_ji = 1 / max(m_ji**2, 1),
 
 so its leakage m_ji**2 * x_ji never exceeds one.  Receiver i therefore
-operates over a residual floor of 1 + m_ij**2 * x_ij.  The outer family
+operates over a residual floor of n = 1 + i * x, with i = m_ij**2 and
+x = x_ij.  With s = m_ii**2, G' there is G: (1 + s + i)/n - 1 equals
+(s + i(1 - x))/n because n = 1 + i*x, so ``_inner_args`` computes G once
+and gives it for G' too, and the inner family, like the exponent family
+of ``icci.gdof``, is eight numbers (``icci.region`` says what that makes
+of the region's rows).  The outer family
 evaluates the same ten roles against the raw channel with no splitting.
 The signed differences outer minus inner are bounded: below one bit for
 the A, D and E coefficients, at most one bit for G, and below two bits
@@ -117,30 +122,24 @@ def power_split(gains: ChannelGains) -> tuple[float, float]:
 
     x12 scales transmitter 2's private part (it crosses the m12 link into
     receiver 1) and x21 scales transmitter 1's (crossing m21).  Each is
-    min(1, 1/m**2) over its cross gain, with x = 1 when the gain is zero,
-    so the private leakage lands at or below the noise floor.
+    1 / max(m**2, 1) over its cross gain, 1.0 up to m = 1 and at zero
+    gain, so the private leakage lands at or below the noise floor;
+    ``coeff_rows`` takes the same expression on columns, with the same
+    bits.
     """
-    i1 = gains.m12 * gains.m12
-    i2 = gains.m21 * gains.m21
-    x12 = 1.0 if i1 <= 1.0 else 1.0 / i1
-    x21 = 1.0 if i2 <= 1.0 else 1.0 / i2
-    return x12, x21
+    return 1.0 / max(gains.m12 * gains.m12, 1.0), 1.0 / max(gains.m21 * gains.m21, 1.0)
 
 
 def _inner_args(s, i, x, x_other):
     """The five ``cap`` arguments (A, D, E, G, G') of the inner family at
     one receiver, from its direct power s, its cross power i, the private
     fraction x of the interferer's signal there and the private fraction
-    x_other of its own transmitter's; on Python floats or numpy columns
-    alike, in the same operations and order, so both give the same bits."""
+    x_other of its own transmitter's; G' is G, the same value; on Python
+    floats or numpy columns alike, in the same operations and order, so
+    both give the same bits."""
     n = 1.0 + i * x   # the residual interference floor
-    return (
-        s * x_other / n,
-        s / n,
-        (s * x_other + i * (1.0 - x)) / n,
-        (s + i * (1.0 - x)) / n,
-        (1.0 + s + i) / n - 1.0,
-    )
+    g = (s + i * (1.0 - x)) / n
+    return s * x_other / n, s / n, (s * x_other + i * (1.0 - x)) / n, g, g
 
 
 def _outer_args(s, i, i_other, b):
@@ -205,7 +204,6 @@ def coeff_rows(gains: np.ndarray) -> np.ndarray:
     m = np.asarray(gains, dtype=float).T
     own, cross = m[::3], m[1:3]   # (m11, m22) and (m12, m21)
     s, i = own * own, cross * cross
-    # power_split: 1 / max(i, 1) is 1.0 exactly where i <= 1
     x = 1.0 / np.maximum(i, 1.0)
     # Python's float power, as in outer_coeffs: libm's pow(t, 2) is not
     # always the correctly rounded t * t of numpy's power

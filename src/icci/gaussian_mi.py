@@ -11,7 +11,7 @@ type of the closed forms, so the two compare value by value.
 The reference input distribution: the common layer carries zero power,
 transmitter i splits unit power into a public part U_i with power
 1 - x_ji and an independent private remainder, so X_i = U_i + (private)
-with the private variance x_ji = min(1, 1/m**2) over the gain m of the
+with the private variance x_ji = 1/max(m**2, 1) over the gain m of the
 link it crosses, the noise-floor split of the closed forms.  Receiver
 outputs are Y_1 = m11 X_1 + m12 X_2 + Z_1 and
 Y_2 = m21 X_1 + m22 X_2 + Z_2 with unit Gaussian noise.  All signals are
@@ -127,7 +127,8 @@ def mutual_info_terms(gains: ChannelGains) -> BoundCoeffs:
     except OverflowError:  # a variance ratio past the float range
         raise ValueError(f"a mutual information of {gains} is too large for a float") from None
     # the common layer has zero power, so adding it to the decoded side
-    # changes nothing: the primed values equal the plain ones
+    # changes nothing: the primed values are the plain ones, as in the
+    # closed forms, whose inner G' is G bit for bit
     return BoundCoeffs((a1, a2, d1, d2, e1, e2, g1, g2, g1, g2), "inner")
 
 

@@ -132,9 +132,8 @@ def gdof_coeffs(exponents: GdofExponents) -> BoundCoeffs:
 
 def build_gdof_region(coeffs: BoundCoeffs) -> RateRegion:
     """The exponent region of a gdof family: the 13 rows of
-    ``region_from_coeffs`` with G' = G.  Rows 5, 6, 9 and 10 then drop
-    r0 from rows 7, 8, 11 and 12 at the same rhs, so r0 >= 0 makes them
-    redundant, and the region is the one of the nine other rows."""
+    ``region_from_coeffs`` with G' = G, so rows 5, 6, 9 and 10 are
+    redundant, as ``icci.region`` says for every such family."""
     return _region_of_side(coeffs, "gdof")
 
 
@@ -161,8 +160,8 @@ def _symmetric_reach(alphas) -> np.ndarray:
     ``bound_rhs``, or a multiplier sum, may overflow to inf (from about
     4e307), and a least rhs too (from about 9e307), where the product
     would give 0 * inf = NaN; such a pass takes ``_reach_by_terms``,
-    which sums the same terms in the same order, so a column has the
-    same bits on either route.  An overflowed sum is never the least
+    which sums the same nonzero terms in the same order, so a column has
+    the same bits on either route.  An overflowed sum is never the least
     one, so every optimum stays right and the warning is noise.
     """
     exponents = np.ones((len(alphas), 4))

@@ -12,11 +12,13 @@ admits no others, and the exponent region of ``icci.gdof`` is the same
 rows), so it is bounded (rows 0, 2 and 3 bound r0, r1 and r2), contains
 the origin, and is downward comprehensive: lowering any coordinate of a
 feasible point keeps it feasible, because every c_k is nonnegative.
+On a family with G' = G, as the inner family of ``icci.bounds`` and the
+exponent family of ``icci.gdof`` are, rows 5, 6, 9 and 10 are rows 7, 8,
+11 and 12 without r0, at the same rhs, so r0 >= 0 makes them redundant.
 
 Only the right-hand sides depend on the channel, so a ``RateRegion`` is
-its label, the side of the family it came from, and one read-only
-(13,) array of them, summed once when ``region_from_coeffs`` makes the
-region.
+its label, the side of the family it came from, and one read-only (13,)
+array of them, summed once when ``region_from_coeffs`` makes the region.
 Whatever depends on the coefficients is computed once, at import, over
 the 10 distinct patterns (rows 4-6 and rows 7-8 share one), each taken
 at its least rhs: a row whose parallel twin has a smaller rhs never
@@ -32,21 +34,18 @@ of an objective w depends on the patterns A alone, so its basic
 solutions, read off the adjugates, form one table (``_dual_table``) of
 232 multipliers over the 15 objectives certificates need, and a
 region's maximum of w . x is the least y . b over w's multipliers
-(``_reach``), all of them one product of the least rhs with the table
-spread into a dense (10, 232) matrix.  The product would make 0 * inf =
-NaN, so the exponent region near the top of the float range, the only
-region with an infinite rhs, takes the table's terms one by one.
-``within_bits_slack`` and ``within_bits_unclipped_slack`` are
-``_gap_rows`` on those maxima at N = 1, and the sweep of ``icci.sweep``
-runs the same path over chunks of channels, so both give the same
-bits.  Only the display (``vertices``, ``region_as_dict``) and
-a certificate's witness vertex, once read, solve a region's triples
-(``_candidates``), all in one product with a solve map of adjugate
-entries fixed at import (``_SOLVE``); ``vertices`` merges the candidates
-greedily in triple order within 2**-44 times the largest rhs, from one
-matrix of near pairs, so two vertices closer than rounding can tell
-apart are shown as one.  The exponent region's per-user DoF optimum of
-``icci.gdof`` is a ``_reach`` maximum too.
+(``_reach``), all of them one product of the least rhs with the table,
+one dense (10, 232) matrix.  ``within_bits_slack`` and
+``within_bits_unclipped_slack`` are ``_gap_rows`` on those maxima at
+N = 1, and the sweep of ``icci.sweep`` runs the same path over chunks of
+channels, so both give the same bits.  Only the display (``vertices``,
+``region_as_dict``) and a certificate's witness vertex, once read, solve
+a region's triples (``_candidates``), all in one product with a solve
+map of adjugate entries fixed at import (``_SOLVE``); ``vertices``
+merges the candidates greedily in triple order within 2**-44 times the
+largest rhs, from one matrix of near pairs, so two vertices closer than
+rounding can tell apart are shown as one.  The exponent region's
+per-user DoF optimum of ``icci.gdof`` is a ``_reach`` maximum too.
 
 Two bit-gap tests compare a target region with a cover region: the
 clipped shift ``within_bits_slack``, which lowers each target vertex by
@@ -369,24 +368,22 @@ def _dual_table(objectives: tuple[tuple[int, int, int], ...]):
     rhs b >= 0 the least y . b over these is the maximum (the region is
     bounded and holds the origin), and coordinate planes have rhs 0, so
     a multiplier keeps its at most three pattern terms, once per
-    objective.  Returns the (3, M, 1) multipliers and (3, M) plane
-    indices, short ones padded with 0.0 on plane 0, and the (O,) start
-    of each objective's run.
+    objective.  Returns the read-only (P, M) dense table, column m
+    multiplier m over the P distinct patterns, and the (O,) start of
+    each objective's run.
     """
     distinct = len(_BOUND_DISTINCT)
     y = np.einsum("oi,tij->otj", np.array(objectives, dtype=float), _ADJ) / _DET[:, None]
     feasible = np.where(_TRIPLES < distinct, y >= 0, y <= 0).all(axis=2)
-    terms, starts = [], []
+    onehot = np.eye(distinct + 3)[_TRIPLES, :distinct]   # each triple's planes, over the patterns
+    columns, starts = [], []
     for w_y, w_feasible in zip(y, feasible):
-        starts.append(len(terms))
-        terms.extend(dict.fromkeys(
-            tuple((p, m) for p, m in zip(_TRIPLES[t].tolist(), w_y[t].tolist()) if p < distinct and m)
-            for t in np.flatnonzero(w_feasible)))
-    padded = np.array([term + ((0, 0.0),) * (3 - len(term)) for term in terms])   # (M, 3, 2)
-    out = (padded[:, :, 1].T[:, :, None].copy(), padded[:, :, 0].T.astype(np.intp), np.array(starts))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
+        starts.append(len(columns))
+        spread = np.einsum("tj,tjp->tp", w_y[w_feasible], onehot[w_feasible]) + 0.0   # no -0.0
+        columns.extend(dict.fromkeys(map(tuple, spread.tolist())))
+    dense, starts = np.array(columns).T.copy(), np.array(starts)
+    dense.flags.writeable = starts.flags.writeable = False
+    return dense, starts
 
 
 # The 15 objectives of every certificate: the distinct patterns, whose
@@ -402,13 +399,7 @@ _RESTRICTION_LISTS = [[o for o, w in enumerate(_OBJECTIVES) if all(wk in (0, ck)
                       for c in _BOUND_DISTINCT]
 _RESTRICTIONS = np.concatenate(_RESTRICTION_LISTS)
 _RESTRICTION_STARTS = np.cumsum([0] + [len(r) for r in _RESTRICTION_LISTS[:-1]])
-_DUAL_Y, _DUAL_PLANE, _DUAL_STARTS = _dual_table(_OBJECTIVES)
-# The table as one dense (10, 232) matrix, column m multiplier m spread
-# over the distinct patterns: a multiplier's planes are distinct, and
-# its padding adds 0.0 to plane 0.
-_DUAL_DENSE = np.zeros((len(_BOUND_DISTINCT), _DUAL_Y.shape[1]))
-np.add.at(_DUAL_DENSE, (_DUAL_PLANE, np.arange(_DUAL_Y.shape[1])), _DUAL_Y[:, :, 0])
-_DUAL_DENSE.flags.writeable = False
+_DUAL_DENSE, _DUAL_STARTS = _dual_table(_OBJECTIVES)
 
 
 def _least_rhs(rhs: np.ndarray) -> np.ndarray:
@@ -490,10 +481,12 @@ def _reach(rhs: np.ndarray) -> np.ndarray:
 
 def _reach_by_terms(b: np.ndarray) -> np.ndarray:
     """``_reach`` from the (10, N) least rhs b, each multiplier summed
-    from its three padded (plane, y) terms in plane order."""
-    value = _DUAL_Y[0] * b[_DUAL_PLANE[0]]
-    value += _DUAL_Y[1] * b[_DUAL_PLANE[1]]
-    value += _DUAL_Y[2] * b[_DUAL_PLANE[2]]
+    from its nonzero terms alone, plane by plane in plane order, so no
+    0 * b is formed."""
+    value = np.zeros((_DUAL_DENSE.shape[1], b.shape[1]))
+    for y, b_p in zip(_DUAL_DENSE, b):
+        used = np.flatnonzero(y)
+        value[used] += y[used, None] * b_p
     return np.minimum.reduceat(value, _DUAL_STARTS, axis=0)
 
 

@@ -183,9 +183,9 @@ _WORD = 2**64 - 1
 _ONE_LANE = (1).to_bytes(16, "little")   # 1 in one 128-bit lane of a packed int
 
 
-def _sample_rows(seed: int, indices: Sequence[int], mag_min: float, mag_max: float) -> np.ndarray:
-    """Channels ``indices`` of stream ``seed`` as an (N, 4) array of gains
-    (m11, m12, m21, m22).
+def _sample_rows(seed: int, start: int, count: int, mag_min: float, mag_max: float) -> np.ndarray:
+    """The N = count channels start, ..., start + N - 1 of stream ``seed``
+    as an (N, 4) array of gains (m11, m12, m21, m22).
 
     Channel i is four log-uniform magnitudes drawn from the uniforms of
     ``np.random.Generator(np.random.Philox(key=[seed, i])).uniform(size=4)``:
@@ -198,11 +198,10 @@ def _sample_rows(seed: int, indices: Sequence[int], mag_min: float, mag_max: flo
     a lane's 64 x 64-bit product fits its own lane and one int multiply
     is every lane's mulhilo.  Round 1 at that counter is (k0, 0, k1, M0).
     """
-    n = len(indices)
-    ones = int.from_bytes(_ONE_LANE * n, "little")
+    ones = int.from_bytes(_ONE_LANE * count, "little")
     low = ones * _WORD   # the low word of every lane
-    keys = np.zeros((n, 2), dtype="<u8")
-    keys[:, 0] = indices
+    keys = np.zeros((count, 2), dtype="<u8")
+    keys[:, 0] = np.uint64(start) + np.arange(count, dtype=np.uint64)
     k1 = int.from_bytes(keys.tobytes(), "little")
     (m0, m1), (w0, w1) = _PHILOX_M, _PHILOX_W
     x0, x1, x2, x3, k0, w1 = seed * ones, 0, k1, m0 * ones, seed, w1 * ones
@@ -213,9 +212,9 @@ def _sample_rows(seed: int, indices: Sequence[int], mag_min: float, mag_max: flo
         p0, p1 = x0 * m0, x2 * m1
         x0, x1, x2, x3 = ((p1 >> 64) ^ x1 ^ k0 * ones) & low, p1 & low, ((p0 >> 64) ^ x3 ^ k1) & low, p0 & low
     # words (x0, x1) then (x2, x3) of each lane, read back in (N, 4) order
-    size = 16 * n
+    size = 16 * count
     packed = (x0 | x1 << 64).to_bytes(size, "little") + (x2 | x3 << 64).to_bytes(size, "little")
-    raw = np.frombuffer(packed, dtype="<u8").reshape(2, n, 2).swapaxes(0, 1).reshape(n, 4)
+    raw = np.frombuffer(packed, dtype="<u8").reshape(2, count, 2).swapaxes(0, 1).reshape(count, 4)
     u = (raw >> np.uint64(11)) * 2.0 ** -53
     return mag_min * (mag_max / mag_min) ** u
 
@@ -224,7 +223,7 @@ def sample_gains(seed: int, index: int, mag_min: float = 1e-3, mag_max: float = 
     """Channel i of stream `seed`: ``_sample_rows`` at N = 1, with the seed,
     the index and the range checked as ``SweepConfig`` checks them."""
     mag_min, mag_max = _mag_range(mag_min, mag_max)
-    row = _sample_rows(_key_word("seed", seed), [_key_word("index", index)], mag_min, mag_max)[0]
+    row = _sample_rows(_key_word("seed", seed), _key_word("index", index), 1, mag_min, mag_max)[0]
     return ChannelGains(*row.tolist())
 
 
@@ -300,7 +299,7 @@ def _sampled_chunks(config: SweepConfig):
     channel at a thousand channels than at a chunk's 16, and each block
     is handed out in chunks."""
     for block in _chunks(range(config.samples), _BLOCK):
-        gains = _sample_rows(config.seed, block, config.mag_min, config.mag_max)
+        gains = _sample_rows(config.seed, block.start, len(block), config.mag_min, config.mag_max)
         for start in range(0, len(block), _CHUNK):
             yield block[start:start + _CHUNK], gains[start:start + _CHUNK]
 

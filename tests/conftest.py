@@ -38,4 +38,4 @@ def unit_channel() -> ChannelGains:
 
 def seeded_channels(seed: int, count: int, mag_min: float = 1e-3, mag_max: float = 1e3):
     """``sample_gains(seed, i, mag_min, mag_max)`` for i < count, drawn in one pass."""
-    return [ChannelGains(*row) for row in _sample_rows(seed, range(count), mag_min, mag_max).tolist()]
+    return [ChannelGains(*row) for row in _sample_rows(seed, 0, count, mag_min, mag_max).tolist()]

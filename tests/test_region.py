@@ -10,7 +10,7 @@ import icci.region
 from icci.bounds import BoundCoeffs, coeff_rows, gap_deltas, inner_coeffs, outer_coeffs
 from icci.channel import ChannelGains, GdofExponents
 from icci.cli import dispatch
-from icci.gdof import build_gdof_region, gdof_coeffs
+from icci.gdof import build_gdof_region, gdof_coeffs, gdof_rows
 from icci.region import (
     _BOUND_DISTINCT,
     _BOUND_ROW,
@@ -123,6 +123,34 @@ def test_build_is_bound_rhs_bit_for_bit():
         region = region_from_coeffs(c)
         assert region.label == c.side and region.rhs_vector().tobytes() == want[:, k].tobytes()
     assert build_gdof_region(families[-1]).rhs_vector().tobytes() == want[:, -1].tobytes()
+
+
+def g_prime_is_g(coeffs: np.ndarray, rhs: np.ndarray) -> bool:
+    """Do (10, N) coefficients hold G' as G bit for bit, and their (13, N)
+    rhs rows 5, 6, 9 and 10 as rows 7, 8, 11 and 12?"""
+    return (coeffs[8:].tobytes() == coeffs[6:8].tobytes()
+            and rhs[[5, 6, 9, 10]].tobytes() == rhs[[7, 8, 11, 12]].tobytes())
+
+
+def test_inner_and_gdof_g_prime_is_g_and_four_rows_drop_r0():
+    # the fact the icci.region docstring states once: on these families
+    # rows 5, 6, 9 and 10 are rows 7, 8, 11 and 12 without r0 at the same
+    # rhs, on both paths; the outer family breaks it, so the check can fail
+    patterns = np.array(BOUND_PATTERNS)
+    assert (patterns[[5, 6, 9, 10]] == patterns[[7, 8, 11, 12]] - (1, 0, 0)).all()
+    gains = ([ChannelGains(*m) for m in itertools.product(EDGES, repeat=4)]
+             + seeded_channels(42, 10000) + seeded_channels(7, 10000, 1e-6, 1e6))
+    batched = coeff_rows(np.array([(g.m11, g.m12, g.m21, g.m22) for g in gains]))
+    grid = np.array(list(itertools.product((0.0, 0.25, 0.5, 2.0 / 3.0, 1.0, 1.5, 2.0, 3.0), repeat=4)))
+    families = {
+        "inner": (batched[0], [inner_coeffs(g) for g in gains]),
+        "gdof": (gdof_rows(grid), [gdof_coeffs(GdofExponents(*e)) for e in grid.tolist()]),
+        "outer": (batched[1], [outer_coeffs(g) for g in gains]),
+    }
+    for side, (rows, scalar) in families.items():
+        scalar_rhs = np.array([region_from_coeffs(c).rhs_vector() for c in scalar]).T
+        for coeffs, rhs in ((rows, bound_rhs(rows)), (np.array([c.values for c in scalar]).T, scalar_rhs)):
+            assert g_prime_is_g(coeffs, rhs) == (side != "outer"), side
 
 
 def test_build_rejects_an_infinite_rhs():
@@ -239,9 +267,9 @@ def test_vertices_is_the_greedy_merge():
         for region in (build_inner(inner_coeffs(g)), build_outer(outer_coeffs(g))):
             want = merge_reference(*_candidates(region.rhs_vector()))
             assert vertices(region).tobytes() == want.tobytes(), (g, region.label)
-    # exact vertices closer than the radius: 15 of them, shown as 8
+    # exact vertices closer than the radius: 8 of them, shown as 5
     inner = build_inner(inner_coeffs(tiny))
-    assert (len(exact_vertices(inner)[1]), len(vertices(inner))) == (15, 8)
+    assert (len(exact_vertices(inner)[1]), len(vertices(inner))) == (8, 5)
 
 
 def test_vertex_merge_keeps_both_ends_of_a_chain(monkeypatch, worked_channel):
