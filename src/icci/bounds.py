@@ -25,20 +25,22 @@ x = x_ij.  With s = m_ii**2, G' there is G: (1 + s + i)/n - 1 equals
 (s + i(1 - x))/n because n = 1 + i*x, so ``_inner_args`` computes G once
 and gives it for G' too, and the inner family, like the exponent family
 of ``icci.gdof``, is eight numbers (``icci.region`` says what that makes
-of the region's rows).  The outer family
-evaluates the same ten roles against the raw channel with no splitting.
-The signed differences outer minus inner are bounded: below one bit for
-the A, D and E coefficients, at most one bit for G, and below two bits
-for G'.  (The G bound is tight: outer minus inner for G_1 equals
+of the region's rows).  The outer family evaluates the same ten roles
+against the raw channel with no splitting, G' with the beamforming gain
+(m_ii + m_ij)**2 that independent signalling gives up.  The signed
+differences outer minus inner are bounded: below one bit for the A, D
+and E coefficients, at most one bit for G, and below two bits for G'.
+(The G bound is tight: outer minus inner for G_1 equals
 log2(1 + min(m12**2, 1)), which is exactly one bit whenever m12 >= 1,
 and for G_2 the same in m21.)
 
 Each family's capacity arguments are written once, per receiver, in
-``_inner_args`` and ``_outer_args``: the scalar ``inner_coeffs`` and
-``outer_coeffs`` run them on Python floats once per receiver and
-interleave the two results into field order, and the batched
-``coeff_rows`` once on numpy columns stacked by receiver, in the same
-operations and order, so both give the same bits.
+``_inner_args`` and ``_outer_args``, every square a product: the scalar
+``inner_coeffs`` and ``outer_coeffs`` run them on Python floats once
+per receiver and build through ``_family``, one refusal by name of a
+gain past the float range, and the batched ``coeff_rows`` once on numpy
+columns stacked by receiver, in the same operations and order, so both
+give the same bits.
 
 Every family of ten is one type, ``BoundCoeffs``: the values in the
 fixed order of ``_COEFF_FIELDS``, keyed by ``_COEFF_KEYS``, and a side
@@ -142,17 +144,17 @@ def _inner_args(s, i, x, x_other):
     return s * x_other / n, s / n, (s * x_other + i * (1.0 - x)) / n, g, g
 
 
-def _outer_args(s, i, i_other, b):
+def _outer_args(s, i, i_other, t):
     """The five ``cap`` arguments of the outer family at one receiver,
     from its direct and cross powers, the other receiver's cross power
-    and its squared sum b = (m_ii + m_ij)**2; on floats or numpy columns,
-    as ``_inner_args``."""
+    and its summed gains t = m_ii + m_ij, the square t * t being G'; on
+    floats or numpy columns, as ``_inner_args``."""
     return (
         s / (1.0 + i_other),
         s,
         i + s / (1.0 + i_other),
         s + i,
-        b,
+        t * t,
     )
 
 
@@ -165,23 +167,26 @@ def _powers(gains: ChannelGains) -> tuple[float, float, float, float]:
 _FIELD_ORDER = operator.itemgetter(0, 5, 1, 6, 2, 7, 3, 8, 4, 9)
 
 
+def _family(side: str, gains: ChannelGains, args) -> BoundCoeffs:
+    """The side family from both receivers' ``cap`` arguments."""
+    try:
+        return BoundCoeffs(tuple(map(cap, _FIELD_ORDER(args))), side)
+    except ValueError:   # finite gains give a NaN (cap) or inf (BoundCoeffs) only by overflow
+        raise ValueError(f"an {side} coefficient of {gains} is too large for a float") from None
+
+
 def inner_coeffs(gains: ChannelGains) -> BoundCoeffs:
     """Achievable-side coefficients under the noise-floor power split."""
     s1, s2, i1, i2 = _powers(gains)
     x12, x21 = power_split(gains)
-    args = _FIELD_ORDER(_inner_args(s1, i1, x12, x21) + _inner_args(s2, i2, x21, x12))
-    return BoundCoeffs(tuple(map(cap, args)), "inner")
+    return _family("inner", gains, _inner_args(s1, i1, x12, x21) + _inner_args(s2, i2, x21, x12))
 
 
 def outer_coeffs(gains: ChannelGains) -> BoundCoeffs:
     """Converse-side coefficients evaluated on the raw channel."""
-    try:  # Python's float power raises where a summed square passes the float range
-        b1, b2 = (gains.m11 + gains.m12) ** 2, (gains.m22 + gains.m21) ** 2
-    except OverflowError:
-        raise ValueError(f"an outer coefficient of {gains} is too large for a float") from None
     s1, s2, i1, i2 = _powers(gains)
-    args = _FIELD_ORDER(_outer_args(s1, i1, i2, b1) + _outer_args(s2, i2, i1, b2))
-    return BoundCoeffs(tuple(map(cap, args)), "outer")
+    t1, t2 = gains.m11 + gains.m12, gains.m22 + gains.m21
+    return _family("outer", gains, _outer_args(s1, i1, i2, t1) + _outer_args(s2, i2, i1, t2))
 
 
 def coeff_rows(gains: np.ndarray) -> np.ndarray:
@@ -196,19 +201,15 @@ def coeff_rows(gains: np.ndarray) -> np.ndarray:
     so each of the ten results is a coefficient's two receiver rows and
     they stack straight into field order.  Each element sees the
     operations of ``inner_coeffs`` and ``outer_coeffs``; only the split
-    and the squared sums are taken per type, each giving the scalar
-    bits.  cap goes through libm's log1p as ``cap`` does (numpy's SIMD
-    log1p may differ from it in the last bit), so every value is
-    bit-identical to the scalar family's.
+    is taken per type, with the scalar bits.  cap goes through libm's
+    log1p as ``cap`` does (numpy's SIMD log1p may differ from it in the
+    last bit), so every value is bit-identical to the scalar family's.
     """
     m = np.asarray(gains, dtype=float).T
     own, cross = m[::3], m[1:3]   # (m11, m22) and (m12, m21)
     s, i = own * own, cross * cross
     x = 1.0 / np.maximum(i, 1.0)
-    # Python's float power, as in outer_coeffs: libm's pow(t, 2) is not
-    # always the correctly rounded t * t of numpy's power
-    b = np.array([t ** 2 for t in (own + cross).ravel().tolist()]).reshape(own.shape)
-    args = np.array(_inner_args(s, i, x, x[::-1]) + _outer_args(s, i, i[::-1], b))
+    args = np.array(_inner_args(s, i, x, x[::-1]) + _outer_args(s, i, i[::-1], own + cross))
     caps = np.fromiter(map(math.log1p, args.ravel().tolist()), float, args.size) / _LN2
     return caps.reshape(2, len(_COEFF_FIELDS), m.shape[1])
 

@@ -144,7 +144,6 @@ _RHS_INDEX = np.array([[_COEFF_FIELDS.index(name) for name in terms] + [len(_COE
 _RHS_TERMS = tuple(map(tuple, _RHS_INDEX.T.tolist()))   # the same, one index triple per row
 # the distinct patterns of BOUND_PATTERNS, in order of first appearance
 _BOUND_DISTINCT = tuple(dict.fromkeys(BOUND_PATTERNS))
-_ROW_WEIGHT = np.sum(BOUND_PATTERNS, axis=1)[:, None]   # sum(c) of each row
 # the sides of a coefficient family that make a region: a delta family makes none
 _REGION_SIDES = ("inner", "outer", "gdof")
 
@@ -498,11 +497,12 @@ def _gap_rows(cover_rhs: np.ndarray, reach: np.ndarray, bits, clip: bool) -> np.
     per-rate shift lowers every c . v by bits * sum(c); the clipped one
     has c . max(v - bits, 0) = max over subsets S of the rates of
     c_S . v - bits * sum(c_S), so its largest value is the largest such
-    difference over the restrictions of c, or 0 for the empty subset."""
+    difference over the restrictions of c, or 0 for the empty subset;
+    each objective is shifted once, the patterns' own first."""
+    top = reach - bits * _OBJECTIVE_WEIGHT
     if clip:
-        top = np.maximum.reduceat((reach - bits * _OBJECTIVE_WEIGHT)[_RESTRICTIONS], _RESTRICTION_STARTS)
-        return cover_rhs - np.maximum(top, 0.0)[_BOUND_ROW]
-    return cover_rhs - (reach[_BOUND_ROW] - bits * _ROW_WEIGHT)
+        top = np.maximum(np.maximum.reduceat(top[_RESTRICTIONS], _RESTRICTION_STARTS), 0.0)
+    return cover_rhs - top[_BOUND_ROW]
 
 
 def _gap_certificate(cover: RateRegion, target: RateRegion, bits: float, clip: bool) -> GapCertificate:

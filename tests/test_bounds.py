@@ -20,8 +20,9 @@ from icci.bounds import (
     power_split,
 )
 from icci.channel import ChannelGains, GdofExponents
-from icci.gaussian_mi import mutual_info_terms
+from icci.gaussian_mi import mi_discrepancy, mutual_info_terms
 from icci.gdof import gdof_coeffs
+from icci.sweep import sample_gains
 
 from conftest import seeded_channels
 from test_gaussian_mi import EDGES
@@ -95,6 +96,20 @@ class TestOuterCoeffs:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=re.escape(f"of {gains} is too large for a float")):
                 outer_coeffs(gains)
+
+
+# gains whose square, or sum of squares, passes the float range: the
+# inner family meets NaN at (1, 1e160, 1, 1) and inf at the others
+OVERFLOWING = [ChannelGains(1, 1e160, 1, 1), ChannelGains(1e200, 1, 1, 1), ChannelGains(1e154, 1e154, 1, 1)]
+
+
+@pytest.mark.parametrize("gains", OVERFLOWING)
+@pytest.mark.parametrize("family", [inner_coeffs, outer_coeffs, gap_deltas, mi_discrepancy])
+def test_a_gain_past_the_float_range_is_refused_by_name(family, gains):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"of {gains} is too large for a float")):
+            family(gains)
 
 
 class TestDeltas:
@@ -200,13 +215,30 @@ def test_coeff_validation_rule():
             BoundCoeffs(values, side)
 
 
+# The sampled channels, of the first 10000 of each stream, on which a
+# summed gain t = m_ii + m_ij has glibc's pow(t, 2) one ulp further from
+# the exact square than t * t: 39 of 30000
+POW_SQUARE_CHANNELS = {
+    (42, 1e-3, 1e3): (1009, 1615, 2522, 4339, 4632, 4832, 5242, 5782, 6103, 7351, 8045, 8052, 8161, 8260, 9010, 9684),
+    (7, 1e-6, 1e6): (443, 456, 944, 1732, 1873, 2774, 3066, 3688, 5102, 6399, 7143),
+    (3, 1e-6, 1e6): (678, 1527, 1812, 2345, 3926, 4309, 4496, 4978, 5929, 7495, 9067, 9402),
+}
+
+
 def test_coeff_rows_are_the_scalar_families_bit_for_bit():
-    # the wide envelope, and the 1296 channels of the MI oracle's edge grid
-    gains = seeded_channels(3, 300, 1e-6, 1e6) + [ChannelGains(*m) for m in itertools.product(EDGES, repeat=4)]
+    # the wide envelope, the 1296 channels of the MI oracle's edge grid,
+    # and the channels where a power would round the outer G' square apart
+    squares = [sample_gains(seed, k, lo, hi) for (seed, lo, hi), ks in POW_SQUARE_CHANNELS.items() for k in ks]
+    gains = (seeded_channels(3, 300, 1e-6, 1e6) + [ChannelGains(*m) for m in itertools.product(EDGES, repeat=4)]
+             + squares)
     rows = coeff_rows(np.array([(g.m11, g.m12, g.m21, g.m22) for g in gains]))
     for n, g in enumerate(gains):
         for side, coeffs in enumerate((inner_coeffs(g), outer_coeffs(g))):
             assert rows[side, :, n].tolist() == list(coeffs.values), g
+    for g in squares:
+        t1, t2 = g.m11 + g.m12, g.m22 + g.m21
+        c = outer_coeffs(g)
+        assert (c.g1p, c.g2p) == (cap(t1 * t1), cap(t2 * t2)), g
 
 
 # float.hex of the inner and the outer family, each in field order, as

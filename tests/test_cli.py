@@ -12,6 +12,7 @@ import icci
 from icci.cli import dispatch
 from icci.sweep import check_channel, sample_gains
 
+from test_bounds import OVERFLOWING
 from test_sweep import EDGE_CHANNELS, TIE_CHANNELS
 
 WORKED = ["--m11", "10", "--m12", "3.16227766016837933", "--m21", "3.16227766016837933", "--m22", "10"]
@@ -295,6 +296,15 @@ def test_bad_sampling_argument_is_invalid_input(capsys, argv):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith("icci: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("gains", OVERFLOWING)
+@pytest.mark.parametrize("command", [["bounds"], ["region", "--side", "inner"], ["gap"]])
+def test_a_gain_past_the_float_range_is_refused_by_name(capsys, command, gains):
+    flags = [word for key, m in gains.as_dict().items() for word in (f"--{key}", repr(m))]
+    code, out, err = run(capsys, [*command, *flags])
+    assert (code, out) == (2, "")
+    assert f"of {gains} is too large for a float" in err
 
 
 def test_runs_on_numpy_alone(capsys):

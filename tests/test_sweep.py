@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -161,13 +162,20 @@ class TestCheckChannel:
         assert check.gap_slack < 0
         assert 0 <= check.gap_constraint < 13
 
+    def test_passed_judges_the_deltas_at_the_check_tol(self):
+        # as the ChannelCheck docstring and the README say: the G2 delta of
+        # this channel is 3.6e-15 over its budget, judged when the check is made
+        gains = sample_gains(42, 2)
+        assert gap_deltas(gains).g2 - 1.0 == pytest.approx(3.6e-15, rel=0.02)
+        loose, strict = (check_channel(2, gains, bits=2.0, tol=tol) for tol in (1e-9, 0.0))
+        assert loose.passed(1e-9) and not strict.passed(1e-9)
 
     @pytest.mark.parametrize("gains", [ChannelGains(1e200, 1, 1, 1), ChannelGains(1, 1e160, 1, 1),
                                        ChannelGains(1e154, 1e154, 1, 1)])
     def test_a_coefficient_past_the_float_range_is_invalid_input(self, gains):
         # as the scalar families reject these gains, so does the core,
         # with no overflow warning on the way
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"of {gains} is too large for a float")):
             inner_coeffs(gains)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
