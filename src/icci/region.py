@@ -463,30 +463,15 @@ def _reach(rhs: np.ndarray) -> np.ndarray:
     dense table ``_DUAL_DENSE``, then one minimum per objective's run
     along the contiguous axis.  einsum sums each y . b over the patterns
     in order, adding an exact 0.0 for every pattern the multiplier does
-    not use, so a value is the one ``_reach_by_terms`` sums from its at
-    most three terms, bit for bit (a test pins that order, which numpy
-    does not document).  Every term y_j b_j is nonnegative, so a sum is
-    within about 4 u of itself.  An infinite b would make 0 * inf = NaN
-    in the dense product: ``RateRegion`` refuses an infinite rhs and the
-    sweep raises on an overflow, and the exponent region near the top of
-    the float range, the one input that can have one, takes the term
-    form (``icci.gdof``).  Every operation is elementwise or reduces
-    within one column, so each region's results are bitwise the same
-    whatever N is.
+    not use, so a value is its at most three nonzero terms summed in
+    plane order, bit for bit (a test pins that order, which numpy does
+    not document).  Every term y_j b_j is nonnegative, so a sum is
+    within about 4 u of itself.  Every operation is elementwise or
+    reduces within one column, so each region's results are bitwise the
+    same whatever N is.
     """
     value = np.einsum("jn,jm->nm", _least_rhs(rhs), _DUAL_DENSE, optimize=False)
     return np.minimum.reduceat(value, _DUAL_STARTS, axis=1).T
-
-
-def _reach_by_terms(b: np.ndarray) -> np.ndarray:
-    """``_reach`` from the (10, N) least rhs b, each multiplier summed
-    from its nonzero terms alone, plane by plane in plane order, so no
-    0 * b is formed."""
-    value = np.zeros((_DUAL_DENSE.shape[1], b.shape[1]))
-    for y, b_p in zip(_DUAL_DENSE, b):
-        used = np.flatnonzero(y)
-        value[used] += y[used, None] * b_p
-    return np.minimum.reduceat(value, _DUAL_STARTS, axis=0)
 
 
 def _gap_rows(cover_rhs: np.ndarray, reach: np.ndarray, bits, clip: bool) -> np.ndarray:

@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import coeff_rows, delta_rows_within_limits
+from .bounds import coeff_rows, delta_rows_within_limits, gap_deltas
 from .channel import ChannelGains, _int, _nonneg_finite, _real
 from .region import MEMBERSHIP_TOL, _gap_rows, _reach, bound_rhs
 
@@ -197,6 +197,9 @@ def _sample_rows(seed: int, start: int, count: int, mag_min: float, mag_max: flo
     the block packed into a 128-bit lane of one Python int per word, so
     a lane's 64 x 64-bit product fits its own lane and one int multiply
     is every lane's mulhilo.  Round 1 at that counter is (k0, 0, k1, M0).
+    The power of mag_min * (mag_max / mag_min) ** u is libm's, in Python
+    floats: numpy picks an SVML kernel on AVX-512 hosts at run time, which
+    differs on 5.3 % of these uniforms (``coeff_rows`` says why it matters).
     """
     ones = int.from_bytes(_ONE_LANE * count, "little")
     low = ones * _WORD   # the low word of every lane
@@ -216,7 +219,7 @@ def _sample_rows(seed: int, start: int, count: int, mag_min: float, mag_max: flo
     packed = (x0 | x1 << 64).to_bytes(size, "little") + (x2 | x3 << 64).to_bytes(size, "little")
     raw = np.frombuffer(packed, dtype="<u8").reshape(2, count, 2).swapaxes(0, 1).reshape(count, 4)
     u = (raw >> np.uint64(11)) * 2.0 ** -53
-    return mag_min * (mag_max / mag_min) ** u
+    return mag_min * ((mag_max / mag_min) ** u.astype(object)).astype(float)
 
 
 def sample_gains(seed: int, index: int, mag_min: float = 1e-3, mag_max: float = 1e3) -> ChannelGains:
@@ -268,8 +271,13 @@ def _check_chunk(indices, gains: Sequence[ChannelGains], bits: float, tol: float
     try:  # finite gains make a coefficient infinite only through an overflow
         with np.errstate(over="raise"):
             results = [r.tolist() for r in _certify(_gain_rows(gains), bits, tol)]
-    except FloatingPointError:
-        raise ValueError("a coefficient of these gains is not finite: a gain is too large") from None
+    except FloatingPointError:   # refused as the scalar families refuse the first such entry
+        for index, g in zip(indices, gains):
+            try:
+                gap_deltas(g)
+            except ValueError as err:
+                raise ValueError(f"channel {index}: {err}") from None
+        raise
     return [ChannelCheck(*fields) for fields in zip(indices, gains, *results)]
 
 
@@ -277,7 +285,8 @@ def check_channels(
     gains: Sequence[ChannelGains], bits: float = 1.0, tol: float = MEMBERSHIP_TOL
 ) -> list[ChannelCheck]:
     """``check_channel`` on every channel, indexed by position, in
-    batched passes of the certification core."""
+    batched passes of the certification core; the first entry that
+    overflows is refused by index, in the scalar families' words."""
     bits, tol = _nonneg_finite("bits", bits), _nonneg_finite("tol", tol)
     return [check for part in _chunks(range(len(gains)))
             for check in _check_chunk(part, gains[part.start:part.stop], bits, tol)]

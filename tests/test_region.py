@@ -15,6 +15,8 @@ from icci.region import (
     _BOUND_DISTINCT,
     _BOUND_ROW,
     _CANDIDATE_RTOL,
+    _DUAL_DENSE,
+    _DUAL_STARTS,
     _OBJECTIVE_WEIGHT,
     BOUND_PATTERNS,
     MEMBERSHIP_TOL,
@@ -24,7 +26,6 @@ from icci.region import (
     _least_rhs,
     _plane_solver,
     _reach,
-    _reach_by_terms,
     bound_rhs,
     build_inner,
     build_outer,
@@ -375,8 +376,19 @@ def both_regions_rhs(gains) -> np.ndarray:
     return bound_rhs(coeff_rows(gains).swapaxes(0, 1)).reshape(len(BOUND_PATTERNS), -1)
 
 
+def reach_by_terms(b: np.ndarray) -> np.ndarray:
+    """The reference of ``_reach`` from the (10, N) least rhs b, each
+    multiplier summed from its nonzero terms alone, plane by plane in
+    plane order, so no 0 * b is formed."""
+    value = np.zeros((_DUAL_DENSE.shape[1], b.shape[1]))
+    for y, b_p in zip(_DUAL_DENSE, b):
+        used = np.flatnonzero(y)
+        value[used] += y[used, None] * b_p
+    return np.minimum.reduceat(value, _DUAL_STARTS, axis=0)
+
+
 def assert_reach_is_the_term_form(rhs, sizes):
-    want = _reach_by_terms(_least_rhs(rhs))
+    want = reach_by_terms(_least_rhs(rhs))
     assert not np.isnan(want).any()
     for size in sizes:
         got = np.concatenate([_reach(rhs[:, s:s + size]) for s in range(0, rhs.shape[1], size)], axis=1)

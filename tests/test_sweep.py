@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import math
 import os
 import re
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import icci
-from icci.bounds import deltas_within_limits, gap_deltas, inner_coeffs, outer_coeffs
+from icci.bounds import coeff_rows, deltas_within_limits, gap_deltas, inner_coeffs, outer_coeffs
 from icci.channel import ChannelGains
 from icci.region import (
     _BOUND_DISTINCT,
@@ -47,6 +48,7 @@ from icci.sweep import (
 )
 
 from conftest import seeded_channels
+from test_bounds import PINNED_BITS
 
 # The batched core's slacks agree with the region API, and with exact
 # rational arithmetic, within this bound.
@@ -79,7 +81,7 @@ class TestSampling:
             if i not in uniforms:
                 key = np.array([seed, i], dtype=np.uint64)
                 uniforms[i] = np.random.Generator(np.random.Philox(key=key)).uniform(size=4)
-            return lo * (hi / lo) ** uniforms[i]
+            return np.array([lo * (hi / lo) ** u for u in uniforms[i].tolist()])   # libm's pow
 
         blocks = (range(_BLOCK - 1), range(_BLOCK), range(_BLOCK + 1), range(2 * _BLOCK + 1))
         for lo, hi in ((1e-3, 1e3), (1e-6, 1e6), (2.0, 2.0)):
@@ -173,16 +175,17 @@ class TestCheckChannel:
     @pytest.mark.parametrize("gains", [ChannelGains(1e200, 1, 1, 1), ChannelGains(1, 1e160, 1, 1),
                                        ChannelGains(1e154, 1e154, 1, 1)])
     def test_a_coefficient_past_the_float_range_is_invalid_input(self, gains):
-        # as the scalar families reject these gains, so does the core,
-        # with no overflow warning on the way
-        with pytest.raises(ValueError, match=re.escape(f"of {gains} is too large for a float")):
+        # as the scalar families reject these gains, so does the core, in
+        # their words and naming the entry, with no overflow warning on the way
+        message = f"an inner coefficient of {gains} is too large for a float"
+        with pytest.raises(ValueError, match=re.escape(message)):
             inner_coeffs(gains)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="not finite"):
-                check_channel(0, gains)
-            with pytest.raises(ValueError, match="not finite"):
-                check_channels([ChannelGains(1, 1, 1, 1), gains])
+            with pytest.raises(ValueError, match=re.escape(f"channel 7: {message}")):
+                check_channel(7, gains)
+            with pytest.raises(ValueError, match=re.escape(f"channel 1: {message}")):
+                check_channels([ChannelGains(1, 1, 1, 1), gains, ChannelGains(1e300, 1, 1, 1)])
 
     def test_huge_gains_with_finite_coefficients_are_checked(self):
         gains = ChannelGains(1e150, 1e150, 1e150, 1e150)
@@ -483,10 +486,11 @@ def test_every_entry_rejects_a_bad_budget_or_tolerance(value):
             pytest.fail(name)
 
 
-def fresh_modules(code: str) -> str:
-    """The stdout of code in a fresh interpreter that imports this icci."""
+def fresh_modules(code: str, **environ: str) -> str:
+    """The stdout of code in a fresh interpreter that imports this icci,
+    with these environment variables set."""
     src = os.path.dirname(os.path.dirname(icci.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, **environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
@@ -512,19 +516,56 @@ def test_sampling_leaves_numpy_random_unimported():
     assert fresh_modules(code).strip() == "False"
 
 
-@pytest.mark.parametrize(("seed", "mag_min", "mag_max", "bits", "digest"), [
-    (42, 1e-3, 1e3, 1.0, "518c9ba35a85686b"),   # the acceptance channels
-    (7, 1e-6, 1e6, 2.0, "44294e7700a30c92"),    # the whole envelope
-])
-def test_certificates_are_pinned(seed, mag_min, mag_max, bits, digest):
-    # every field of every check on 10000 channels, bit for bit, with
-    # inner G' computed as G; like test_coefficient_bits_are_pinned, the
-    # pin also holds libm's log1p and numpy's einsum order
+PINNED_CERTIFICATES = [
+    (42, 1e-3, 1e3, 1.0, "ee774d83fd517b0e"),   # the acceptance channels
+    (7, 1e-6, 1e6, 2.0, "3de49a6c6a028a41"),    # the whole envelope
+]
+
+
+def certificate_digest(seed, mag_min, mag_max, bits) -> str:
+    """The sha256 prefix of every field of every check on 10000 channels."""
     checks = check_channels(seeded_channels(seed, 10000, mag_min, mag_max), bits=bits)
     lines = [f"{c.index} {c.gains.m11.hex()} {c.gains.m12.hex()} {c.gains.m21.hex()} {c.gains.m22.hex()}"
              f" {int(c.deltas_ok)} {c.containment_slack.hex()} {c.gap_slack.hex()} {c.gap_constraint}"
              f" {c.per_rate_gap_slack.hex()}" for c in checks]
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == digest
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(("seed", "mag_min", "mag_max", "bits", "digest"), PINNED_CERTIFICATES)
+def test_certificates_are_pinned(seed, mag_min, mag_max, bits, digest):
+    # every field of every check on 10000 channels, bit for bit, with
+    # inner G' computed as G; like test_coefficient_bits_are_pinned, the
+    # pin also holds libm's pow and log1p and numpy's einsum order
+    assert certificate_digest(seed, mag_min, mag_max, bits) == digest
+
+
+def pinned_values() -> list:
+    """What the two bit pins compare, as computed here: the certificate
+    digests and, per pinned channel, the hex bits of both scalar families
+    and of ``coeff_rows``."""
+    coefficients = [[[v.hex() for v in f(ChannelGains(*mags)).values] for f in (inner_coeffs, outer_coeffs)]
+                    + [[v.hex() for v in row] for row in coeff_rows(np.array([mags]))[:, :, 0].tolist()]
+                    for mags in PINNED_BITS]
+    return [[certificate_digest(*pin[:4]) for pin in PINNED_CERTIFICATES], coefficients]
+
+
+def test_pinned_bits_do_not_depend_on_numpy_cpu_dispatch():
+    # numpy picks SIMD kernels at run time; with every dispatched feature
+    # this CPU has switched off, the pinned values must not move.  On a CPU
+    # without AVX-512 there is no other kernel to pick, so the test passes
+    # trivially there; on an AVX-512 CPU it fails as soon as the core takes
+    # a transcendental from numpy (numpy's power in the sampler gave other
+    # certificate digests)
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:   # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    disabled = " ".join(name for name in __cpu_dispatch__ if __cpu_features__.get(name))
+    code = ("import json, sys\n"
+            f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+            "import test_sweep\n"
+            "print(json.dumps(test_sweep.pinned_values()))\n")
+    assert json.loads(fresh_modules(code, NPY_DISABLE_CPU_FEATURES=disabled)) == pinned_values(), disabled
 
 
 def assert_shows_the_exact_vertices(g: ChannelGains) -> None:
