@@ -16,7 +16,7 @@ import time
 from .bounds import BoundCoeffs, coeff_deltas, inner_coeffs, outer_coeffs
 from .channel import ChannelGains, _nonneg_finite
 from .gaussian_mi import CovarianceError, mi_discrepancy, successive_decode_chain
-from .gdof import _write_curve_rows, dof_curve_samples
+from .gdof import _curve_grid, _curve_passes, _write_curve_rows
 from .region import MEMBERSHIP_TOL, build_inner, build_outer, region_as_dict, within_bits_slack
 from .sweep import SweepConfig, _sampled_chunks, run_gap_sweep
 
@@ -109,13 +109,14 @@ def _cmd_gap(args: argparse.Namespace) -> int:
 
 
 def _cmd_gdof_curve(args: argparse.Namespace) -> int:
-    # the samples check the grid first, so a bad grid exits before --out is opened
-    samples = dof_curve_samples(args.alpha_min, args.alpha_max, args.step)
+    # the grid is checked here, so a bad grid exits before --out is opened;
+    # the rows are computed pass by pass as they are written
+    passes = _curve_passes(*_curve_grid(args.alpha_min, args.alpha_max, args.step))
     if args.out == "-":
-        _write_curve_rows(sys.stdout, samples)
+        _write_curve_rows(sys.stdout, passes)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            _write_curve_rows(handle, samples)
+            _write_curve_rows(handle, passes)
     return 0
 
 

@@ -25,14 +25,20 @@ Python ints: each float gain is exactly M / D with one common power of
 two D, and a ratio Var(Y | C) / Var(Y | C, S) is unchanged when Y or a
 conditioner is rescaled, so Y_i is scaled by D and U_i by M**2 over the
 cross gain M / D its private part crosses (U_i is the constant 0 where
-M**2 <= D**2, its public power being zero).  Bareiss's fraction-free
-elimination (Math. Comp. 22, 1968) along a chain of conditioners gives
-each Var(y | first k) = det(S_k + y) / det(S_k) as a pair of ints, so a
-value rounds only where its variance ratio becomes a float (one
-correctly rounded int division) and in the log2, within about 1e-14
-bits of the closed forms over the whole accepted envelope.  A
-conditioner of exactly zero variance given the earlier ones is a
-constant and is skipped.
+M**2 <= D**2, its public power being zero).  A receiver's four values
+need six conditional variances of its output y, with x its own signal,
+u its own public part and v the other one.  Bareiss's fraction-free
+elimination (Math. Comp. 22, 1968) along the one chain (v, x, u) gives
+each Var(y | first k) = det(S_k + y) / det(S_k) as a pair of ints, and
+the other two are exact 2x2 Schur complements of the (u, y) block, in
+the covariance for Var(y | u) and after the chain's first step for
+Var(y | v, u): (s_uu s_yy - s_uy**2) / (prev s_uu), prev being the
+step's pivot S_vv (1 before it, or where v is constant).  So a value
+rounds only where its variance ratio becomes a float (one correctly
+rounded int division) and in the log2, within about 1e-14 bits of the
+closed forms over the whole accepted envelope.  A conditioner of
+exactly zero variance given the earlier ones is a constant and is
+skipped, as u is in a complement.
 """
 
 from __future__ import annotations
@@ -77,12 +83,16 @@ def _joint_covariance(gains: ChannelGains) -> list[list[int]]:
     ]
 
 
-def _chain_variances(cov: list[list[int]], y: int, order: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Var(y | first k of order), k = 0 .. len(order), as (numerator,
-    denominator) pairs of ints, by fraction-free elimination."""
+def _eliminate(cov: list[list[int]], y: int, order: tuple[int, ...]):
+    """Fraction-free elimination of the covariance of (*order, y) along
+    order, one conditioner at a time: yields (s, prev) before the first
+    step and after each, where s[a][b] (a <= b) is prev times the
+    covariance of entries a and b given the conditioners eliminated so
+    far.  s is updated in place, so read it before the next step."""
     keep = (*order, y)
     s = [[cov[a][b] for b in keep] for a in keep]
-    prev, out = 1, [(s[-1][-1], 1)]
+    prev = 1
+    yield s, prev
     for t in range(len(order)):
         pivot, row = s[t][t], s[t]
         if pivot < 0:
@@ -94,17 +104,52 @@ def _chain_variances(cov: list[list[int]], y: int, order: tuple[int, ...]) -> li
                 for b in range(a, len(keep)):
                     sa[b] = (pivot * sa[b] - f * row[b]) // prev
             prev = pivot
-        out.append((s[-1][-1], prev))
-    if out[-1][0] <= 0:
-        raise CovarianceError(f"conditional variance {out[-1][0] / prev:.3e} is not positive")
+        yield s, prev
+
+
+def _positive(var: tuple[int, int]) -> tuple[int, int]:
+    """A final conditional variance (numerator, denominator), if it is positive."""
+    if var[0] <= 0:
+        raise CovarianceError(f"conditional variance {var[0] / var[1]:.3e} is not positive")
+    return var
+
+
+def _chain_variances(cov: list[list[int]], y: int, order: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Var(y | first k of order), k = 0 .. len(order), as (numerator,
+    denominator) pairs of ints, by fraction-free elimination."""
+    out = [(s[-1][-1], prev) for s, prev in _eliminate(cov, y, order)]
+    _positive(out[-1])
     return out
 
 
+def _schur(s_uu: int, s_uy: int, s_yy: int, prev: int) -> tuple[int, int]:
+    """Var(y | C, u) from the (u, y) block of an elimination given C, each
+    entry prev times a covariance given C: the 2x2 Schur complement
+    (s_uu s_yy - s_uy**2) / (prev s_uu), or Var(y | C) if u is constant."""
+    if s_uu < 0:
+        raise CovarianceError(f"negative pivot {s_uu / prev:.3e} at a public part")
+    return _positive((s_uu * s_yy - s_uy * s_uy, prev * s_uu) if s_uu else (s_yy, prev))
+
+
+def _receiver_variances(cov: list[list[int]], y: int, x: int, u: int, v: int) -> tuple[tuple[int, int], ...]:
+    """Var(y | C) for C = (), (v), (v, x), (v, x, u), (u) and (v, u), as
+    (numerator, denominator) pairs, at the receiver observing y, own
+    signal x with public part u, other public part v: one chain (v, x, u)
+    gives the first four, and the (u, y) block before and after its first
+    step the last two."""
+    steps = _eliminate(cov, y, (v, x, u))   # s has rows v, x, u, y
+    s, _ = next(steps)
+    var, var_u = (s[3][3], 1), _schur(s[2][2], s[2][3], s[3][3], 1)
+    s, prev = next(steps)
+    var_v, var_uv = (s[3][3], prev), _schur(s[2][2], s[2][3], s[3][3], prev)
+    var_vx, var_vxu = [(s[3][3], prev) for s, prev in steps]
+    return var, var_v, var_vx, _positive(var_vxu), var_u, var_uv
+
+
 def _receiver_terms(cov: list[list[int]], y: int, x: int, u: int, v: int) -> tuple[float, ...]:
-    """(a, d, e, g) at the receiver observing y, own signal x with public
-    part u, other public part v: two chains give the six variances used."""
-    var, var_v, var_vx, var_vxu = _chain_variances(cov, y, (v, x, u))
-    _, var_u, var_uv = _chain_variances(cov, y, (u, v))
+    """(a, d, e, g) at that receiver, each a log2 ratio of two of its
+    ``_receiver_variances``."""
+    var, var_v, var_vx, var_vxu, var_u, var_uv = _receiver_variances(cov, y, x, u, v)
     return tuple(math.log2(n_small * d_big / (d_small * n_big)) for (n_small, d_small), (n_big, d_big) in
                  ((var_uv, var_vxu), (var_v, var_vx), (var_u, var_vxu), (var, var_vx)))
 

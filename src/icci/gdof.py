@@ -67,16 +67,17 @@ __all__ = [
 
 CURVE_CSV_HEADER = ("alpha", "d_ic", "d_icci", "d_uplift", "d_icci_lp")
 # A curve is for plotting; the default grid has 301 points.  On the
-# largest grid, 10**5 points, ``dof_curve_samples`` takes about 0.9 s and
-# peaks at about 57 MB RSS in process, and ``icci gdof-curve``, which
-# writes each row as it is formatted, about 1.1 s and 65 MB, against
-# 32 MB on the default grid (shared 2-vCPU Xeon): each point is a sample
-# held in memory.
+# largest grid, 10**5 points, ``dof_curve_samples`` takes about 0.8 s and
+# peaks at about 58 MB RSS in process, each point a sample held in memory,
+# while ``icci gdof-curve``, which writes each pass of rows as it is
+# computed, takes about 1.3 s and peaks at 33 MB, against 31 MB on the
+# default grid (shared 2-vCPU Xeon).
 _MAX_CURVE_POINTS = 10**5
 # Alphas per pass of the batched optimizer.  A pass holds a few KB of
 # temporaries per alpha, mostly the (N, 232) product of _reach: passes of
 # 8192 peaked at 84 MB on the largest grid, and one pass would need about
-# 600 MB.  At 1024 the peak is that of the samples themselves.
+# 600 MB.  At 1024 the command's peak on the largest grid is 2 MB above
+# the default grid's.
 _CURVE_PASS = 1024
 
 
@@ -165,11 +166,12 @@ def _symmetric_reach(alphas) -> np.ndarray:
     """
     exponents = np.ones((len(alphas), 4))
     exponents[:, 1] = exponents[:, 2] = alphas
-    scale = 1.0
+    scale = None
     if max(alphas) > _FINITE_ALPHA:   # a scale costs numpy calls: only a pass that needs one builds it
         scale = np.where(exponents[:, 1] > _FINITE_ALPHA, 2.0 ** -4, 1.0)
         exponents *= scale[:, None]
-    return _reach(bound_rhs(gdof_rows(exponents))) / scale
+    reach = _reach(bound_rhs(gdof_rows(exponents)))
+    return reach if scale is None else reach / scale
 
 
 def per_user_dof_optimum(alpha: float, allow_common: bool = True) -> float:
@@ -263,11 +265,9 @@ def multiplexing_targets(exponents: GdofExponents) -> dict[str, float]:
     return gdof_coeffs(exponents).as_dict()
 
 
-def dof_curve_samples(
-    alpha_min: float = 0.0, alpha_max: float = 3.0, step: float = 0.01
-) -> list[DofCurveSample]:
-    """Closed-form curve values and the dual-table optimum on an inclusive
-    grid, the optima in fixed passes of the batched core."""
+def _curve_grid(alpha_min, alpha_max, step) -> tuple[float, float, int]:
+    """The inclusive grid alpha_min, alpha_min + step, ..., alpha_max as
+    (alpha_min, step, points), checked before any point is computed."""
     alpha_min = _nonneg_finite("alpha_min", alpha_min)
     alpha_max = _nonneg_finite("alpha_max", alpha_max)
     step = _real("step", step)
@@ -278,12 +278,26 @@ def dof_curve_samples(
     points = (alpha_max - alpha_min) / step + 1e-9   # the grid has int(points) + 1 points
     if not points < _MAX_CURVE_POINTS:   # inf included
         raise ValueError(f"the grid {alpha_min}..{alpha_max} in steps of {step} has over {_MAX_CURVE_POINTS} points")
-    alphas = [alpha_min + k * step for k in range(int(points) + 1)]
-    optima = []
-    for start in range(0, len(alphas), _CURVE_PASS):
-        optima += (_symmetric_reach(alphas[start:start + _CURVE_PASS])[_SUM_ALL] / 2.0).tolist()
-    return [DofCurveSample(alpha, dof_ic(alpha), dof_icci(alpha), dof_uplift(alpha), optimum)
-            for alpha, optimum in zip(alphas, optima)]
+    return alpha_min, step, int(points) + 1
+
+
+def _curve_passes(alpha_min: float, step: float, points: int):
+    """The rows (alpha, d_ic, d_icci, d_uplift, d_icci_lp) of a checked
+    grid, one list per pass of the batched core."""
+    for start in range(0, points, _CURVE_PASS):
+        alphas = [alpha_min + k * step for k in range(start, min(start + _CURVE_PASS, points))]
+        optima = (_symmetric_reach(alphas)[_SUM_ALL] / 2.0).tolist()
+        yield [(alpha, dof_ic(alpha), dof_icci(alpha), dof_uplift(alpha), optimum)
+               for alpha, optimum in zip(alphas, optima)]
+
+
+def dof_curve_samples(
+    alpha_min: float = 0.0, alpha_max: float = 3.0, step: float = 0.01
+) -> list[DofCurveSample]:
+    """Closed-form curve values and the dual-table optimum on an inclusive
+    grid, the optima in fixed passes of the batched core."""
+    passes = _curve_passes(*_curve_grid(alpha_min, alpha_max, step))
+    return [DofCurveSample(*row) for rows in passes for row in rows]
 
 
 def write_curve_csv(
@@ -292,16 +306,19 @@ def write_curve_csv(
     """Write the curve as CSV to an open text stream; returns row count.
 
     Floats are written in shortest round-trip form so the file parses
-    back to the exact values computed.
+    back to the exact values computed.  Each pass of rows is written as
+    it is computed, so no more than one pass is held.
     """
-    return _write_curve_rows(stream, dof_curve_samples(alpha_min, alpha_max, step))
+    return _write_curve_rows(stream, _curve_passes(*_curve_grid(alpha_min, alpha_max, step)))
 
 
-def _write_curve_rows(stream, samples: list[DofCurveSample]) -> int:
-    """The CSV of ``write_curve_csv`` for samples already computed, each
-    row written as it is formatted."""
+def _write_curve_rows(stream, passes) -> int:
+    """The CSV of ``write_curve_csv`` for the passes of ``_curve_passes``,
+    each written as it is computed."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CURVE_CSV_HEADER)
-    for s in samples:
-        writer.writerow([repr(float(v)) for v in (s.alpha, s.d_ic, s.d_icci, s.d_uplift, s.d_icci_lp)])
-    return len(samples)
+    count = 0
+    for rows in passes:
+        writer.writerows([repr(float(v)) for v in row] for row in rows)
+        count += len(rows)
+    return count

@@ -254,11 +254,11 @@ def bound_rhs(coeffs: np.ndarray) -> np.ndarray:
     """The 13 right-hand sides, in ``BOUND_PATTERNS`` order, of a family
     given as its 10 coefficients in ``BoundCoeffs`` field order: a
     (10, ...) array gives (13, ...), so a batch of channels is columns.
-    Each row is summed left to right, as ``BOUND_RHS_TERMS`` lists it."""
+    Each row is summed left to right, as ``BOUND_RHS_TERMS`` lists it:
+    the gathered terms are one (3, 13, ...) array, and a sum over its
+    outer axis adds one term array after another."""
     rows = np.concatenate([coeffs, np.zeros((1,) + coeffs.shape[1:])])
-    rhs = rows[_RHS_INDEX[0]] + rows[_RHS_INDEX[1]]
-    rhs += rows[_RHS_INDEX[2]]
-    return rhs
+    return rows[_RHS_INDEX].sum(axis=0)
 
 
 def region_from_coeffs(coeffs: BoundCoeffs) -> RateRegion:

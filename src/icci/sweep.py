@@ -180,7 +180,10 @@ class SweepReport:
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _WORD = 2**64 - 1
-_ONE_LANE = (1).to_bytes(16, "little")   # 1 in one 128-bit lane of a packed int
+# Over the _BLOCK 128-bit lanes of a packed int, 1 in every lane and i in
+# lane i; a pass of N lanes masks off the first N of each.
+_ONES = int.from_bytes((1).to_bytes(16, "little") * _BLOCK, "little")
+_RAMP = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(_BLOCK)), "little")
 
 
 def _sample_rows(seed: int, start: int, count: int, mag_min: float, mag_max: float) -> np.ndarray:
@@ -200,12 +203,20 @@ def _sample_rows(seed: int, start: int, count: int, mag_min: float, mag_max: flo
     The power of mag_min * (mag_max / mag_min) ** u is libm's, in Python
     floats: numpy picks an SVML kernel on AVX-512 hosts at run time, which
     differs on 5.3 % of these uniforms (``coeff_rows`` says why it matters).
+    The key words are one packed int too, start times the lane ones plus
+    the lane-index ramp, so start + N must not exceed 2**64 (a lane's key
+    word carries into its high word otherwise); a pass packs at most
+    ``_BLOCK`` lanes, and a larger N is drawn in passes of that many.
     """
-    ones = int.from_bytes(_ONE_LANE * count, "little")
+    if start + count > 2**64:
+        raise ValueError(f"channels {start}..{start + count - 1} pass the last key word {_WORD}")
+    if count > _BLOCK:
+        return np.concatenate([_sample_rows(seed, first, min(_BLOCK, start + count - first), mag_min, mag_max)
+                               for first in range(start, start + count, _BLOCK)])
+    lanes = (1 << 128 * count) - 1
+    ones = _ONES & lanes
     low = ones * _WORD   # the low word of every lane
-    keys = np.zeros((count, 2), dtype="<u8")
-    keys[:, 0] = np.uint64(start) + np.arange(count, dtype=np.uint64)
-    k1 = int.from_bytes(keys.tobytes(), "little")
+    k1 = start * ones + (_RAMP & lanes)   # lane i holds the key word start + i
     (m0, m1), (w0, w1) = _PHILOX_M, _PHILOX_W
     x0, x1, x2, x3, k0, w1 = seed * ones, 0, k1, m0 * ones, seed, w1 * ones
     # rounds 2-10: bump the key, then one round; a key word stays below

@@ -12,10 +12,14 @@ from icci.gaussian_mi import (
     _U1,
     _U2,
     _X1,
+    _X2,
     _Y1,
+    _Y2,
     CovarianceError,
     _chain_variances,
     _joint_covariance,
+    _receiver_variances,
+    _schur,
     mi_discrepancy,
     mutual_info_terms,
     successive_decode_chain,
@@ -122,6 +126,33 @@ class TestMiOracle:
     def test_a_zero_variance_conditioner_is_skipped(self):
         cov = [[0, 0, 0], [0, 4, 2], [0, 2, 3]]
         assert [Fraction(n, d) for n, d in _chain_variances(cov, 2, (0, 1))] == [3, 3, 2]
+
+    def test_one_chain_and_two_complements_are_the_two_chains_as_rationals(self):
+        # the six variances of a receiver against the (v, x, u) and (u, v)
+        # chains; the edge grid has every case of zero-variance publics
+        channels = ([ChannelGains(*mags) for mags in itertools.product(EDGES, repeat=4)]
+                    + seeded_channels(9, 300, 1e-6, 1e6))
+        constant = set()
+        for gains in channels:
+            cov = _joint_covariance(gains)
+            for y, x, u, v in ((_Y1, _X1, _U1, _U2), (_Y2, _X2, _U2, _U1)):
+                variances = _receiver_variances(cov, y, x, u, v)
+                var, var_v, var_vx, var_vxu, var_u, var_uv = (Fraction(*p) for p in variances)
+                assert [var, var_v, var_vx, var_vxu] == [Fraction(*p) for p in _chain_variances(cov, y, (v, x, u))]
+                assert [var, var_u, var_uv] == [Fraction(*p) for p in _chain_variances(cov, y, (u, v))]
+                constant.add((cov[u][u] == 0, cov[v][v] == 0))
+        assert constant == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_a_complement_is_guarded_as_a_chain_is(self):
+        # from a (u, y) block of prev times a covariance: a constant u
+        # leaves Var(y | C), and an indefinite block trips the guard
+        assert _schur(0, 0, 5, 2) == (5, 2)
+        assert Fraction(*_schur(4, 2, 3, 2)) == Fraction(4 * 3 - 2 * 2, 2 * 4)
+        with pytest.raises(CovarianceError, match="negative pivot"):
+            _schur(-1, 0, 1, 1)
+        for block in ((1, 2, 1), (1, 1, 1)):
+            with pytest.raises(CovarianceError, match="not positive"):
+                _schur(*block, 1)
 
     def test_a_ratio_past_the_float_range_is_invalid_input(self):
         with pytest.raises(ValueError, match="too large for a float"):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import icci.gdof
+from icci.bounds import coeff_rows
 from icci.channel import GdofExponents
 from icci.gdof import (
     _FINITE_ALPHA,
@@ -36,6 +37,7 @@ from icci.gdof import (
 from icci.region import (
     _CANDIDATE_RTOL,
     _DUAL_DENSE,
+    _RHS_TERMS,
     _least_rhs,
     _reach,
     bound_rhs,
@@ -44,7 +46,9 @@ from icci.region import (
 )
 from icci.sweep import _CHUNK
 
+from conftest import seeded_channels
 from test_region import reach_by_terms
+from test_sweep import EDGE_CHANNELS
 
 exps = st.floats(min_value=0.0, max_value=3.0)
 GRID = [k / 100.0 for k in range(301)]
@@ -95,6 +99,37 @@ class TestGdofCoeffs:
         for a, d, e, g in ((c.a1, c.d1, c.e1, c.g1), (c.a2, c.d2, c.e2, c.g2)):
             assert a <= d <= g
             assert a <= e <= g
+
+
+def python_rhs(column) -> bytes:
+    """The 13 sums of ``region_from_coeffs`` for one family, left to right
+    in Python floats (an overflow is inf), as float64 bytes."""
+    v = (*column, 0.0)
+    return np.array([v[i] + v[j] + v[k] for i, j, k in _RHS_TERMS]).tobytes()
+
+
+def test_bound_rhs_sums_left_to_right_in_every_shape_of_the_core():
+    # (10, 1) per column, (10, N), the (10, 2, N) view that the sweep's
+    # core passes, and the exponent rows, whose columns hold 5e-324 and
+    # the largest float, so some sums overflow
+    channels = seeded_channels(3, 300, 1e-6, 1e6) + EDGE_CHANNELS
+    gains = np.array([(g.m11, g.m12, g.m21, g.m22) for g in channels])
+    coeffs = coeff_rows(gains)
+    view = coeffs.swapaxes(0, 1)
+    assert not view.flags.c_contiguous
+    rhs = bound_rhs(view)
+    for side in range(2):
+        for k in range(len(gains)):
+            assert rhs[:, side, k].tobytes() == python_rhs(coeffs[side, :, k].tolist())
+    with np.errstate(over="ignore"):
+        families = [coeffs[0], coeffs[1], gdof_rows(EDGE_EXPONENTS)]
+        for rows in families:
+            batch = bound_rhs(rows)
+            for k, column in enumerate(rows.T.tolist()):
+                want = python_rhs(column)
+                assert batch[:, k].tobytes() == want
+                assert bound_rhs(rows[:, k:k + 1]).tobytes() == want
+        assert np.isinf(bound_rhs(families[-1])).any()
 
 
 class TestGdofRegion:

@@ -222,6 +222,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SweepConfig(seed=2**64)
 
+    def test_a_pass_past_the_last_key_word_is_refused(self):
+        # lane i's key word is start + i, which has to fit in 64 bits
+        assert _sample_rows(0, 2**64 - 1, 1, 1.0, 1.0).shape == (1, 4)
+        with pytest.raises(ValueError, match="last key word"):
+            _sample_rows(0, 2**64 - 1, 2, 1.0, 1.0)
+
     def test_sample_gains_checks_its_arguments(self):
         assert sample_gains(2**64 - 1, 2**64 - 1) == ChannelGains(*_sample_rows(2**64 - 1, 2**64 - 1, 1, 1e-3, 1e3)[0])
         bad = [(-1, 0), (2**64, 0), (0, -1), (0, 2**64), (0.0, 0), (0, True),
