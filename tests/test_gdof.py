@@ -40,6 +40,7 @@ from icci.region import (
     _RHS_TERMS,
     _least_rhs,
     _reach,
+    _twins_implied,
     bound_rhs,
     contains,
     vertices,
@@ -48,7 +49,7 @@ from icci.sweep import _CHUNK
 
 from conftest import seeded_channels
 from test_region import reach_by_terms
-from test_sweep import EDGE_CHANNELS
+from test_sweep import EDGE_CHANNELS, assert_shows_its_exact_vertices
 
 exps = st.floats(min_value=0.0, max_value=3.0)
 GRID = [k / 100.0 for k in range(301)]
@@ -145,8 +146,9 @@ class TestGdofRegion:
 
     def test_same_vertices_as_the_nine_row_table(self):
         # the exponent region used to be its own nine rows; with G' = G
-        # the 13 rate rows add only rows implied by them, so both give
-        # one vertex set, here on the criterion-4 grid
+        # the 13 rate rows add only rows implied by them, so its rhs take
+        # the display's nine-row table, and both give one vertex set, the
+        # exact one, here on the criterion-4 grid
         patterns = np.array([(1, 1, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1), (0, 1, 1),
                              (1, 1, 1), (1, 1, 1), (1, 2, 1), (1, 1, 2)], dtype=float)
         planes = np.vstack([patterns, np.eye(3)])
@@ -160,9 +162,12 @@ class TestGdofRegion:
             points = np.linalg.solve(planes[triples], offsets[triples][:, :, None])[:, :, 0]
             radius = _CANDIDATE_RTOL * rhs.max()
             old = points[(points >= -radius).all(axis=1) & (points @ patterns.T <= rhs + radius).all(axis=1)]
-            new = vertices(build_gdof_region(c))
+            region = build_gdof_region(c)
+            assert _twins_implied(region.rhs_vector().tolist()), alpha
+            new = vertices(region)
             dist = np.abs(new[:, None, :] - old[None, :, :]).max(axis=2)
             assert dist.min(axis=0).max() <= radius and dist.min(axis=1).max() <= radius, alpha
+            assert_shows_its_exact_vertices(region)
 
     def test_zero_coeffs_collapse(self):
         region = build_gdof_region(gdof_coeffs(GdofExponents(0, 0, 0, 0)))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import warnings
@@ -18,6 +19,7 @@ from icci.region import (
     _DUAL_DENSE,
     _DUAL_STARTS,
     _OBJECTIVE_WEIGHT,
+    _OBJECTIVES,
     BOUND_PATTERNS,
     MEMBERSHIP_TOL,
     RateRegion,
@@ -26,6 +28,7 @@ from icci.region import (
     _least_rhs,
     _plane_solver,
     _reach,
+    _twins_implied,
     bound_rhs,
     build_inner,
     build_outer,
@@ -42,7 +45,7 @@ from icci.sweep import _CHUNK, MAG_LIMIT, sample_gains
 
 from conftest import seeded_channels
 from test_gaussian_mi import EDGES
-from test_sweep import EDGE_CHANNELS, TIE_CHANNELS, TWIN_CHANNELS, exact_vertices
+from test_sweep import EDGE_CHANNELS, TIE_CHANNELS, TWIN_CHANNELS, assert_shows_its_exact_vertices, exact_vertices
 
 EXPECTED_PATTERNS = [
     (1, 1, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1),
@@ -222,8 +225,14 @@ def test_inner_vertices_inside_outer(worked_channel):
     assert slack.min() >= -1e-9
 
 
-# the solver is order-free: the reversed rows give the same 10 planes in another order
-@pytest.mark.parametrize("patterns", [BOUND_PATTERNS, BOUND_PATTERNS[::-1], _BOUND_DISTINCT])
+# the rows that can bind once rows 5, 6, 9 and 10 are implied
+NINE_ROWS = (0, 1, 2, 3, 4, 7, 8, 11, 12)
+
+
+# the solver is order-free: the reversed rows give the same 10 planes in
+# another order; the nine rows have 8 distinct patterns
+@pytest.mark.parametrize("patterns", [BOUND_PATTERNS, BOUND_PATTERNS[::-1], _BOUND_DISTINCT,
+                                      tuple(BOUND_PATTERNS[k] for k in NINE_ROWS)])
 def test_solver_keeps_exactly_the_rank3_triples(patterns):
     c, row, triples, adj, det = _plane_solver(patterns)
     distinct = list(dict.fromkeys(patterns))
@@ -232,7 +241,7 @@ def test_solver_keeps_exactly_the_rank3_triples(patterns):
     combos = list(itertools.combinations(range(len(planes)), 3))
     rank3 = [t for t in combos if np.linalg.matrix_rank(planes[list(t)]) == 3]
     assert [tuple(t) for t in triples] == rank3
-    assert (len(distinct), len(rank3), len(combos)) == (10, 216, 286)
+    assert (len(distinct), len(rank3), len(combos)) in ((10, 216, 286), (8, 122, 165))
     # the adjugates and determinants are exact: adj . M = det * I with no rounding
     m = planes[triples]
     assert np.array_equal(adj @ m, det[:, None, None] * np.eye(3))
@@ -280,6 +289,116 @@ def test_vertex_merge_keeps_both_ends_of_a_chain(monkeypatch, worked_channel):
     monkeypatch.setattr(icci.region, "_candidates", lambda rhs: (points, 1.0))
     shown = vertices(build_inner(inner_coeffs(worked_channel)))
     assert shown.tobytes() == points[[0, 2]].tobytes() == merge_reference(points, 1.0).tobytes()
+
+
+def twins_implied(rhs: np.ndarray) -> np.ndarray:
+    """The rule of ``_twins_implied`` over (13, N) columns: rows 7 and 8
+    bound r0 + r1 + r2 at or below rows 5 and 6's r1 + r2, row 11 bounds
+    r0 + 2 r1 + r2 at or below row 9's 2 r1 + r2, and row 12 likewise
+    row 10's r1 + 2 r2."""
+    return (np.minimum(rhs[7], rhs[8]) <= np.minimum(rhs[5], rhs[6])) & (rhs[11] <= rhs[9]) & (rhs[12] <= rhs[10])
+
+
+@functools.cache
+def solve_map(rows: tuple) -> tuple:
+    """Each row's pattern index, the solve map, the determinants and the
+    faces of a region on these constraint rows alone."""
+    patterns = tuple(BOUND_PATTERNS[k] for k in rows)
+    _, row, triples, adj, det = _plane_solver(patterns)
+    distinct = int(row.max()) + 1
+    solve = (adj @ np.eye(distinct + 3)[triples])[:, :, :distinct].reshape(-1, distinct)
+    return row, solve, det, np.vstack([list(dict.fromkeys(patterns)), -np.eye(3)])
+
+
+def reference_candidates(rhs: np.ndarray, rows) -> tuple[np.ndarray, float]:
+    """The display candidates of a region solved on these rows alone, as
+    ``_candidates`` solved every region on all 13 before it had a
+    nine-row table: each pattern at its least rhs, by ``np.minimum.at``
+    into an inf array."""
+    row, solve, det, faces = solve_map(tuple(rows))
+    b = np.full(len(faces) - 3, np.inf)
+    np.minimum.at(b, row, rhs[list(rows)])
+    tol = _CANDIDATE_RTOL * rhs.max()
+    x = (solve @ b).reshape(-1, 3) / det[:, None] + 0.0
+    return x[(faces @ x.T <= np.concatenate([b, np.zeros(3)])[:, None] + tol).all(axis=0)], tol
+
+
+def wide_sets_rhs() -> np.ndarray:
+    """The (13, 2, N) rhs of both 10000-channel sets and the edge
+    channels, inner then outer, bit for bit the built regions'."""
+    gains = seeded_channels(42, 10000) + seeded_channels(7, 10000, 1e-6, 1e6) + EDGE_CHANNELS
+    return bound_rhs(coeff_rows(np.array([(g.m11, g.m12, g.m21, g.m22) for g in gains])).swapaxes(0, 1))
+
+
+def test_inner_regions_take_the_nine_row_table():
+    # inner G' = G puts each twin's rhs at its r0-twin's, so every inner
+    # region takes the nine-row table; on the outer side only some of the
+    # edge channels do, and the module's rule is the numpy one throughout
+    rhs = wide_sets_rhs()
+    inner, outer = rhs[:, 0], rhs[:, 1]
+    assert twins_implied(inner).all()
+    for side in (inner, outer):
+        assert [_twins_implied(column) for column in side.T.tolist()] == twins_implied(side).tolist()
+    assert np.flatnonzero(twins_implied(outer)).min() >= 20000 and twins_implied(outer).sum() == 49
+    # a kept candidate is never more than the radius below r0 = 0, and
+    # breaks a dropped twin row by at most twice the radius
+    twins = np.array(BOUND_PATTERNS, dtype=float)[[5, 6, 9, 10]]
+    for column in np.concatenate([inner, outer[:, twins_implied(outer)]], axis=1).T:
+        x, tol = _candidates(column)
+        assert x[:, 0].min() >= -tol
+        assert (x @ twins.T - column[[5, 6, 9, 10]]).max() <= 2 * tol
+
+
+def test_candidates_are_the_reference_of_their_table():
+    # bit for bit: the 13-row reference on every region that fails the
+    # rule, the nine-row reference on every region that meets it
+    rhs = wide_sets_rhs()
+    columns = np.concatenate([rhs[:, 1], rhs[:, 0, ::20]], axis=1)
+    implied = twins_implied(columns)
+    assert 0 < implied.sum() < len(implied)
+    for column, nine in zip(columns.T, implied):
+        x, tol = _candidates(column)
+        want, want_tol = reference_candidates(column, NINE_ROWS if nine else range(13))
+        assert x.tobytes() == want.tobytes() and tol == want_tol, column
+
+
+def test_a_hand_built_inner_region_with_row_5_binding_takes_the_full_table(worked_channel):
+    # the rule reads the rhs, not the label: lower row 5 below rows 4, 7
+    # and 8, so it binds, and the region is not the nine rows' region
+    rhs = build_inner(inner_coeffs(worked_channel)).rhs_vector()
+    rhs[5] = 0.75 * rhs[[4, 7, 8]].min()
+    region = RateRegion("inner", rhs)
+    assert not _twins_implied(rhs.tolist())
+    nine = rhs.copy()
+    nine[[5, 6, 9, 10]] = nine[[7, 8, 11, 12]]   # the same nine rows, the twins implied
+    assert exact_vertices(region)[1] != exact_vertices(RateRegion("inner", nine))[1]
+    assert_shows_its_exact_vertices(region)
+    assert _candidates(rhs)[0].tobytes() == reference_candidates(rhs, range(13))[0].tobytes()
+
+
+def test_outer_regions_on_the_nine_row_table_show_their_exact_vertices():
+    rhs = wide_sets_rhs()[:, 1]
+    for column in rhs[:, twins_implied(rhs)].T:
+        assert_shows_its_exact_vertices(RateRegion("outer", column))
+
+
+def test_the_largest_r0_is_min_g1p_g2p():
+    # every row with r0 has an rhs of G1' or G2' plus nonnegative terms,
+    # and rows 0 and 1 are r0 + r1 <= G1' and r0 + r2 <= G2' (the
+    # icci.region docstring).  Bit for bit: every dual multiplier of
+    # (1, 0, 0) is one whole row with r0, so the reach is the least of
+    # those rows' rhs, and rounding is monotone, so a rounded sum that
+    # holds G1' or G2' as a term is no less than it
+    w = _OBJECTIVES.index((1, 0, 0))
+    multipliers = _DUAL_DENSE[:, _DUAL_STARTS[w]:_DUAL_STARTS[w + 1]]
+    assert ((multipliers == 0) | (multipliers == 1)).all() and (multipliers.sum(axis=0) == 1).all()
+    assert (np.array(_BOUND_DISTINCT)[multipliers.any(axis=1), 0] == 1).all()
+    edges = [ChannelGains(*m) for m in itertools.product(EDGES, repeat=4)]
+    gains = seeded_channels(42, 10000) + seeded_channels(7, 10000, 1e-6, 1e6) + EDGE_CHANNELS + edges
+    coeffs = coeff_rows(np.array([(g.m11, g.m12, g.m21, g.m22) for g in gains]))
+    for family in coeffs:   # inner, outer
+        g1p, g2p = family[[8, 9]]   # in BoundCoeffs field order
+        assert _reach(bound_rhs(family))[w].tobytes() == np.minimum(g1p, g2p).tobytes()
 
 
 def test_vertex_set_invariants():

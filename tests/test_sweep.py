@@ -574,16 +574,20 @@ def test_pinned_bits_do_not_depend_on_numpy_cpu_dispatch():
     assert json.loads(fresh_modules(code, NPY_DISABLE_CPU_FEATURES=disabled)) == pinned_values(), disabled
 
 
+def assert_shows_its_exact_vertices(region) -> None:
+    shown = vertices(region)
+    exact = np.array(sorted(exact_vertices(region)[1]), dtype=float)
+    # every exact vertex is shown and every shown point is an exact
+    # vertex, to within the radius below which rounding cannot tell
+    # vertices apart (the inner region has exact vertices closer than that)
+    dist = np.abs(shown[:, None, :] - exact[None, :, :]).max(axis=2)
+    radius = _CANDIDATE_RTOL * region.rhs_vector().max()
+    assert dist.min(axis=0).max() <= radius and dist.min(axis=1).max() <= radius, region
+
+
 def assert_shows_the_exact_vertices(g: ChannelGains) -> None:
     for region in (build_inner(inner_coeffs(g)), build_outer(outer_coeffs(g))):
-        shown = vertices(region)
-        exact = np.array(sorted(exact_vertices(region)[1]), dtype=float)
-        # every exact vertex is shown and every shown point is an exact
-        # vertex, to within the radius below which rounding cannot tell
-        # vertices apart (the inner region has exact vertices closer than that)
-        dist = np.abs(shown[:, None, :] - exact[None, :, :]).max(axis=2)
-        radius = _CANDIDATE_RTOL * region.rhs_vector().max()
-        assert dist.min(axis=0).max() <= radius and dist.min(axis=1).max() <= radius, (g, region.label)
+        assert_shows_its_exact_vertices(region)
 
 
 @pytest.mark.parametrize("mag", [1e-6, 1e-4, 1.0])
