@@ -39,8 +39,8 @@ Each family's capacity arguments are written once, per receiver, in
 ``inner_coeffs`` and ``outer_coeffs`` run them on Python floats once
 per receiver and build through ``_family``, one refusal by name of a
 gain past the float range, and the batched ``coeff_rows`` once on numpy
-columns stacked by receiver, in the same operations and order, so both
-give the same bits.
+columns stacked by receiver, in the same operations and order, and both
+map libm's log1p over the arguments, so both give the same bits.
 
 Every family of ten is one type, ``BoundCoeffs``: the values in the
 fixed order of ``_COEFF_FIELDS``, keyed by ``_COEFF_KEYS``, and a side
@@ -83,7 +83,9 @@ _DELTA_BUDGETS = np.array([[1.0]] * 8 + [[2.0]] * 2)
 
 
 def cap(p: float) -> float:
-    """Gaussian capacity log2(1 + p) for p >= 0, accurate for tiny p."""
+    """Gaussian capacity log2(1 + p) for p >= 0, accurate for tiny p:
+    libm's log1p divided by ln 2, the one formula that ``_family`` and
+    ``coeff_rows`` map over a family's arguments."""
     if not (p >= 0):
         raise ValueError(f"capacity argument must be nonnegative, got {p!r}")
     return math.log1p(p) / _LN2
@@ -168,10 +170,12 @@ _FIELD_ORDER = operator.itemgetter(0, 5, 1, 6, 2, 7, 3, 8, 4, 9)
 
 
 def _family(side: str, gains: ChannelGains, args) -> BoundCoeffs:
-    """The side family from both receivers' ``cap`` arguments."""
+    """The side family from both receivers' ``cap`` arguments: one map of
+    libm's log1p, each value divided by ln 2, which is ``cap`` and
+    ``coeff_rows`` bit for bit."""
     try:
-        return BoundCoeffs(tuple(map(cap, _FIELD_ORDER(args))), side)
-    except ValueError:   # finite gains give a NaN (cap) or inf (BoundCoeffs) only by overflow
+        return BoundCoeffs(tuple([v / _LN2 for v in map(math.log1p, _FIELD_ORDER(args))]), side)
+    except ValueError:   # finite gains give a NaN or inf, which BoundCoeffs refuses, only by overflow
         raise ValueError(f"an {side} coefficient of {gains} is too large for a float") from None
 
 
@@ -201,12 +205,12 @@ def coeff_rows(gains: np.ndarray) -> np.ndarray:
     so each of the ten results is a coefficient's two receiver rows and
     they stack straight into field order.  Each element sees the
     operations of ``inner_coeffs`` and ``outer_coeffs``; only the split
-    is taken per type, with the scalar bits.  cap goes through libm's
-    log1p as ``cap`` does, so every value is the scalar family's on every
-    CPU: numpy picks SVML kernels on AVX-512 hosts at run time, whose
-    log1p differs from libm's on 1.4 % of log-uniform arguments in
-    [1e-12, 1e12], so the core asks numpy for +, -, *, /, min, max and
-    einsum only.
+    is taken per type, with the scalar bits.  cap is one map of libm's
+    log1p divided by ln 2, as in ``cap`` and ``_family``, so every value
+    is the scalar family's on every CPU: numpy picks SVML kernels on
+    AVX-512 hosts at run time, whose log1p differs from libm's on 1.4 %
+    of log-uniform arguments in [1e-12, 1e12], so the core asks numpy
+    for +, -, *, /, min, max and einsum only.
     """
     m = np.asarray(gains, dtype=float).T
     own, cross = m[::3], m[1:3]   # (m11, m22) and (m12, m21)

@@ -51,8 +51,11 @@ a region's triples (``_candidates``), all in one product with a solve
 map of adjugate entries fixed at import: the nine-row table's when the
 rhs make rows 5, 6, 9 and 10 redundant, the full table's otherwise.
 ``vertices`` merges the candidates greedily in triple order within
-2**-44 times the largest rhs, from one matrix of near pairs, so two
-vertices closer than rounding can tell apart are shown as one.  The
+2**-44 times the largest rhs, so two vertices closer than rounding can
+tell apart are shown as one: from one matrix of near pairs it keeps a
+candidate iff no earlier kept candidate is near it, a fixpoint with one
+solution, since each candidate's entry depends on earlier ones alone,
+found in whole-array rounds with no loop per vertex.  The
 exponent region's per-user DoF optimum of ``icci.gdof`` is a ``_reach``
 maximum too.
 
@@ -497,18 +500,31 @@ def vertices(region: RateRegion) -> np.ndarray:
     triple order at their radius in the max norm: the first is kept,
     every candidate near it dropped, and so on, so of a chain a ~ b ~ c
     with a and c apart both are kept.
+
     The near relation is one (K, K) matrix from a (3, K, K) array of
-    per-coordinate gaps, its rows packed into ints for the greedy pass."""
+    per-coordinate gaps, and the kept set is the fixpoint of the rule
+    keep[k] = no earlier kept candidate is near k.  keep[k] depends on
+    keep[:k] alone, so by induction on k the fixpoint is unique, the
+    greedy set, and each round of the rule fixes at least one more
+    leading entry, so rounds reach it.  They start from the first guess,
+    the candidates with no earlier near one at all, which is already the
+    fixpoint when each candidate's first near one (itself, if kept) is in
+    it."""
     x, tol = _candidates(region._rhs)
     columns = x.T.copy()   # contiguous: the broadcast below is 2.5-7x faster than on x.T
     gaps = columns[:, :, None] - columns[:, None, :]
-    rows = np.packbits((np.abs(gaps, out=gaps) <= tol).all(axis=0), axis=1, bitorder="little")
-    kept, free = [], (1 << len(x)) - 1
-    while free:
-        k = (free & -free).bit_length() - 1   # the first candidate not yet dropped
-        kept.append(k)
-        free &= ~int.from_bytes(rows[k].tobytes(), "little")
-    return x[kept]
+    near = (np.abs(gaps, out=gaps) <= tol).all(axis=0)
+    # near[k, k] holds, so first[k] <= k; K >= 1, since the origin is always a candidate
+    first = near.argmax(axis=1)
+    keep = first == np.arange(len(x))
+    if not keep[first].all():
+        earlier = np.tril(near, -1)
+        while True:
+            step = ~(earlier & keep).any(axis=1)
+            if np.array_equal(step, keep):
+                break
+            keep = step
+    return x[keep]
 
 
 def _reach(rhs: np.ndarray) -> np.ndarray:

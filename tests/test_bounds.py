@@ -9,7 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from icci.bounds import (
+    _FIELD_ORDER,
     BoundCoeffs,
+    _inner_args,
+    _outer_args,
+    _powers,
     cap,
     coeff_deltas,
     coeff_rows,
@@ -239,6 +243,21 @@ def test_coeff_rows_are_the_scalar_families_bit_for_bit():
         t1, t2 = g.m11 + g.m12, g.m22 + g.m21
         c = outer_coeffs(g)
         assert (c.g1p, c.g2p) == (cap(t1 * t1), cap(t2 * t2)), g
+
+
+def test_the_scalar_families_are_cap_of_their_arguments():
+    # the scalar families map libm's log1p without calling cap: both are
+    # one formula, bit for bit, on the 1296 channels of the MI oracle's
+    # edge grid and on seeded channels over both envelopes
+    gains = ([ChannelGains(*m) for m in itertools.product(EDGES, repeat=4)]
+             + seeded_channels(3, 300, 1e-6, 1e6) + seeded_channels(42, 300))
+    for g in gains:
+        s1, s2, i1, i2 = _powers(g)
+        x12, x21 = power_split(g)
+        t1, t2 = g.m11 + g.m12, g.m22 + g.m21
+        for family, args in ((inner_coeffs, _inner_args(s1, i1, x12, x21) + _inner_args(s2, i2, x21, x12)),
+                             (outer_coeffs, _outer_args(s1, i1, i2, t1) + _outer_args(s2, i2, i1, t2))):
+            assert [v.hex() for v in family(g).values] == [cap(p).hex() for p in _FIELD_ORDER(args)], g
 
 
 # float.hex of the inner and the outer family, each in field order, as

@@ -277,6 +277,17 @@ def test_vertices_is_the_greedy_merge():
         for region in (build_inner(inner_coeffs(g)), build_outer(outer_coeffs(g))):
             want = merge_reference(*_candidates(region.rhs_vector()))
             assert vertices(region).tobytes() == want.tobytes(), (g, region.label)
+    # the exponent regions of the edge quadruples whose right-hand sides are
+    # finite (384 of 625) and of the symmetric grid; at rhs near the largest
+    # float some triple solves overflow, and both merges see the same candidates
+    from test_gdof import EDGE_EXPONENTS, GRID   # here: test_gdof imports this module
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = bound_rhs(gdof_rows(EDGE_EXPONENTS + [[1.0, a, a, 1.0] for a in GRID]))
+        regions = [RateRegion("gdof", column) for column in rhs.T if np.isfinite(column).all()]
+        assert len(regions) == 384 + len(GRID)
+        for region in regions:
+            want = merge_reference(*_candidates(region.rhs_vector()))
+            assert vertices(region).tobytes() == want.tobytes(), region
     # exact vertices closer than the radius: 8 of them, shown as 5
     inner = build_inner(inner_coeffs(tiny))
     assert (len(exact_vertices(inner)[1]), len(vertices(inner))) == (8, 5)
@@ -289,6 +300,72 @@ def test_vertex_merge_keeps_both_ends_of_a_chain(monkeypatch, worked_channel):
     monkeypatch.setattr(icci.region, "_candidates", lambda rhs: (points, 1.0))
     shown = vertices(build_inner(inner_coeffs(worked_channel)))
     assert shown.tobytes() == points[[0, 2]].tobytes() == merge_reference(points, 1.0).tobytes()
+
+
+def merge_of(monkeypatch, points: np.ndarray, tol: float = 1.0) -> np.ndarray:
+    """``vertices`` of a region whose candidates are these points at this radius."""
+    monkeypatch.setattr(icci.region, "_candidates", lambda rhs: (points, tol))
+    return vertices(build_inner(inner_coeffs(ChannelGains(1.0, 1.0, 1.0, 1.0))))
+
+
+def first_guess(points: np.ndarray, tol: float = 1.0) -> np.ndarray:
+    """The candidates with no earlier candidate within tol at all: the
+    merge's first guess, which is the greedy set only on some inputs."""
+    near = (np.abs(points[:, None, :] - points[None, :, :]) <= tol).all(axis=2)
+    return points[~np.tril(near, -1).any(axis=1)]
+
+
+@pytest.mark.parametrize("spacing", [0.55, 0.75, 1.0])
+@pytest.mark.parametrize("length", [3, 4, 5, 6])
+def test_vertex_merge_of_a_chain_takes_rounds(monkeypatch, length, spacing):
+    # each candidate near its neighbours alone: every other one is kept,
+    # while the first guess keeps the first alone, so the merge needs a
+    # round per link of the chain to settle
+    for direction in ([1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 1.0, -1.0]):
+        points = np.array([2.0, 8.0, 8.0]) + np.arange(length)[:, None] * spacing * np.array(direction)
+        want = merge_reference(points, 1.0)
+        assert merge_of(monkeypatch, points).tobytes() == want.tobytes() == points[::2].tobytes()
+        assert len(first_guess(points)) == 1
+
+
+def test_vertex_merge_of_interleaved_clusters(monkeypatch):
+    # two chains and one tight cluster, far apart, their candidates
+    # alternating in triple order: a0 b0 c0 a1 b1 c1 ...
+    steps = np.arange(5)[:, None]
+    a = np.array([0.0, 0.0, 0.0]) + steps * np.array([0.6, 0.0, 0.0])
+    b = np.array([0.0, 5.0, 5.0]) + steps * np.array([0.0, 0.0, 0.6])
+    c = np.array([5.0, 0.0, 5.0]) + steps * np.array([0.1, -0.1, 0.1])
+    points = np.stack([a, b, c], axis=1).reshape(-1, 3)
+    want = merge_reference(points, 1.0)
+    assert merge_of(monkeypatch, points).tobytes() == want.tobytes()
+    assert want.tobytes() == points[[0, 1, 2, 6, 7, 12, 13]].tobytes()
+
+
+def test_vertex_merge_drops_a_candidate_near_a_later_kept_one(monkeypatch):
+    # d is near b and c, not a; its first near candidate b is dropped, near
+    # a, but c, after b and before d, is kept, so d is dropped with c
+    points = np.array([[0.0, 1.0, 1.0], [0.9, 1.0, 1.0], [1.8, 1.0, 1.0], [1.35, 1.0, 1.0]])
+    want = merge_reference(points, 1.0)
+    assert merge_of(monkeypatch, points).tobytes() == want.tobytes() == points[[0, 2]].tobytes()
+    assert first_guess(points).tobytes() == points[:1].tobytes()
+
+
+def test_vertex_merge_of_one_candidate(monkeypatch):
+    points = np.array([[0.25, 0.5, 0.75]])
+    assert merge_of(monkeypatch, points, 0.0).tobytes() == points.tobytes()
+
+
+def test_vertex_merge_of_lattice_points(monkeypatch):
+    # points of a half-unit lattice at radius 0.6, near when every
+    # coordinate is at most one step apart: many chains, in every order
+    rng = np.random.default_rng(24)
+    guessed_wrong = 0
+    for _ in range(300):
+        points = rng.integers(0, 6, (rng.integers(1, 41), 3)) * 0.5
+        want = merge_reference(points, 0.6)
+        assert merge_of(monkeypatch, points, 0.6).tobytes() == want.tobytes(), points
+        guessed_wrong += len(first_guess(points, 0.6)) != len(want)
+    assert guessed_wrong > 100   # 187 of the 300 sets need rounds
 
 
 def twins_implied(rhs: np.ndarray) -> np.ndarray:
