@@ -27,18 +27,23 @@ conditioner is rescaled, so Y_i is scaled by D and U_i by M**2 over the
 cross gain M / D its private part crosses (U_i is the constant 0 where
 M**2 <= D**2, its public power being zero).  A receiver's four values
 need six conditional variances of its output y, with x its own signal,
-u its own public part and v the other one.  Bareiss's fraction-free
-elimination (Math. Comp. 22, 1968) along the one chain (v, x, u) gives
-each Var(y | first k) = det(S_k + y) / det(S_k) as a pair of ints, and
-the other two are exact 2x2 Schur complements of the (u, y) block, in
-the covariance for Var(y | u) and after the chain's first step for
-Var(y | v, u): (s_uu s_yy - s_uy**2) / (prev s_uu), prev being the
-step's pivot S_vv (1 before it, or where v is constant).  So a value
-rounds only where its variance ratio becomes a float (one correctly
-rounded int division) and in the log2, within about 1e-14 bits of the
-closed forms over the whole accepted envelope.  A conditioner of
-exactly zero variance given the earlier ones is a constant and is
-skipped, as u is in a complement.
+u its own public part and v the other one.  One chain per receiver,
+Bareiss's fraction-free elimination (Math. Comp. 22, 1968) along
+(v, x, u), gives each Var(y | first k) = det(S_k + y) / det(S_k) as a
+pair of ints; it is written out on the ten entries of the upper
+triangle of the (v, x, u, y) block, and the tests hold the generic
+elimination it came from as their reference.  The other two are exact
+2x2 Schur complements of the (u, y) block, in the covariance for
+Var(y | u) and after the chain's first step for Var(y | v, u):
+(s_uu s_yy - s_uy**2) / (prev s_uu), prev being the step's pivot S_vv
+(1 before it, or where v is constant).  So a value rounds only where
+its variance ratio becomes a float (one correctly rounded int division)
+and in the log2, within about 1e-14 bits of the closed forms over the
+whole accepted envelope.  A conditioner of exactly zero variance given
+the earlier ones is a constant and is skipped, as u is in a complement.
+A negative pivot or a final variance that is not positive raises
+``CovarianceError``, which names the conditioner or the conditional
+variance and the receiver output.
 """
 
 from __future__ import annotations
@@ -58,12 +63,15 @@ __all__ = [
     "successive_decode_chain",
 ]
 
-# variable order in the joint covariance
+# variable order in the joint covariance, and the names a guard message gives them
 _U1, _U2, _X1, _X2, _Y1, _Y2 = range(6)
+_NAMES = ("U1", "U2", "X1", "X2", "Y1", "Y2")
 
 
 class CovarianceError(ArithmeticError):
-    """Elimination met a negative pivot or a final variance that is not positive."""
+    """Elimination met a negative pivot or a final variance that is not
+    positive; the message names the variables, e.g. ``negative pivot
+    -1.000e+00 at conditioner U2 of Y1``."""
 
 
 def _joint_covariance(gains: ChannelGains) -> list[list[int]]:
@@ -83,67 +91,71 @@ def _joint_covariance(gains: ChannelGains) -> list[list[int]]:
     ]
 
 
-def _eliminate(cov: list[list[int]], y: int, order: tuple[int, ...]):
-    """Fraction-free elimination of the covariance of (*order, y) along
-    order, one conditioner at a time: yields (s, prev) before the first
-    step and after each, where s[a][b] (a <= b) is prev times the
-    covariance of entries a and b given the conditioners eliminated so
-    far.  s is updated in place, so read it before the next step."""
-    keep = (*order, y)
-    s = [[cov[a][b] for b in keep] for a in keep]
-    prev = 1
-    yield s, prev
-    for t in range(len(order)):
-        pivot, row = s[t][t], s[t]
-        if pivot < 0:
-            raise CovarianceError(f"negative pivot {pivot / prev:.3e} at conditioner {order[t]}")
-        if pivot:  # a zero-variance conditioner is a constant: nothing to remove
-            # the upper triangle; every division is exact (Sylvester's identity)
-            for a in range(t + 1, len(keep)):
-                sa, f = s[a], row[a]
-                for b in range(a, len(keep)):
-                    sa[b] = (pivot * sa[b] - f * row[b]) // prev
-            prev = pivot
-        yield s, prev
+def _negative_pivot(pivot: int, prev: int, at: int, y: int) -> CovarianceError:
+    return CovarianceError(f"negative pivot {pivot / prev:.3e} at conditioner {_NAMES[at]} of {_NAMES[y]}")
 
 
-def _positive(var: tuple[int, int]) -> tuple[int, int]:
-    """A final conditional variance (numerator, denominator), if it is positive."""
+def _positive(var: tuple[int, int], y: int, given: tuple[int, ...]) -> tuple[int, int]:
+    """A final conditional variance Var(y | given) as (numerator,
+    denominator), if it is positive."""
     if var[0] <= 0:
-        raise CovarianceError(f"conditional variance {var[0] / var[1]:.3e} is not positive")
+        names = ", ".join(_NAMES[c] for c in given)
+        raise CovarianceError(f"conditional variance Var({_NAMES[y]} | {names}) = {var[0] / var[1]:.3e} is not positive")
     return var
 
 
-def _chain_variances(cov: list[list[int]], y: int, order: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Var(y | first k of order), k = 0 .. len(order), as (numerator,
-    denominator) pairs of ints, by fraction-free elimination."""
-    out = [(s[-1][-1], prev) for s, prev in _eliminate(cov, y, order)]
-    _positive(out[-1])
-    return out
-
-
-def _schur(s_uu: int, s_uy: int, s_yy: int, prev: int) -> tuple[int, int]:
-    """Var(y | C, u) from the (u, y) block of an elimination given C, each
-    entry prev times a covariance given C: the 2x2 Schur complement
-    (s_uu s_yy - s_uy**2) / (prev s_uu), or Var(y | C) if u is constant."""
+def _schur(s_uu: int, s_uy: int, s_yy: int, prev: int, y: int, given: tuple[int, ...]) -> tuple[int, int]:
+    """Var(y | given) for given = (*C, u), from the (u, y) block of an
+    elimination given C, each entry prev times a covariance given C: the
+    2x2 Schur complement (s_uu s_yy - s_uy**2) / (prev s_uu), or
+    Var(y | C) if u is constant."""
     if s_uu < 0:
-        raise CovarianceError(f"negative pivot {s_uu / prev:.3e} at a public part")
-    return _positive((s_uu * s_yy - s_uy * s_uy, prev * s_uu) if s_uu else (s_yy, prev))
+        raise _negative_pivot(s_uu, prev, given[-1], y)
+    return _positive((s_uu * s_yy - s_uy * s_uy, prev * s_uu) if s_uu else (s_yy, prev), y, given)
 
 
 def _receiver_variances(cov: list[list[int]], y: int, x: int, u: int, v: int) -> tuple[tuple[int, int], ...]:
     """Var(y | C) for C = (), (v), (v, x), (v, x, u), (u) and (v, u), as
     (numerator, denominator) pairs, at the receiver observing y, own
-    signal x with public part u, other public part v: one chain (v, x, u)
-    gives the first four, and the (u, y) block before and after its first
-    step the last two."""
-    steps = _eliminate(cov, y, (v, x, u))   # s has rows v, x, u, y
-    s, _ = next(steps)
-    var, var_u = (s[3][3], 1), _schur(s[2][2], s[2][3], s[3][3], 1)
-    s, prev = next(steps)
-    var_v, var_uv = (s[3][3], prev), _schur(s[2][2], s[2][3], s[3][3], prev)
-    var_vx, var_vxu = [(s[3][3], prev) for s, prev in steps]
-    return var, var_v, var_vx, _positive(var_vxu), var_u, var_uv
+    signal x with public part u, other public part v: the fraction-free
+    chain (v, x, u) gives the first four, and the (u, y) block before and
+    after its first step the last two.
+
+    The chain is written out on the upper triangle of the (v, x, u, y)
+    block: s_ab is prev times the covariance of a and b given the
+    conditioners eliminated so far, and a step with pivot p = s_tt sets
+    s_ab = (p s_ab - s_ta s_tb) // prev for a, b after t, each division
+    exact (Sylvester's identity); prev is 1 before the first step, so it
+    divides by nothing.  A zero pivot is a constant conditioner: its step
+    is skipped and prev kept."""
+    rv, rx, ru, ry = cov[v], cov[x], cov[u], cov[y]
+    vv, vx, vu, vy = rv[v], rv[x], rv[u], rv[y]
+    xx, xu, xy = rx[x], rx[u], rx[y]
+    uu, uy = ru[u], ru[y]
+    yy = ry[y]
+    var, var_u = (yy, 1), _schur(uu, uy, yy, 1, y, (u,))
+    prev = 1
+    if vv < 0:
+        raise _negative_pivot(vv, prev, v, y)
+    if vv:
+        xx, xu, xy = vv * xx - vx * vx, vv * xu - vx * vu, vv * xy - vx * vy
+        uu, uy = vv * uu - vu * vu, vv * uy - vu * vy
+        yy = vv * yy - vy * vy
+        prev = vv
+    var_v, var_uv = (yy, prev), _schur(uu, uy, yy, prev, y, (v, u))
+    if xx < 0:
+        raise _negative_pivot(xx, prev, x, y)
+    if xx:
+        uu, uy = (xx * uu - xu * xu) // prev, (xx * uy - xu * xy) // prev
+        yy = (xx * yy - xy * xy) // prev
+        prev = xx
+    var_vx = (yy, prev)
+    if uu < 0:
+        raise _negative_pivot(uu, prev, u, y)
+    if uu:
+        yy = (uu * yy - uy * uy) // prev
+        prev = uu
+    return var, var_v, var_vx, _positive((yy, prev), y, (v, x, u)), var_u, var_uv
 
 
 def _receiver_terms(cov: list[list[int]], y: int, x: int, u: int, v: int) -> tuple[float, ...]:

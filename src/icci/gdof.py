@@ -22,13 +22,15 @@ common layer.  The module provides the closed forms, an independent
 optimizer to cross-check them (the region's exact maximum from the dual
 table of ``icci.region``), and finite-P multiplexing-gain ratios that
 converge to the exponent targets.  The optimizer is one batched core
-over alphas: ``per_user_dof_optimum`` is its N = 1 case, and
-``dof_curve_samples`` runs a grid through it in fixed passes.
+over alphas: ``per_user_dof_optimum`` is its N = 1 case, which keeps
+both optima of the last alpha, and ``dof_curve_samples`` runs a grid
+through it in fixed passes, uncached.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -186,20 +188,33 @@ def per_user_dof_optimum(alpha: float, allow_common: bool = True) -> float:
     maximizer: the best per-user total needs no symmetry constraint.  It
     is downward comprehensive, so the best r1 + r2 is reached at r0 = 0.
     The rows come from ``gdof_rows``, not from the closed forms, so the
-    two stay independent checks of each other.
+    two stay independent checks of each other.  Both optima of the last
+    alpha are kept (``_symmetric_optima``).
     """
-    alpha = _nonneg_finite("alpha", alpha)
+    return _symmetric_optima(_nonneg_finite("alpha", alpha))[0 if allow_common else 1]
+
+
+@functools.lru_cache(maxsize=1)
+def _symmetric_optima(alpha: float) -> tuple[float, float]:
+    """Both optima of ``per_user_dof_optimum`` at one checked alpha, with
+    and without the common layer, from one ``_symmetric_reach`` column.
+    The last alpha's pair is kept, so the paper's comparison of the two,
+    ``dof_icci_lp(a)`` then ``dof_ic_lp(a)``, solves the region once."""
     reach = _symmetric_reach([alpha])
-    return float(reach[_SUM_ALL if allow_common else _SUM_INDIVIDUAL, 0]) / 2.0
+    return float(reach[_SUM_ALL, 0]) / 2.0, float(reach[_SUM_INDIVIDUAL, 0]) / 2.0
 
 
 def dof_icci_lp(alpha: float) -> float:
-    """Best symmetric per-user total with the common layer, by the dual table."""
+    """Best symmetric per-user total with the common layer, by the dual
+    table: ``per_user_dof_optimum(alpha, True)``.  It and ``dof_ic_lp``
+    stay because ``bench/`` and the tests call them; they go when
+    ``bench/`` calls ``per_user_dof_optimum`` (ROADMAP item 1)."""
     return per_user_dof_optimum(alpha, allow_common=True)
 
 
 def dof_ic_lp(alpha: float) -> float:
-    """Same optimizer restricted to r0 = 0 (no common message)."""
+    """Same optimizer restricted to r0 = 0 (no common message):
+    ``per_user_dof_optimum(alpha, False)``, kept as ``dof_icci_lp`` is."""
     return per_user_dof_optimum(alpha, allow_common=False)
 
 

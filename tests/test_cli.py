@@ -10,6 +10,7 @@ import pytest
 
 import icci
 from icci.cli import dispatch
+from icci.gaussian_mi import _X2
 from icci.sweep import check_channel, sample_gains
 
 from test_bounds import OVERFLOWING
@@ -240,6 +241,19 @@ class TestVerifyMi:
         code, out, err = run(capsys, ["verify-mi", "--samples", "3"])
         assert (code, out) == (1, "")
         assert err == "verify-mi: covariance guard tripped at sample 0: negative pivot\n"
+
+    def test_a_tripped_guard_names_its_conditioner(self, capsys, monkeypatch):
+        # a covariance whose X2 has variance -1: only receiver 2's chain
+        # conditions on X2, its own signal, and the message names both
+        def indefinite(gains):
+            cov = [[int(a == b) for b in range(6)] for a in range(6)]
+            cov[_X2][_X2] = -1
+            return cov
+
+        monkeypatch.setattr("icci.gaussian_mi._joint_covariance", indefinite)
+        code, out, err = run(capsys, ["verify-mi", "--samples", "3"])
+        assert (code, out) == (1, "")
+        assert err == "verify-mi: covariance guard tripped at sample 0: negative pivot -1.000e+00 at conditioner X2 of Y2\n"
 
 
 class TestExample:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ from icci.gaussian_mi import (
     _Y1,
     _Y2,
     CovarianceError,
-    _chain_variances,
     _joint_covariance,
     _receiver_variances,
     _schur,
@@ -77,6 +77,88 @@ def reference_terms(gains: ChannelGains) -> tuple[float, ...]:
 STAGE_TARGETS = (0.2, 0.2, 0.2, 0.4)
 
 
+def chain_variances(cov: list[list[int]], y: int, order: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Var(y | first k of order), k = 0 .. len(order), as (numerator,
+    denominator) pairs of ints: the generic fraction-free (Bareiss)
+    elimination of the covariance of (*order, y) along order, the
+    reference for the chain that ``_receiver_variances`` writes out.  A
+    zero-variance conditioner is a constant and is skipped."""
+    keep = (*order, y)
+    s = [[cov[a][b] for b in keep] for a in keep]
+    prev = 1
+    out = [(s[-1][-1], prev)]
+    for t in range(len(order)):
+        pivot, row = s[t][t], s[t]
+        if pivot < 0:
+            raise CovarianceError(f"negative pivot at conditioner {order[t]}")
+        if pivot:
+            # the upper triangle; every division is exact (Sylvester's identity)
+            for a in range(t + 1, len(keep)):
+                sa, f = s[a], row[a]
+                for b in range(a, len(keep)):
+                    sa[b] = (pivot * sa[b] - f * row[b]) // prev
+            prev = pivot
+        out.append((s[-1][-1], prev))
+    if out[-1][0] <= 0:
+        raise CovarianceError("the last conditional variance is not positive")
+    return out
+
+
+def receiver_covariance(block: list[list[int]]) -> list[list[int]]:
+    """A 6x6 covariance holding a hand-built 4x4 block of (v, x, u, y) at
+    receiver 1, (U2, X1, U1, Y1), and zeros elsewhere."""
+    cov = [[0] * 6 for _ in range(6)]
+    for i, a in enumerate((_U2, _X1, _U1, _Y1)):
+        for j, b in enumerate((_U2, _X1, _U1, _Y1)):
+            cov[a][b] = block[i][j]
+    return cov
+
+
+def dense_covariances(seed: int, count: int) -> list[list[list[int]]]:
+    """Covariances B B^T of seeded small-int 6x8 B, where, unlike in
+    ``_joint_covariance``, the two public parts and each public part and
+    the other signal are correlated, so every entry of a chain counts.
+    A row of B for U1, U2, X1 or X2 is zero at random, a constant, and
+    the last two columns are Y1's and Y2's own unit noise, so every
+    variance of an output is positive."""
+    rng = random.Random(seed)
+    covs = []
+    for _ in range(count):
+        b = [[rng.randint(-3, 3) for _ in range(6)] + [int(a == _Y1), int(a == _Y2)] for a in range(6)]
+        for a in (_U1, _U2, _X1, _X2):
+            if rng.random() < 0.2:
+                b[a] = [0] * 8
+        covs.append([[sum(p * q for p, q in zip(r, c)) for c in b] for r in b])
+    return covs
+
+
+# the receiver-1 arguments of _receiver_variances: y, x, u, v
+RECEIVER_1 = (_Y1, _X1, _U1, _U2)
+# (v, x, u, y) blocks that trip the guard, with its message
+TRIPPING_BLOCKS = [
+    # a negative pivot at v, at x and at u: at u given (v, x), and at u
+    # alone, where the complement for Var(y | u) meets it first
+    ([[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "negative pivot -1.000e+00 at conditioner U2 of Y1"),
+    ([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], "negative pivot -1.000e+00 at conditioner X1 of Y1"),
+    ([[1, 0, 0, 0], [0, 1, 2, 0], [0, 2, 1, 0], [0, 0, 0, 1]], "negative pivot -3.000e+00 at conditioner U1 of Y1"),
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -2, 0], [0, 0, 0, 1]], "negative pivot -2.000e+00 at conditioner U1 of Y1"),
+    # the last variance, negative or zero, with every pivot positive
+    ([[1, 0, 0, 0], [0, 1, 0, 2], [0, 0, 1, 0], [0, 2, 0, 1]],
+     "conditional variance Var(Y1 | U2, X1, U1) = -3.000e+00 is not positive"),
+    ([[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 1, 0, 1]],
+     "conditional variance Var(Y1 | U2, X1, U1) = 0.000e+00 is not positive"),
+]
+# (v, x, u, y) blocks with v, then x, then u of zero variance, with the six
+# pairs of _receiver_variances: the step of the constant is skipped and
+# prev kept, so the pair after it is the pair before it
+SKIPPING_BLOCKS = [
+    ([[0, 0, 0, 0], [0, 4, 0, 2], [0, 0, 1, 1], [0, 2, 1, 3]], ((3, 1), (3, 1), (8, 4), (4, 4), (2, 1), (2, 1))),
+    ([[2, 0, 0, 1], [0, 0, 0, 0], [0, 0, 1, 1], [1, 0, 1, 3]], ((3, 1), (5, 2), (5, 2), (3, 2), (2, 1), (6, 4))),
+    ([[1, 0, 0, 1], [0, 2, 0, 1], [0, 0, 0, 0], [1, 1, 0, 4]], ((4, 1), (3, 1), (5, 2), (5, 2), (4, 1), (3, 1))),
+]
+
+
+
 class TestMiOracle:
     def test_worked_channel_matches_closed_form(self, worked_channel):
         terms = mutual_info_terms(worked_channel)
@@ -112,47 +194,59 @@ class TestMiOracle:
     def test_a_conditioner_scale_cancels(self):
         cov = _joint_covariance(ChannelGains(10.0, 3.0, 0.7, 2.5))
         order = (_U2, _X1, _U1)
-        chain = [Fraction(n, d) for n, d in _chain_variances(cov, _Y1, order)]
+        chain = [Fraction(n, d) for n, d in chain_variances(cov, _Y1, order)]
         for c in order:
             scaled = [[v * 3 ** ((a == c) + (b == c)) for b, v in enumerate(row)] for a, row in enumerate(cov)]
-            assert [Fraction(n, d) for n, d in _chain_variances(scaled, _Y1, order)] == chain
+            assert [Fraction(n, d) for n, d in chain_variances(scaled, _Y1, order)] == chain
+            assert [Fraction(*p) for p in _receiver_variances(scaled, *RECEIVER_1)[:4]] == chain
 
     def test_guard_trips_on_an_indefinite_covariance(self):
-        # a negative pivot, then a positive pivot leaving Var(y | 0) = 1 - 4
-        for cov in ([[-1, 0], [0, 1]], [[1, 2], [2, 1]]):
-            with pytest.raises(CovarianceError):
-                _chain_variances(cov, 1, (0,))
+        for block, message in TRIPPING_BLOCKS:
+            with pytest.raises(CovarianceError) as tripped:
+                _receiver_variances(receiver_covariance(block), *RECEIVER_1)
+            assert str(tripped.value) == message
+
+    def test_a_guard_names_the_receiver_output_and_its_conditioners(self):
+        # receiver 2 observes Y2 with own signal X2, own public part U2 and
+        # the other public part U1: a negative variance of U1 is its v
+        cov = _joint_covariance(ChannelGains(10.0, 3.0, 2.0, 2.5))
+        cov[_U1][_U1] = -cov[_U1][_U1]
+        with pytest.raises(CovarianceError, match=r"negative pivot -\S+ at conditioner U1 of Y2$"):
+            _receiver_variances(cov, _Y2, _X2, _U2, _U1)
+        with pytest.raises(CovarianceError, match=r"negative pivot -\S+ at conditioner U1 of Y1$"):
+            _receiver_variances(cov, *RECEIVER_1)
 
     def test_a_zero_variance_conditioner_is_skipped(self):
-        cov = [[0, 0, 0], [0, 4, 2], [0, 2, 3]]
-        assert [Fraction(n, d) for n, d in _chain_variances(cov, 2, (0, 1))] == [3, 3, 2]
+        for block, expected in SKIPPING_BLOCKS:
+            assert _receiver_variances(receiver_covariance(block), *RECEIVER_1) == expected, block
 
     def test_one_chain_and_two_complements_are_the_two_chains_as_rationals(self):
         # the six variances of a receiver against the (v, x, u) and (u, v)
-        # chains; the edge grid has every case of zero-variance publics
+        # chains of the reference, on channels and on dense covariances; the
+        # edge grid has every case of zero-variance publics
         channels = ([ChannelGains(*mags) for mags in itertools.product(EDGES, repeat=4)]
-                    + seeded_channels(9, 300, 1e-6, 1e6))
+                    + seeded_channels(9, 300, 1e-6, 1e6) + seeded_channels(42, 300, 1e-2, 1e2))
         constant = set()
-        for gains in channels:
-            cov = _joint_covariance(gains)
+        for cov in [_joint_covariance(gains) for gains in channels] + dense_covariances(3, 300):
             for y, x, u, v in ((_Y1, _X1, _U1, _U2), (_Y2, _X2, _U2, _U1)):
                 variances = _receiver_variances(cov, y, x, u, v)
                 var, var_v, var_vx, var_vxu, var_u, var_uv = (Fraction(*p) for p in variances)
-                assert [var, var_v, var_vx, var_vxu] == [Fraction(*p) for p in _chain_variances(cov, y, (v, x, u))]
-                assert [var, var_u, var_uv] == [Fraction(*p) for p in _chain_variances(cov, y, (u, v))]
+                assert variances[:4] == tuple(chain_variances(cov, y, (v, x, u)))
+                assert [var, var_u, var_uv] == [Fraction(*p) for p in chain_variances(cov, y, (u, v))]
                 constant.add((cov[u][u] == 0, cov[v][v] == 0))
         assert constant == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_a_complement_is_guarded_as_a_chain_is(self):
         # from a (u, y) block of prev times a covariance: a constant u
-        # leaves Var(y | C), and an indefinite block trips the guard
-        assert _schur(0, 0, 5, 2) == (5, 2)
-        assert Fraction(*_schur(4, 2, 3, 2)) == Fraction(4 * 3 - 2 * 2, 2 * 4)
-        with pytest.raises(CovarianceError, match="negative pivot"):
-            _schur(-1, 0, 1, 1)
+        # leaves Var(y | C), and an indefinite block trips the guard, which
+        # names u and Var(y | C, u)
+        assert _schur(0, 0, 5, 2, _Y1, (_U2, _U1)) == (5, 2)
+        assert Fraction(*_schur(4, 2, 3, 2, _Y1, (_U2, _U1))) == Fraction(4 * 3 - 2 * 2, 2 * 4)
+        with pytest.raises(CovarianceError, match="negative pivot -1.000e[+]00 at conditioner U2 of Y2"):
+            _schur(-1, 0, 1, 1, _Y2, (_U2,))
         for block in ((1, 2, 1), (1, 1, 1)):
-            with pytest.raises(CovarianceError, match="not positive"):
-                _schur(*block, 1)
+            with pytest.raises(CovarianceError, match=r"Var\(Y2 \| U1, U2\) = \S+ is not positive"):
+                _schur(*block, 1, _Y2, (_U1, _U2))
 
     def test_a_ratio_past_the_float_range_is_invalid_input(self):
         with pytest.raises(ValueError, match="too large for a float"):

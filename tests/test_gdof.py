@@ -303,6 +303,52 @@ class TestLpCrossCheck:
         for sample in samples:
             assert sample.d_icci_lp.hex() == dof_icci_lp(sample.alpha).hex(), sample.alpha
 
+    def test_the_pair_at_one_alpha_solves_the_region_once(self, monkeypatch):
+        calls = []
+
+        def counted(alphas):
+            calls.append(list(alphas))
+            return _symmetric_reach(alphas)
+
+        monkeypatch.setattr(icci.gdof, "_symmetric_reach", counted)
+        icci.gdof._symmetric_optima.cache_clear()
+        try:
+            dof_icci_lp(0.6)
+            dof_ic_lp(0.6)
+            assert calls == [[0.6]]
+            dof_ic_lp(1.5)
+            dof_icci_lp(1.5)
+            assert calls == [[0.6], [1.5]]
+            # only the last alpha is kept
+            per_user_dof_optimum(0.6, allow_common=False)
+            assert calls == [[0.6], [1.5], [0.6]]
+        finally:
+            icci.gdof._symmetric_optima.cache_clear()
+
+    def test_each_optimum_is_its_row_of_one_solve_in_any_order(self):
+        def solved(alpha):
+            with np.errstate(all="raise"):
+                reach = _symmetric_reach([alpha])
+            return [(reach[row, 0] / 2.0).hex() for row in (_SUM_ALL, _SUM_INDIVIDUAL)]
+
+        alphas = GRID + [0.0, -0.0, 5e-324, 1.7e308, math.nextafter(_FINITE_ALPHA, 0.0), _FINITE_ALPHA,
+                         math.nextafter(_FINITE_ALPHA, math.inf)]
+        # a list, not a dict: 0.0 and -0.0 are one dict key, as they are one
+        # cache key
+        expected = [solved(alpha) for alpha in alphas]
+        # each alpha between two calls at its neighbour, so each call of
+        # (a, b, a) meets the cache holding the other alpha
+        for k in range(len(alphas) - 1):
+            for j in (k, k + 1, k):
+                for flag, want in zip((True, False), expected[j]):
+                    assert per_user_dof_optimum(alphas[j], flag).hex() == want, (alphas[j], flag)
+        # the optima of 0.0 and -0.0 have the same bits, whichever is cached
+        assert solved(-0.0) == solved(0.0)
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            icci.gdof._symmetric_optima.cache_clear()
+            for alpha in (first, second):
+                assert [per_user_dof_optimum(alpha, flag).hex() for flag in (True, False)] == solved(0.0), alpha
+
     def test_alpha06_optimum_point(self):
         assert per_user_dof_optimum(0.6) == pytest.approx(0.7, abs=1e-12)
         assert per_user_dof_optimum(0.6, allow_common=False) == pytest.approx(0.6, abs=1e-12)
