@@ -129,9 +129,12 @@ def power_split(gains: ChannelGains) -> tuple[float, float]:
     1 / max(m**2, 1) over its cross gain, 1.0 up to m = 1 and at zero
     gain, so the private leakage lands at or below the noise floor;
     ``coeff_rows`` takes the same expression on columns, with the same
-    bits.
+    bits.  Its literals are ints, as in ``_inner_args``, but the
+    expression is not exact on ``Fraction`` powers: below 1 it is the int
+    quotient 1 / 1, the float 1.0, so an exact reference takes the split
+    as ``Fraction(1) / max(i, 1)``.
     """
-    return 1.0 / max(gains.m12 * gains.m12, 1.0), 1.0 / max(gains.m21 * gains.m21, 1.0)
+    return 1 / max(gains.m12 * gains.m12, 1), 1 / max(gains.m21 * gains.m21, 1)
 
 
 def _inner_args(s, i, x, x_other):
@@ -140,21 +143,23 @@ def _inner_args(s, i, x, x_other):
     fraction x of the interferer's signal there and the private fraction
     x_other of its own transmitter's; G' is G, the same value; on Python
     floats or numpy columns alike, in the same operations and order, so
-    both give the same bits."""
-    n = 1.0 + i * x   # the residual interference floor
-    g = (s + i * (1.0 - x)) / n
-    return s * x_other / n, s / n, (s * x_other + i * (1.0 - x)) / n, g, g
+    both give the same bits.  Every literal is an int, which converts to
+    a float exactly, so the form also runs on ``Fraction`` inputs and
+    gives exact ``Fraction`` arguments."""
+    n = 1 + i * x   # the residual interference floor
+    g = (s + i * (1 - x)) / n
+    return s * x_other / n, s / n, (s * x_other + i * (1 - x)) / n, g, g
 
 
 def _outer_args(s, i, i_other, t):
     """The five ``cap`` arguments of the outer family at one receiver,
     from its direct and cross powers, the other receiver's cross power
     and its summed gains t = m_ii + m_ij, the square t * t being G'; on
-    floats or numpy columns, as ``_inner_args``."""
+    floats, numpy columns or ``Fraction`` inputs, as ``_inner_args``."""
     return (
-        s / (1.0 + i_other),
+        s / (1 + i_other),
         s,
-        i + s / (1.0 + i_other),
+        i + s / (1 + i_other),
         s + i,
         t * t,
     )
@@ -215,7 +220,7 @@ def coeff_rows(gains: np.ndarray) -> np.ndarray:
     m = np.asarray(gains, dtype=float).T
     own, cross = m[::3], m[1:3]   # (m11, m22) and (m12, m21)
     s, i = own * own, cross * cross
-    x = 1.0 / np.maximum(i, 1.0)
+    x = 1 / np.maximum(i, 1)
     args = np.array(_inner_args(s, i, x, x[::-1]) + _outer_args(s, i, i[::-1], own + cross))
     caps = np.fromiter(map(math.log1p, args.ravel().tolist()), float, args.size) / _LN2
     return caps.reshape(2, len(_COEFF_FIELDS), m.shape[1])

@@ -18,7 +18,7 @@ from .channel import ChannelGains, _nonneg_finite
 from .gaussian_mi import CovarianceError, mi_discrepancy, successive_decode_chain
 from .gdof import _curve_grid, _curve_passes, _write_curve_rows
 from .region import MEMBERSHIP_TOL, build_inner, build_outer, region_as_dict, within_bits_slack
-from .sweep import SweepConfig, _sampled_chunks, run_gap_sweep
+from .sweep import SweepConfig, _sampled_blocks, run_gap_sweep
 
 __all__ = ["build_parser", "dispatch", "main"]
 
@@ -126,8 +126,8 @@ def _cmd_verify_mi(args: argparse.Namespace) -> int:
     worst = 0.0
     worst_index = 0
     try:
-        for part, rows in _sampled_chunks(config):
-            for index, row in zip(part, rows.tolist()):
+        for block, rows in _sampled_blocks(config):
+            for index, row in zip(block, rows.tolist()):
                 err = mi_discrepancy(ChannelGains(*row))
                 if err > worst:
                     worst, worst_index = err, index

@@ -14,21 +14,24 @@ clipped-shift bit-gap certificate.  The per-rate bit-gap certificate
 is computed alongside, from the same converse maxima, and carried in
 each channel's result without entering its verdict.
 
-All of it runs in one array-first core over an (N, 4) gains array: both
-coefficient families as column expressions, the (13, N) right-hand
-sides, and the maxima that every certificate needs, which
+All of it runs in one array-first core over an (N, 4) gains array, in
+two stages.  The coefficient stage computes both coefficient families as
+column expressions, the delta limits and both regions' right-hand sides;
+it is elementwise, so it runs once over a whole sampled block.  The
+dual-table stage takes the maxima that every certificate needs, which
 ``icci.region`` takes by LP duality from one table of dual multipliers
-fixed at import, with no vertex enumeration.  The maxima and the row
-reduction are those of ``icci.region``, whose ``within_bits_slack`` and
+fixed at import, with no vertex enumeration, and reduces the rows; it
+runs on fixed-size chunks of the block's right-hand sides, which bound
+its largest temporary.  The maxima and the row reduction are those of
+``icci.region``, whose ``within_bits_slack`` and
 ``within_bits_unclipped_slack`` are the same path at N = 1, so a
 channel's certificates there and here are the same bits; only displayed
-vertices and a certificate's witness are enumerated.  A sweep feeds the
-core fixed-size chunks of channels and reduces the chunks in
-sample-index order; ``check_channels`` runs the same chunks, and
-``check_channel`` is the core at N = 1.  The core only computes
-elementwise or within one channel, so every channel's results are
-bit-identical whatever the chunk size, and a config always gives the
-same report.
+vertices and a certificate's witness are enumerated.  A sweep certifies
+block by block and reduces the blocks in sample-index order;
+``check_channels`` runs the same blocks, and ``check_channel`` is the
+core at N = 1.  The core only computes elementwise or within one
+channel, so every channel's results are bit-identical whatever the
+block or chunk size, and a config always gives the same report.
 """
 
 from __future__ import annotations
@@ -53,19 +56,21 @@ __all__ = [
 ]
 
 MAG_LIMIT = 1e6  # validated operating envelope for link magnitudes
-# Channels per pass of the core.  Its largest temporary is the
-# (2 * chunk, 232) float product of _reach with the dual table: 58 KiB at
-# 16 channels, under glibc's default 128 KiB mmap threshold, so it is
-# recycled from the heap rather than mapped and faulted in again on every
-# pass.  A pass costs a fixed ~0.06 ms of numpy calls plus ~5 us per
-# channel (timeit, best of 40 interleaved rounds, on a shared 2-vCPU
-# Xeon), so larger passes amortize more.  16 stays because a faster sweep
-# reads a higher peak RSS in the benchmark, whose bookkeeping grows with
-# the items done: at 32, two readings of sweep-accept gave
-# 50.3-50.4 MB and 47.4-47.5 MB against 44.5-46.8 MB at 16, the first
-# past its 0.1 bound.
+# Channels per pass of the core's dual-table stage, the only stage that
+# runs chunk by chunk and so the only one that pays a fixed cost per pass:
+# its largest temporary is the (2 * chunk, 232) float product of _reach
+# with the dual table, 58 KiB at 16 channels, under glibc's default
+# 128 KiB mmap threshold, so it is recycled from the heap rather than
+# mapped and faulted in again on every pass.  A pass costs a fixed ~0.026
+# ms of numpy calls plus ~2.6 us per channel (timeit, best of 40
+# interleaved rounds, on a shared 2-vCPU Xeon), so larger passes would
+# amortize more; 16 stays because a faster sweep reads a higher peak RSS
+# in the benchmark, whose bookkeeping grows with the items done: at 32,
+# two readings of sweep-accept gave 50.3-50.4 MB and 47.4-47.5 MB against
+# 44.5-46.8 MB at 16, the first past its 0.1 bound.
 _CHUNK = 16
-# Channels per pass of the sampler, 64 chunks: 32 KiB of gains.
+# Channels per pass of the sampler and of the core's coefficient stage,
+# 64 chunks: 32 KiB of gains.
 _BLOCK = 64 * _CHUNK
 
 
@@ -243,18 +248,29 @@ def sample_gains(seed: int, index: int, mag_min: float = 1e-3, mag_max: float = 
 
 def _certify(gains: np.ndarray, bits: float, tol: float) -> tuple[np.ndarray, ...]:
     """The certification core for an (N, 4) array of gains (m11, m12,
-    m21, m22).
+    m21, m22), N >= 1.
 
     Returns (N,) arrays: deltas_ok, containment_slack, gap_slack,
-    gap_constraint and per_rate_gap_slack, as in ``ChannelCheck``.  A
-    region's slack against a row is rhs - max over the region of c . v,
-    the maximum taken by ``_reach``.
+    gap_constraint and per_rate_gap_slack, as in ``ChannelCheck``.  The
+    coefficient stage runs once over all N channels, the dual-table stage
+    ``_certify_rhs`` on chunks of ``_CHUNK``.
     """
     coeffs = coeff_rows(gains)
     deltas_ok = delta_rows_within_limits(coeffs[1] - coeffs[0], tol=tol)
+    rhs = bound_rhs(coeffs.swapaxes(0, 1))   # (13, 2, N): each channel's inner then outer column
+    chunks = [_certify_rhs(rhs[:, :, start:start + _CHUNK], bits) for start in range(0, len(gains), _CHUNK)]
+    return (deltas_ok, *map(np.concatenate, zip(*chunks)))
+
+
+def _certify_rhs(rhs: np.ndarray, bits: float) -> tuple[np.ndarray, ...]:
+    """The dual-table stage for the (13, 2, n) right-hand sides of n
+    channels: (n,) arrays containment_slack, gap_slack, gap_constraint
+    and per_rate_gap_slack.  A region's slack against a row is rhs - max
+    over the region of c . v, the maximum taken by ``_reach``.
+    """
     # both regions of every channel in one pass: inner columns first, then outer
-    n = len(gains)
-    rhs = bound_rhs(coeffs.swapaxes(0, 1)).reshape(-1, 2 * n)
+    n = rhs.shape[2]
+    rhs = rhs.reshape(-1, 2 * n)
     reach = _reach(rhs)
     inner_rhs, outer_reach = rhs[:, :n], reach[:, n:]
 
@@ -267,18 +283,19 @@ def _certify(gains: np.ndarray, bits: float, tol: float) -> tuple[np.ndarray, ..
     containment, per_rate = np.minimum(unclipped[:n], 0.0), unclipped[n:]
     # the outer region, shifted down by bits and clipped, against the inner rows
     rows = _gap_rows(inner_rhs, outer_reach, bits, clip=True)
-    return deltas_ok, containment, rows.min(axis=0), rows.argmin(axis=0), per_rate
+    return containment, rows.min(axis=0), rows.argmin(axis=0), per_rate
 
 
 def _gain_rows(gains: Sequence[ChannelGains]) -> np.ndarray:
     return np.array([(g.m11, g.m12, g.m21, g.m22) for g in gains], dtype=float)
 
 
-def _chunks(indices: range, size: int = _CHUNK):
-    return (indices[start:start + size] for start in range(0, len(indices), size))
+def _blocks(count: int):
+    """The index ranges of count channels, ``_BLOCK`` at a time."""
+    return (range(start, min(start + _BLOCK, count)) for start in range(0, count, _BLOCK))
 
 
-def _check_chunk(indices, gains: Sequence[ChannelGains], bits: float, tol: float) -> list[ChannelCheck]:
+def _check_block(indices, gains: Sequence[ChannelGains], bits: float, tol: float) -> list[ChannelCheck]:
     try:  # finite gains make a coefficient infinite only through an overflow
         with np.errstate(over="raise"):
             results = [r.tolist() for r in _certify(_gain_rows(gains), bits, tol)]
@@ -295,12 +312,13 @@ def _check_chunk(indices, gains: Sequence[ChannelGains], bits: float, tol: float
 def check_channels(
     gains: Sequence[ChannelGains], bits: float = 1.0, tol: float = MEMBERSHIP_TOL
 ) -> list[ChannelCheck]:
-    """``check_channel`` on every channel, indexed by position, in
-    batched passes of the certification core; the first entry that
-    overflows is refused by index, in the scalar families' words."""
+    """``check_channel`` on every channel, indexed by position, in passes
+    of the certification core over blocks of up to ``_BLOCK`` channels,
+    as a sweep certifies them; the first entry that overflows is refused
+    by index, in the scalar families' words."""
     bits, tol = _nonneg_finite("bits", bits), _nonneg_finite("tol", tol)
-    return [check for part in _chunks(range(len(gains)))
-            for check in _check_chunk(part, gains[part.start:part.stop], bits, tol)]
+    return [check for block in _blocks(len(gains))
+            for check in _check_block(block, gains[block.start:block.stop], bits, tol)]
 
 
 def check_channel(
@@ -309,32 +327,28 @@ def check_channel(
     """Run all three certifications on one channel, plus the per-rate
     gap certificate: the certification core at N = 1."""
     bits, tol = _nonneg_finite("bits", bits), _nonneg_finite("tol", tol)
-    return _check_chunk([index], [gains], bits, tol)[0]
+    return _check_block([index], [gains], bits, tol)[0]
 
 
-def _sampled_chunks(config: SweepConfig):
-    """The channels of a config, chunk by chunk: each chunk's index range
-    and its (N, 4) gains.  Blocks of up to ``_BLOCK`` channels are drawn
-    in one pass each, since a pass of the sampler costs far less per
-    channel at a thousand channels than at a chunk's 16, and each block
-    is handed out in chunks."""
-    for block in _chunks(range(config.samples), _BLOCK):
-        gains = _sample_rows(config.seed, block.start, len(block), config.mag_min, config.mag_max)
-        for start in range(0, len(block), _CHUNK):
-            yield block[start:start + _CHUNK], gains[start:start + _CHUNK]
+def _sampled_blocks(config: SweepConfig):
+    """The channels of a config, block by block: each block's index range
+    and its (N, 4) gains, drawn in one pass of the sampler, which costs
+    far less per channel at a thousand channels than at a chunk's 16."""
+    for block in _blocks(config.samples):
+        yield block, _sample_rows(config.seed, block.start, len(block), config.mag_min, config.mag_max)
 
 
 def run_gap_sweep(config: SweepConfig) -> SweepReport:
-    """Sample, certify chunk by chunk, and reduce in index order."""
+    """Sample, certify block by block, and reduce in index order."""
     failed: list[int] = []
     worst = None   # (slack, index, constraint, gains row), the first channel of least slack
-    for part, gains in _sampled_chunks(config):
+    for block, gains in _sampled_blocks(config):
         deltas_ok, containment, gap, constraint, _ = _certify(gains, config.bits, config.tol)
         passed = _passed(deltas_ok, containment, gap, config.tol)
-        failed.extend((part.start + np.flatnonzero(~passed)).tolist())
+        failed.extend((block.start + np.flatnonzero(~passed)).tolist())
         k = int(gap.argmin())
         if worst is None or gap[k] < worst[0]:
-            worst = (float(gap[k]), part.start + k, int(constraint[k]), gains[k])
+            worst = (float(gap[k]), block.start + k, int(constraint[k]), gains[k])
     worst_slack, worst_index, worst_constraint, worst_gains = worst
     return SweepReport(
         config=config,

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -258,6 +259,23 @@ def test_the_scalar_families_are_cap_of_their_arguments():
         for family, args in ((inner_coeffs, _inner_args(s1, i1, x12, x21) + _inner_args(s2, i2, x21, x12)),
                              (outer_coeffs, _outer_args(s1, i1, i2, t1) + _outer_args(s2, i2, i1, t2))):
             assert [v.hex() for v in family(g).values] == [cap(p).hex() for p in _FIELD_ORDER(args)], g
+
+
+def test_the_argument_forms_stay_exact_on_fractions():
+    # every literal of the forms is an int, so Fraction inputs give Fraction
+    # arguments and no float creeps in: a float literal would turn 1 + i * x
+    # into a float and an exact reference built on the forms into a float one
+    for m11, m12, m21, m22 in [(10, 3, 3, 10), (Fraction(1, 3), Fraction(7, 2), 0, 2), (0, 0, 0, 0),
+                               (Fraction(10**12), Fraction(1, 10**6), 1, Fraction(10**12))]:
+        s1, s2, i1, i2 = (Fraction(m) * m for m in (m11, m22, m12, m21))
+        x12, x21 = (Fraction(1) / max(i, 1) for i in (i1, i2))   # the split, with an exact numerator
+        for args in (_inner_args(s1, i1, x12, x21), _inner_args(s2, i2, x21, x12),
+                     _outer_args(s1, i1, i2, Fraction(m11) + m12), _outer_args(s2, i2, i1, Fraction(m22) + m21)):
+            assert all(type(v) is Fraction for v in args), (m11, m12, m21, m22)
+        n1 = 1 + i1 * x12
+        assert _inner_args(s1, i1, x12, x21) == (s1 * x21 / n1, s1 / n1, (s1 * x21 + i1 * (1 - x12)) / n1,
+                                                 (s1 + i1 * (1 - x12)) / n1, (s1 + i1 * (1 - x12)) / n1)
+        assert _outer_args(s1, i1, i2, Fraction(m11) + m12)[4] == (Fraction(m11) + m12) ** 2
 
 
 # float.hex of the inner and the outer family, each in field order, as

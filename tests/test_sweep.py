@@ -40,7 +40,7 @@ from icci.sweep import (
     _certify,
     _gain_rows,
     _sample_rows,
-    _sampled_chunks,
+    _sampled_blocks,
     check_channel,
     check_channels,
     run_gap_sweep,
@@ -74,7 +74,7 @@ class TestSampling:
     def test_batch_is_the_keyed_generator_formula(self, seed):
         # numpy has no keyed multi-stream draw, so a generator per channel
         # is the independent reference of the packed sampler: over chunk
-        # and block edges, in one pass and as a sweep hands them out
+        # and block edges, in one pass and as a sweep draws its blocks
         uniforms = {}
 
         def literal(i, lo, hi):
@@ -95,8 +95,8 @@ class TestSampling:
                 assert sample_gains(seed, i, lo, hi) == ChannelGains(*literal(i, lo, hi)), (lo, i)
             for indices in blocks:
                 config = SweepConfig(samples=len(indices), seed=seed, mag_min=lo, mag_max=hi)
-                parts, rows = zip(*_sampled_chunks(config))
-                assert list(parts) == [indices[s:s + _CHUNK] for s in range(0, len(indices), _CHUNK)]
+                parts, rows = zip(*_sampled_blocks(config))
+                assert list(parts) == [indices[s:s + _BLOCK] for s in range(0, len(indices), _BLOCK)]
                 want = np.array([literal(i, lo, hi) for i in indices])
                 assert np.concatenate(rows).tobytes() == want.tobytes(), (lo, indices)
 
@@ -186,6 +186,13 @@ class TestCheckChannel:
                 check_channel(7, gains)
             with pytest.raises(ValueError, match=re.escape(f"channel 1: {message}")):
                 check_channels([ChannelGains(1, 1, 1, 1), gains, ChannelGains(1e300, 1, 1, 1)])
+            # past the first chunk, and in the second block: the coefficient
+            # stage runs over a whole block, and the first entry is refused
+            for count, first, second in ((45, 20, 40), (_BLOCK + 76, _BLOCK + 6, _BLOCK + 66)):
+                channels = seeded_channels(42, count)
+                channels[first], channels[second] = gains, ChannelGains(1e300, 1, 1, 1)
+                with pytest.raises(ValueError, match=re.escape(f"channel {first}: {message}")):
+                    check_channels(channels)
 
     def test_huge_gains_with_finite_coefficients_are_checked(self):
         gains = ChannelGains(1e150, 1e150, 1e150, 1e150)
@@ -360,10 +367,15 @@ def assert_core_matches_region_api(gains: list, bits: float) -> None:
 
 class TestCertificationCore:
     def test_bitwise_the_same_at_every_chunk_split(self):
-        gains = seeded_channels(42, 40) + EDGE_CHANNELS[::23]
+        # 1040 channels, past a block, the edge channels mixed in: a whole
+        # _certify runs its coefficient stage once over all of them and its
+        # dual-table stage on _CHUNK slices, so it is also compared with
+        # those slices certified one by one, each through both stages
+        seeded = seeded_channels(42, 1040 - len(EDGE_CHANNELS))
+        gains = [g for pair in zip(seeded, EDGE_CHANNELS) for g in pair] + seeded[len(EDGE_CHANNELS):]
         rows = _gain_rows(gains)
         whole = _certify(rows, 1.0, 1e-9)
-        for size in (1, 16, 50):
+        for size in (1, _CHUNK, 50, _BLOCK):
             parts = [_certify(rows[s:s + size], 1.0, 1e-9) for s in range(0, len(rows), size)]
             for got, want in zip(map(np.concatenate, zip(*parts)), whole):
                 assert got.tobytes() == want.tobytes(), size
@@ -374,14 +386,17 @@ class TestCertificationCore:
             assert got.tobytes() == want.tobytes(), field
 
     def test_sweep_report_matches_the_channel_checks(self):
-        config = SweepConfig(samples=50, seed=42)
-        report = run_gap_sweep(config)
-        checks = check_channels([sample_gains(42, i) for i in range(50)], bits=1.0)
-        worst = min(checks, key=lambda c: c.gap_slack)
-        assert report.failed_indices == tuple(c.index for c in checks if not c.passed())
-        assert (report.worst_index, report.worst_slack, report.worst_constraint) == (
-            worst.index, worst.gap_slack, worst.gap_constraint)
-        assert report.worst_gains == worst.gains
+        # the sweep reduces once per block: over one channel, part of a
+        # block, and blocks ending in a short chunk or in one channel, its
+        # report is what the channels checked one at a time give
+        for samples in (1, 50, _BLOCK + 17, 2 * _BLOCK + 1):
+            report = run_gap_sweep(SweepConfig(samples=samples, seed=42))
+            checks = [check_channel(i, sample_gains(42, i), bits=1.0) for i in range(samples)]
+            worst = min(checks, key=lambda c: c.gap_slack)
+            assert report.failed_indices == tuple(c.index for c in checks if not c.passed()), samples
+            assert (report.worst_index, report.worst_slack, report.worst_constraint) == (
+                worst.index, worst.gap_slack, worst.gap_constraint), samples
+            assert report.worst_gains == worst.gains, samples
 
     def test_matches_region_api_on_seeded_channels(self):
         assert_core_matches_region_api(seeded_channels(42, 100), bits=1.0)
