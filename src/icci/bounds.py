@@ -222,7 +222,8 @@ def coeff_rows(gains: np.ndarray) -> np.ndarray:
     s, i = own * own, cross * cross
     x = 1 / np.maximum(i, 1)
     args = np.array(_inner_args(s, i, x, x[::-1]) + _outer_args(s, i, i[::-1], own + cross))
-    caps = np.fromiter(map(math.log1p, args.ravel().tolist()), float, args.size) / _LN2
+    # a memoryview yields the float64s one by one, with no list of them all
+    caps = np.fromiter(map(math.log1p, memoryview(args.ravel())), float, args.size) / _LN2
     return caps.reshape(2, len(_COEFF_FIELDS), m.shape[1])
 
 

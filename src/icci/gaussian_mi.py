@@ -71,7 +71,13 @@ _NAMES = ("U1", "U2", "X1", "X2", "Y1", "Y2")
 class CovarianceError(ArithmeticError):
     """Elimination met a negative pivot or a final variance that is not
     positive; the message names the variables, e.g. ``negative pivot
-    -1.000e+00 at conditioner U2 of Y1``."""
+    -1.000e+00 at conditioner U2 of Y1``.
+
+    ``_joint_covariance`` of valid gains never reaches it: it is the
+    exact, integer-scaled covariance of a Gaussian vector, so positive
+    semidefinite, and each scaled output D Y_i carries noise of variance
+    D**2 > 0 that no conditioner shares.  The guard stays as a check of
+    that fact, and the tests trip it on hand-built covariances."""
 
 
 def _joint_covariance(gains: ChannelGains) -> list[list[int]]:

@@ -134,7 +134,8 @@ def gdof_coeffs(exponents: GdofExponents) -> BoundCoeffs:
 def build_gdof_region(coeffs: BoundCoeffs) -> RateRegion:
     """The exponent region of a gdof family: the 13 rows of
     ``region_from_coeffs`` with G' = G, so rows 5, 6, 9 and 10 are
-    redundant, as ``icci.region`` says for every such family."""
+    implied by rows 7, 8, 11 and 12, as ``icci.region`` says for every
+    such family; the display drops the planes the rule finds implied."""
     return _region_of_side(coeffs, "gdof")
 
 

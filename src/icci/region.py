@@ -12,9 +12,11 @@ admits no others, and the exponent region of ``icci.gdof`` is the same
 rows), so it is bounded (rows 0, 2 and 3 bound r0, r1 and r2), contains
 the origin, and is downward comprehensive: lowering any coordinate of a
 feasible point keeps it feasible, because every c_k is nonnegative.
-On a family with G' = G, as the inner family of ``icci.bounds`` and the
+A row is implied by any row of another pattern that dominates its own
+componentwise at no larger rhs, since r >= 0 gives c . r <= c' . r.  On
+a family with G' = G, as the inner family of ``icci.bounds`` and the
 exponent family of ``icci.gdof`` are, rows 5, 6, 9 and 10 are rows 7, 8,
-11 and 12 without r0, at the same rhs, so r0 >= 0 makes them redundant.
+11 and 12 without r0, at the same rhs, so that rule makes them redundant.
 On any family the largest r0 is min(G1', G2'): every row with r0 has an
 rhs of G1' or G2' plus nonnegative terms, so (min(G1', G2'), 0, 0)
 meets every row, and rows 0 and 1, r0 + r1 <= G1' and r0 + r2 <= G2',
@@ -28,9 +30,10 @@ Whatever depends on the coefficients is computed once, at import, over
 the 10 distinct patterns (rows 4-6 and rows 7-8 share one), each taken
 at its least rhs: a row whose parallel twin has a smaller rhs never
 binds.  With the 3 coordinate planes that gives 286 plane triples, 216
-of them nonsingular.  The nine rows left once rows 5, 6, 9 and 10 are
-redundant have 8 distinct patterns, so 165 triples, 122 of them
-nonsingular.  With coefficients in {0, 1, 2} each triple's
+of them nonsingular, and the implication rule above becomes 29 pairs
+(q, p) of distinct patterns with q >= p componentwise (``_DOMINANCE``):
+p is implied when q's least rhs is no larger than p's.  With
+coefficients in {0, 1, 2} each triple's
 adjugate and determinant are small integers that float64 holds exactly,
 so a triple is singular exactly when its determinant is 0, with no pivot
 threshold.
@@ -47,9 +50,9 @@ one dense (10, 232) matrix.  ``within_bits_slack`` and
 N = 1, and the sweep of ``icci.sweep`` runs the same path over chunks of
 channels, so both give the same bits.  Only the display (``vertices``,
 ``region_as_dict``) and a certificate's witness vertex, once read, solve
-a region's triples (``_candidates``), all in one product with a solve
-map of adjugate entries fixed at import: the nine-row table's when the
-rhs make rows 5, 6, 9 and 10 redundant, the full table's otherwise.
+a region's triples (``_candidates``), all in one product with the one
+solve map of adjugate entries fixed at import, and drop the triples on
+a plane the rule finds implied.
 ``vertices`` merges the candidates greedily in triple order within
 2**-44 times the largest rhs, so two vertices closer than rounding can
 tell apart are shown as one: from one matrix of near pairs it keeps a
@@ -356,39 +359,27 @@ def _plane_solver(patterns: tuple[tuple[int, int, int], ...]):
 
 
 # the one solver: _BOUND_ROW maps each row to its pattern in _BOUND_DISTINCT
-_SOLVER = _plane_solver(BOUND_PATTERNS)
-_COEFFS, _BOUND_ROW, _TRIPLES, _ADJ, _DET = _SOLVER
+_COEFFS, _BOUND_ROW, _TRIPLES, _ADJ, _DET = _plane_solver(BOUND_PATTERNS)
 # the first row of each distinct pattern: twin rows are adjacent, so
 # _BOUND_ROW is nondecreasing and each pattern's rows form one run
 _BOUND_STARTS = np.flatnonzero(np.diff(_BOUND_ROW, prepend=-1))
-# the rows that can bind once rows 5, 6, 9 and 10 are implied (_twins_implied)
-_NINE_ROWS = (0, 1, 2, 3, 4, 7, 8, 11, 12)
-
-
-def _vertex_table(rows, solver):
-    """What ``_candidates`` needs to solve a region on these constraint
-    rows, given ``_plane_solver`` of their patterns: the rows, the start
-    of each distinct pattern's run among them, the solve map, each
-    triple's determinant as a column, and the faces.
-
-    Row 3t + i of the solve map holds triple t's adjugate row i spread
-    over the planes, exact integers, so (solve @ b) / det solves every
-    triple at rhs b; the coordinate planes have rhs 0, so their columns
-    are dropped.  The faces are the distinct patterns and the negated
-    coordinate planes, as rows.
-    """
-    c, row, triples, adj, det = solver
-    starts = np.flatnonzero(np.diff(row, prepend=-1))
-    distinct = len(starts)
-    solve = (adj @ np.eye(distinct + 3)[triples])[:, :, :distinct].reshape(-1, distinct)
-    out = (np.array(rows), starts, solve, det[:, None], np.vstack([c[starts], -np.eye(3)]))
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
-_FULL_TABLE = _vertex_table(range(len(BOUND_PATTERNS)), _SOLVER)
-_NINE_TABLE = _vertex_table(_NINE_ROWS, _plane_solver(tuple(BOUND_PATTERNS[k] for k in _NINE_ROWS)))
+_PLANES = np.eye(len(_BOUND_DISTINCT) + 3)[_TRIPLES]   # each triple's planes, one-hot
+# Row 3t + i of the solve map holds triple t's adjugate row i spread over
+# the patterns, exact integers, so (solve @ b) / det solves every triple
+# at the patterns' least rhs b; the coordinate planes have rhs 0, so
+# their columns are dropped.  The faces are the distinct patterns and the
+# negated coordinate planes, as rows.
+_SOLVE = (_ADJ @ _PLANES)[:, :, :len(_BOUND_DISTINCT)].reshape(-1, len(_BOUND_DISTINCT))
+_FACES = np.vstack([_COEFFS[_BOUND_STARTS], -np.eye(3)])
+# (q, p) for distinct patterns with q >= p componentwise: r >= 0 gives
+# p . r <= q . r, so p is implied when q's least rhs is no larger than p's
+_DOMINANCE = tuple((q, p) for q, cq in enumerate(_BOUND_DISTINCT) for p, cp in enumerate(_BOUND_DISTINCT)
+                   if q != p and all(a >= b for a, b in zip(cq, cp)))
+# row m: the triples with no plane in the set of patterns whose bits make
+# up m, for every set of patterns that can be implied (0-7: no pattern
+# dominates r0 + 2 r1 + r2 or r0 + r1 + 2 r2), so 256 rows
+_KEPT = (np.arange(1 << (max(p for _, p in _DOMINANCE) + 1))[:, None] & (1 << _TRIPLES).sum(axis=1)) == 0
+_SOLVE.flags.writeable = _FACES.flags.writeable = _KEPT.flags.writeable = False
 
 
 def _dual_table(objectives: tuple[tuple[int, int, int], ...]):
@@ -408,7 +399,7 @@ def _dual_table(objectives: tuple[tuple[int, int, int], ...]):
     distinct = len(_BOUND_DISTINCT)
     y = np.einsum("oi,tij->otj", np.array(objectives, dtype=float), _ADJ) / _DET[:, None]
     feasible = np.where(_TRIPLES < distinct, y >= 0, y <= 0).all(axis=2)
-    onehot = np.eye(distinct + 3)[_TRIPLES, :distinct]   # each triple's planes, over the patterns
+    onehot = _PLANES[:, :, :distinct]   # each triple's planes, over the patterns
     columns, starts = [], []
     for w_y, w_feasible in zip(y, feasible):
         starts.append(len(columns))
@@ -442,61 +433,53 @@ def _least_rhs(rhs: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(rhs, _BOUND_STARTS, axis=0)
 
 
-def _twins_implied(rhs) -> bool:
-    """Do these 13 right-hand sides make rows 5, 6, 9 and 10 implied?
-
-    Each is its twin among rows 7, 8, 11 and 12 without r0, so with
-    r0 >= 0: r1 + r2 <= r0 + r1 + r2 <= min(rhs7, rhs8) <= min(rhs5, rhs6)
-    when the last step holds, and 2 r1 + r2 <= rhs11 <= rhs9, and
-    r1 + 2 r2 <= rhs12 <= rhs10, likewise.  A family with G' = G has each
-    twin's rhs equal, so all hold; the rule reads the rhs, not the label,
-    because a region built by hand can break that fact."""
-    return min(rhs[7], rhs[8]) <= min(rhs[5], rhs[6]) and rhs[11] <= rhs[9] and rhs[12] <= rhs[10]
+def _implied(b: list) -> int:
+    """The patterns that these least rhs, one per distinct pattern, make
+    implied, as the bits of one int: p is when a pattern q of
+    ``_DOMINANCE`` has b[q] <= b[p].  Dropping them all keeps the region,
+    because dominance has no cycle: an implied pattern's dominating q is
+    kept or itself implied by a larger one at a no larger rhs."""
+    implied = 0
+    for q, p in _DOMINANCE:
+        if b[q] <= b[p]:
+            implied |= 1 << p
+    return implied
 
 
 def _candidates(rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """The feasible plane-triple intersections of one region, in triple
     order and not deduplicated, and the radius that admitted them.
 
-    A region whose rhs make rows 5, 6, 9 and 10 implied (``_twins_implied``:
-    every inner and gdof region) is the region of the other nine rows, so
-    it is solved on their table, 122 nonsingular triples of 165; on all
-    13 rows, planes that meet their r0-twins on the r0 = 0 face add
-    duplicate candidates.  Every other region is solved on the full
-    table, 216 of 286.  Each nonsingular triple of the table is solved by
-    its solve map, each pattern at its least rhs b among the table's
-    rows, and kept when it violates none of the table's patterns and no
-    coordinate plane by more than ``_CANDIDATE_RTOL`` times the largest
-    rhs B.  A coordinate adj . b / det is a sum of at most three products
-    (|adj| <= 4; the map's other entries are exact zeros) divided by
-    |det| >= 1, so within about 48 u B of its exact value (u = 2**-53),
-    and c . x, sum(c) <= 4, within about 300 u B = 2**-44.8 B: a true
-    vertex is never dropped (measured: at most 3.3e-16 B), two solutions
-    of one vertex differ by less than 2**-44 B, and a kept point is at
-    most about 1e-13 B outside the region.  A nine-row candidate is not
-    tested against the four dropped rows, but it breaks none of them by
-    more than twice the radius, up to the rounding of c . x: for row 5,
-    r0 >= -radius and the least of rows 7 and 8 give
-    r1 + r2 <= r0 + r1 + r2 + radius <= rhs5 + 2 radius.  An absolute
-    ``MEMBERSHIP_TOL`` would be too loose: on near-degenerate channels
-    some intersections lie up to 9e-10 outside the region, and at gains
-    of 1e-6 every intersection passes it.
+    Every nonsingular triple is solved by the solve map, each pattern at
+    its least rhs b, and kept when no plane of it is ``_implied`` and it
+    violates no pattern and no coordinate plane by more than
+    ``_CANDIDATE_RTOL`` times the largest rhs B.  The other planes bound
+    the same region, so each vertex is still a kept triple's solution,
+    and an implied plane only solves again the vertices it passes
+    through (on an inner region, the r0 = 0 face meets each twin plane
+    along its r0-twin's).  A coordinate adj . b / det is a sum of at
+    most three products (|adj| <= 4; the map's other entries are exact
+    zeros) divided by |det| >= 1, so within about 48 u B of its exact
+    value (u = 2**-53), and c . x, sum(c) <= 4, within about
+    300 u B = 2**-44.8 B: a true vertex is never dropped (measured: at
+    most 3.3e-16 B), two solutions of one vertex differ by less than
+    2**-44 B, and a kept point is at most about 1e-13 B outside the
+    region.  An absolute ``MEMBERSHIP_TOL`` would be too loose: on
+    near-degenerate channels some intersections lie up to 9e-10 outside
+    the region, and at gains of 1e-6 every intersection passes it.
     """
-    r = rhs.tolist()
-    rows, starts, solve, det, faces = _NINE_TABLE if _twins_implied(r) else _FULL_TABLE
-    b = np.minimum.reduceat(rhs[rows], starts)
-    tol = _CANDIDATE_RTOL * max(r)
+    b = _least_rhs(rhs)
+    tol = _CANDIDATE_RTOL * max(rhs.tolist())
     # + 0.0 maps -0.0 to 0.0, so displayed vertices never read -0.0
-    x = (solve @ b).reshape(-1, 3) / det + 0.0
+    x = (_SOLVE @ b).reshape(-1, 3) / _DET[:, None] + 0.0
     # one row per face, so the test over faces reduces along the long axis
-    feasible = (faces @ x.T <= np.concatenate([b, np.zeros(3)])[:, None] + tol).all(axis=0)
-    return x[feasible], tol
+    feasible = (_FACES @ x.T <= np.concatenate([b, np.zeros(3)])[:, None] + tol).all(axis=0)
+    return x.compress(feasible & _KEPT[_implied(b.tolist())], axis=0), tol
 
 
 def vertices(region: RateRegion) -> np.ndarray:
     """Enumerate all vertices of the region as a (k, 3) array, for display:
-    the ``_candidates``, of the nine-row table when the rhs make rows 5,
-    6, 9 and 10 implied and of all 13 rows otherwise, merged greedily in
+    the ``_candidates``, on no implied plane, merged greedily in
     triple order at their radius in the max norm: the first is kept,
     every candidate near it dropped, and so on, so of a chain a ~ b ~ c
     with a and c apart both are kept.

@@ -16,6 +16,7 @@ from icci.region import (
     _BOUND_DISTINCT,
     _BOUND_ROW,
     _CANDIDATE_RTOL,
+    _DOMINANCE,
     _DUAL_DENSE,
     _DUAL_STARTS,
     _OBJECTIVE_WEIGHT,
@@ -25,10 +26,10 @@ from icci.region import (
     RateRegion,
     _candidates,
     _gap_rows,
+    _implied,
     _least_rhs,
     _plane_solver,
     _reach,
-    _twins_implied,
     bound_rhs,
     build_inner,
     build_outer,
@@ -368,36 +369,62 @@ def test_vertex_merge_of_lattice_points(monkeypatch):
     assert guessed_wrong > 100   # 187 of the 300 sets need rounds
 
 
-def twins_implied(rhs: np.ndarray) -> np.ndarray:
-    """The rule of ``_twins_implied`` over (13, N) columns: rows 7 and 8
-    bound r0 + r1 + r2 at or below rows 5 and 6's r1 + r2, row 11 bounds
-    r0 + 2 r1 + r2 at or below row 9's 2 r1 + r2, and row 12 likewise
-    row 10's r1 + 2 r2."""
-    return (np.minimum(rhs[7], rhs[8]) <= np.minimum(rhs[5], rhs[6])) & (rhs[11] <= rhs[9]) & (rhs[12] <= rhs[10])
+# each (j, k) of two rows whose patterns differ, j's dominating k's
+# componentwise: r >= 0 gives c_k . r <= c_j . r, so rhs_j <= rhs_k makes
+# row k implied
+ROW_DOMINANCE = [(j, k) for j, cj in enumerate(BOUND_PATTERNS) for k, ck in enumerate(BOUND_PATTERNS)
+                 if cj != ck and all(a >= b for a, b in zip(cj, ck))]
+# the patterns of rows 9 and 10, which rows 11 and 12 dominate at the same rhs when G' = G
+TWIN_PATTERNS = [_BOUND_DISTINCT.index((0, 2, 1)), _BOUND_DISTINCT.index((0, 1, 2))]
+
+
+def implied_patterns(rhs: np.ndarray) -> np.ndarray:
+    """(10, N) over (13, N) columns: is each distinct pattern implied, in
+    that every row of it is implied by a row of ``ROW_DOMINANCE``."""
+    row_implied = np.zeros(rhs.shape, dtype=bool)
+    for j, k in ROW_DOMINANCE:
+        row_implied[k] |= rhs[j] <= rhs[k]
+    return np.array([row_implied[_BOUND_ROW == p].all(axis=0) for p in range(len(_BOUND_DISTINCT))])
+
+
+def test_the_rule_is_the_componentwise_order_of_the_rows():
+    # 52 row pairs across patterns, 29 pairs of distinct patterns, and
+    # the module's fold of them is the row rule over both wide sets
+    assert len(ROW_DOMINANCE) == 52
+    pairs = sorted({(int(_BOUND_ROW[j]), int(_BOUND_ROW[k])) for j, k in ROW_DOMINANCE})
+    assert sorted(_DOMINANCE) == pairs and len(pairs) == 29
+    columns = wide_sets_rhs().reshape(13, -1)
+    want = implied_patterns(columns)
+    bits = [_implied(b) for b in _least_rhs(columns).T.tolist()]
+    assert bits == ((1 << np.arange(len(_BOUND_DISTINCT))) @ want).tolist()
 
 
 @functools.cache
-def solve_map(rows: tuple) -> tuple:
-    """Each row's pattern index, the solve map, the determinants and the
-    faces of a region on these constraint rows alone."""
-    patterns = tuple(BOUND_PATTERNS[k] for k in rows)
-    _, row, triples, adj, det = _plane_solver(patterns)
+def solve_map() -> tuple:
+    """Each row's pattern index, the nonsingular triples, the solve map,
+    the determinants and the faces of all 13 rows."""
+    _, row, triples, adj, det = _plane_solver(BOUND_PATTERNS)
     distinct = int(row.max()) + 1
     solve = (adj @ np.eye(distinct + 3)[triples])[:, :, :distinct].reshape(-1, distinct)
-    return row, solve, det, np.vstack([list(dict.fromkeys(patterns)), -np.eye(3)])
+    return row, triples, solve, det, np.vstack([_BOUND_DISTINCT, -np.eye(3)])
 
 
-def reference_candidates(rhs: np.ndarray, rows) -> tuple[np.ndarray, float]:
-    """The display candidates of a region solved on these rows alone, as
-    ``_candidates`` solved every region on all 13 before it had a
-    nine-row table: each pattern at its least rhs, by ``np.minimum.at``
-    into an inf array."""
-    row, solve, det, faces = solve_map(tuple(rows))
+def reference_candidates(rhs: np.ndarray, implied=None) -> tuple[np.ndarray, float]:
+    """The display candidates of a region as ``_candidates`` solved every
+    region before it had an implication rule, each pattern at its least
+    rhs by ``np.minimum.at`` into an inf array, minus those whose triple
+    has a plane of a pattern implied, as ``implied_patterns`` finds them
+    unless given."""
+    if implied is None:
+        implied = implied_patterns(rhs[:, None])[:, 0]
+    row, triples, solve, det, faces = solve_map()
     b = np.full(len(faces) - 3, np.inf)
-    np.minimum.at(b, row, rhs[list(rows)])
+    np.minimum.at(b, row, rhs)
     tol = _CANDIDATE_RTOL * rhs.max()
     x = (solve @ b).reshape(-1, 3) / det[:, None] + 0.0
-    return x[(faces @ x.T <= np.concatenate([b, np.zeros(3)])[:, None] + tol).all(axis=0)], tol
+    feasible = (faces @ x.T <= np.concatenate([b, np.zeros(3)])[:, None] + tol).all(axis=0)
+    on_implied = np.concatenate([implied, [False] * 3])[triples].any(axis=1)
+    return x[feasible & ~on_implied], tol
 
 
 def wide_sets_rhs() -> np.ndarray:
@@ -407,56 +434,76 @@ def wide_sets_rhs() -> np.ndarray:
     return bound_rhs(coeff_rows(np.array([(g.m11, g.m12, g.m21, g.m22) for g in gains])).swapaxes(0, 1))
 
 
-def test_inner_regions_take_the_nine_row_table():
-    # inner G' = G puts each twin's rhs at its r0-twin's, so every inner
-    # region takes the nine-row table; on the outer side only some of the
-    # edge channels do, and the module's rule is the numpy one throughout
+def test_inner_regions_imply_their_twin_patterns():
+    # inner G' = G puts rows 9 and 10 at the rhs of rows 11 and 12, which
+    # dominate them, so every inner region drops both planes; on the
+    # outer side only some of the edge channels do
     rhs = wide_sets_rhs()
-    inner, outer = rhs[:, 0], rhs[:, 1]
-    assert twins_implied(inner).all()
-    for side in (inner, outer):
-        assert [_twins_implied(column) for column in side.T.tolist()] == twins_implied(side).tolist()
-    assert np.flatnonzero(twins_implied(outer)).min() >= 20000 and twins_implied(outer).sum() == 49
-    # a kept candidate is never more than the radius below r0 = 0, and
-    # breaks a dropped twin row by at most twice the radius
-    twins = np.array(BOUND_PATTERNS, dtype=float)[[5, 6, 9, 10]]
-    for column in np.concatenate([inner, outer[:, twins_implied(outer)]], axis=1).T:
-        x, tol = _candidates(column)
-        assert x[:, 0].min() >= -tol
-        assert (x @ twins.T - column[[5, 6, 9, 10]]).max() <= 2 * tol
+    inner, outer = implied_patterns(rhs[:, 0]), implied_patterns(rhs[:, 1])
+    assert inner[TWIN_PATTERNS, :].all()
+    twins = outer[TWIN_PATTERNS, :].all(axis=0)
+    assert np.flatnonzero(twins).min() >= 20000 and twins.sum() == 49
 
 
-def test_candidates_are_the_reference_of_their_table():
-    # bit for bit: the 13-row reference on every region that fails the
-    # rule, the nine-row reference on every region that meets it
+def test_candidates_are_the_reference_minus_implied_planes():
+    # bit for bit, on regions with no pattern implied and with some
     rhs = wide_sets_rhs()
     columns = np.concatenate([rhs[:, 1], rhs[:, 0, ::20]], axis=1)
-    implied = twins_implied(columns)
-    assert 0 < implied.sum() < len(implied)
-    for column, nine in zip(columns.T, implied):
+    implied = implied_patterns(columns)
+    assert 0 < implied.any(axis=0).sum() < columns.shape[1]
+    for column, column_implied in zip(columns.T, implied.T):
         x, tol = _candidates(column)
-        want, want_tol = reference_candidates(column, NINE_ROWS if nine else range(13))
+        want, want_tol = reference_candidates(column, column_implied)
         assert x.tobytes() == want.tobytes() and tol == want_tol, column
 
 
-def test_a_hand_built_inner_region_with_row_5_binding_takes_the_full_table(worked_channel):
+def test_a_hand_built_inner_region_with_row_5_binding_keeps_its_plane(worked_channel):
     # the rule reads the rhs, not the label: lower row 5 below rows 4, 7
-    # and 8, so it binds, and the region is not the nine rows' region
+    # and 8, so it binds, and its pattern r1 + r2 is not implied
     rhs = build_inner(inner_coeffs(worked_channel)).rhs_vector()
     rhs[5] = 0.75 * rhs[[4, 7, 8]].min()
     region = RateRegion("inner", rhs)
-    assert not _twins_implied(rhs.tolist())
-    nine = rhs.copy()
-    nine[[5, 6, 9, 10]] = nine[[7, 8, 11, 12]]   # the same nine rows, the twins implied
-    assert exact_vertices(region)[1] != exact_vertices(RateRegion("inner", nine))[1]
+    assert not _implied(_least_rhs(rhs).tolist()) >> _BOUND_DISTINCT.index((0, 1, 1)) & 1
+    raised = rhs.copy()
+    raised[[5, 6]] = raised[[7, 8]]   # rows 5 and 6 at their r0-twins' rhs, implied
+    assert exact_vertices(region)[1] != exact_vertices(RateRegion("inner", raised))[1]
     assert_shows_its_exact_vertices(region)
-    assert _candidates(rhs)[0].tobytes() == reference_candidates(rhs, range(13))[0].tobytes()
+    assert _candidates(rhs)[0].tobytes() == reference_candidates(rhs)[0].tobytes()
 
 
-def test_outer_regions_on_the_nine_row_table_show_their_exact_vertices():
+def test_outer_regions_with_their_twin_patterns_implied_show_their_exact_vertices():
     rhs = wide_sets_rhs()[:, 1]
-    for column in rhs[:, twins_implied(rhs)].T:
+    for column in rhs[:, implied_patterns(rhs)[TWIN_PATTERNS, :].all(axis=0)].T:
         assert_shows_its_exact_vertices(RateRegion("outer", column))
+
+
+def hand_built_rhs(rng: np.random.Generator, kind: str) -> np.ndarray:
+    """13 right-hand sides of one of four kinds: uniform in [0, 1), small
+    integers, uniform with some rows tied to others, or uniform with
+    some rows zero."""
+    if kind == "integers":
+        return rng.integers(0, 5, 13).astype(float)
+    rhs = rng.random(13)
+    rows = rng.choice(13, rng.integers(1, 6), replace=False)
+    if kind == "ties":
+        rhs[rows] = rhs[rng.choice(13, len(rows))]
+    elif kind == "zeros":
+        rhs[rows] = 0.0
+    return rhs
+
+
+@pytest.mark.parametrize("kind", ["uniform", "integers", "ties", "zeros"])
+def test_hand_built_regions_show_their_exact_vertices(kind):
+    # the rule on right-hand sides no family gives: every region shows
+    # exactly its exact vertices, and its candidates are the reference's
+    rng = np.random.default_rng(["uniform", "integers", "ties", "zeros"].index(kind))
+    implied = 0
+    for _ in range(250):
+        rhs = hand_built_rhs(rng, kind)
+        assert _candidates(rhs)[0].tobytes() == reference_candidates(rhs)[0].tobytes(), rhs
+        assert_shows_its_exact_vertices(RateRegion("outer", rhs))
+        implied += implied_patterns(rhs[:, None]).any()
+    assert implied > 100
 
 
 def test_the_largest_r0_is_min_g1p_g2p():
