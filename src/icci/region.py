@@ -47,8 +47,9 @@ region's maximum of w . x is the least y . b over w's multipliers
 (``_reach``), all of them one product of the least rhs with the table,
 one dense (10, 232) matrix.  ``within_bits_slack`` and
 ``within_bits_unclipped_slack`` are ``_gap_rows`` on those maxima at
-N = 1, and the sweep of ``icci.sweep`` runs the same path over chunks of
-channels, so both give the same bits.  Only the display (``vertices``,
+N = 1, and the sweep of ``icci.sweep`` runs the same path over a block
+of channels at once, ``_reach`` on slices of its columns, so both give
+the same bits.  Only the display (``vertices``,
 ``region_as_dict``) and a certificate's witness vertex, once read, solve
 a region's triples (``_candidates``), all in one product with the one
 solve map of adjugate entries fixed at import, and drop the triples on

@@ -15,23 +15,24 @@ is computed alongside, from the same converse maxima, and carried in
 each channel's result without entering its verdict.
 
 All of it runs in one array-first core over an (N, 4) gains array, in
-two stages.  The coefficient stage computes both coefficient families as
-column expressions, the delta limits and both regions' right-hand sides;
-it is elementwise, so it runs once over a whole sampled block.  The
-dual-table stage takes the maxima that every certificate needs, which
-``icci.region`` takes by LP duality from one table of dual multipliers
-fixed at import, with no vertex enumeration, and reduces the rows; it
-runs on fixed-size chunks of the block's right-hand sides, which bound
-its largest temporary.  The maxima and the row reduction are those of
-``icci.region``, whose ``within_bits_slack`` and
-``within_bits_unclipped_slack`` are the same path at N = 1, so a
-channel's certificates there and here are the same bits; only displayed
-vertices and a certificate's witness are enumerated.  A sweep certifies
-block by block and reduces the blocks in sample-index order;
-``check_channels`` runs the same blocks, and ``check_channel`` is the
-core at N = 1.  The core only computes elementwise or within one
-channel, so every channel's results are bit-identical whatever the
-block or chunk size, and a config always gives the same report.
+three stages, each once over a whole sampled block.  The coefficient
+stage computes both coefficient families as column expressions, the
+delta limits and both regions' right-hand sides.  The reach stage takes
+the maxima that every certificate needs, which ``icci.region`` takes by
+LP duality from one table of dual multipliers fixed at import, with no
+vertex enumeration; ``_reach`` runs on fixed-size slices of the
+block's right-hand sides, which bound its product with the table.  The
+row reduction turns the maxima into each channel's slacks and binding
+row.  The maxima and the row reduction are those of ``icci.region``,
+whose ``within_bits_slack`` and ``within_bits_unclipped_slack`` are the
+same path at N = 1, so a channel's certificates there and here are the
+same bits; only displayed vertices and a certificate's witness are
+enumerated.  A sweep certifies block by block and reduces the blocks in
+sample-index order; ``check_channels`` runs the same blocks, and
+``check_channel`` is the core at N = 1.  The core only computes
+elementwise or within one channel, so every channel's results are
+bit-identical whatever the block or slice size, and a config always
+gives the same report.
 """
 
 from __future__ import annotations
@@ -56,21 +57,18 @@ __all__ = [
 ]
 
 MAG_LIMIT = 1e6  # validated operating envelope for link magnitudes
-# Channels per pass of the core's dual-table stage, the only stage that
-# runs chunk by chunk and so the only one that pays a fixed cost per pass:
-# its largest temporary is the (2 * chunk, 232) float product of _reach
-# with the dual table, 58 KiB at 16 channels, under glibc's default
-# 128 KiB mmap threshold, so it is recycled from the heap rather than
-# mapped and faulted in again on every pass.  A pass costs a fixed ~0.026
-# ms of numpy calls plus ~2.6 us per channel (timeit, best of 40
-# interleaved rounds, on a shared 2-vCPU Xeon), so larger passes would
-# amortize more; 16 stays because a faster sweep reads a higher peak RSS
-# in the benchmark, whose bookkeeping grows with the items done: at 32,
-# two readings of sweep-accept gave 50.3-50.4 MB and 47.4-47.5 MB against
-# 44.5-46.8 MB at 16, the first past its 0.1 bound.
+# Channels per ``_reach`` pass, the only part of the core that runs in
+# passes: its (2 * chunk, 232) float product with the dual table is 58
+# KiB at 16 channels, under glibc's default 128 KiB mmap threshold, so it
+# is recycled from the heap rather than mapped and faulted in again on
+# every pass.  A pass costs ~4.5 us plus ~1.1 us per column, two columns
+# a channel (6.8 us at 2 columns, 38.1 at 32, 77.3 at 64; timeit, best
+# of 40 interleaved rounds, on a shared 2-vCPU Xeon), so a larger pass
+# could save at most the ~12 % that is fixed at 32 columns, and at 64 it
+# saves nothing.
 _CHUNK = 16
-# Channels per pass of the sampler and of the core's coefficient stage,
-# 64 chunks: 32 KiB of gains.
+# Channels per pass of the sampler and of the core, 64 chunks: 32 KiB of
+# gains.
 _BLOCK = 64 * _CHUNK
 
 
@@ -251,27 +249,17 @@ def _certify(gains: np.ndarray, bits: float, tol: float) -> tuple[np.ndarray, ..
     m21, m22), N >= 1.
 
     Returns (N,) arrays: deltas_ok, containment_slack, gap_slack,
-    gap_constraint and per_rate_gap_slack, as in ``ChannelCheck``.  The
-    coefficient stage runs once over all N channels, the dual-table stage
-    ``_certify_rhs`` on chunks of ``_CHUNK``.
+    gap_constraint and per_rate_gap_slack, as in ``ChannelCheck``.  Every
+    stage runs once over all N channels but ``_reach``, which runs on
+    slices of ``2 * _CHUNK`` columns.  A region's slack against a row is
+    rhs - max over the region of c . v, the maximum taken by ``_reach``.
     """
+    n = len(gains)
     coeffs = coeff_rows(gains)
     deltas_ok = delta_rows_within_limits(coeffs[1] - coeffs[0], tol=tol)
-    rhs = bound_rhs(coeffs.swapaxes(0, 1))   # (13, 2, N): each channel's inner then outer column
-    chunks = [_certify_rhs(rhs[:, :, start:start + _CHUNK], bits) for start in range(0, len(gains), _CHUNK)]
-    return (deltas_ok, *map(np.concatenate, zip(*chunks)))
-
-
-def _certify_rhs(rhs: np.ndarray, bits: float) -> tuple[np.ndarray, ...]:
-    """The dual-table stage for the (13, 2, n) right-hand sides of n
-    channels: (n,) arrays containment_slack, gap_slack, gap_constraint
-    and per_rate_gap_slack.  A region's slack against a row is rhs - max
-    over the region of c . v, the maximum taken by ``_reach``.
-    """
-    # both regions of every channel in one pass: inner columns first, then outer
-    n = rhs.shape[2]
-    rhs = rhs.reshape(-1, 2 * n)
-    reach = _reach(rhs)
+    # both regions of every channel as columns: the inner ones, then the outer
+    rhs = bound_rhs(coeffs.swapaxes(0, 1)).reshape(-1, 2 * n)
+    reach = np.concatenate([_reach(rhs[:, s:s + 2 * _CHUNK]) for s in range(0, 2 * n, 2 * _CHUNK)], axis=1)
     inner_rhs, outer_reach = rhs[:, :n], reach[:, n:]
 
     # Unclipped, in one call: the inner region against the outer rows, an
@@ -279,11 +267,10 @@ def _certify_rhs(rhs: np.ndarray, bits: float) -> tuple[np.ndarray, ...]:
     # planes add exactly 0), then the outer region shifted down by bits
     # against the inner rows.
     cover = np.concatenate((rhs[:, n:], inner_rhs), axis=1)
-    unclipped = _gap_rows(cover, reach, np.array([0.0] * n + [bits] * n), clip=False).min(axis=0)
-    containment, per_rate = np.minimum(unclipped[:n], 0.0), unclipped[n:]
+    unclipped = _gap_rows(cover, reach, np.repeat([0.0, bits], n), clip=False).min(axis=0)
     # the outer region, shifted down by bits and clipped, against the inner rows
     rows = _gap_rows(inner_rhs, outer_reach, bits, clip=True)
-    return containment, rows.min(axis=0), rows.argmin(axis=0), per_rate
+    return deltas_ok, np.minimum(unclipped[:n], 0.0), rows.min(axis=0), rows.argmin(axis=0), unclipped[n:]
 
 
 def _gain_rows(gains: Sequence[ChannelGains]) -> np.ndarray:

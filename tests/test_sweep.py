@@ -23,6 +23,7 @@ from icci.region import (
     _OBJECTIVES,
     BOUND_PATTERNS,
     _reach,
+    bound_rhs,
     build_inner,
     build_outer,
     containment_slack,
@@ -368,14 +369,15 @@ def assert_core_matches_region_api(gains: list, bits: float) -> None:
 class TestCertificationCore:
     def test_bitwise_the_same_at_every_chunk_split(self):
         # 1040 channels, past a block, the edge channels mixed in: a whole
-        # _certify runs its coefficient stage once over all of them and its
-        # dual-table stage on _CHUNK slices, so it is also compared with
-        # those slices certified one by one, each through both stages
+        # _certify runs every stage once over all of them but _reach, which
+        # runs on 2 * _CHUNK columns, so it is also compared with slices
+        # certified one by one, whose inner and outer columns _reach sees
+        # at other offsets and in other passes
         seeded = seeded_channels(42, 1040 - len(EDGE_CHANNELS))
         gains = [g for pair in zip(seeded, EDGE_CHANNELS) for g in pair] + seeded[len(EDGE_CHANNELS):]
         rows = _gain_rows(gains)
         whole = _certify(rows, 1.0, 1e-9)
-        for size in (1, _CHUNK, 50, _BLOCK):
+        for size in (1, _CHUNK, _CHUNK + 1, 50, _BLOCK):
             parts = [_certify(rows[s:s + size], 1.0, 1e-9) for s in range(0, len(rows), size)]
             for got, want in zip(map(np.concatenate, zip(*parts)), whole):
                 assert got.tobytes() == want.tobytes(), size
@@ -385,9 +387,26 @@ class TestCertificationCore:
             got = np.array([getattr(c, field) for c in singles], dtype=want.dtype)
             assert got.tobytes() == want.tobytes(), field
 
+    def test_reach_runs_on_chunks_of_the_block_in_column_order(self, monkeypatch):
+        # _reach is the only part of the core that runs in passes: the
+        # (13, 2N) rhs of 1041 channels, inner columns then outer, goes to
+        # it once, in order, at most 2 * _CHUNK columns at a time
+        rows = _gain_rows(seeded_channels(7, 1041))
+        seen = []
+
+        def recorder(rhs):
+            seen.append(rhs.copy())
+            return _reach(rhs)
+
+        monkeypatch.setattr(icci.sweep, "_reach", recorder)
+        _certify(rows, 2.0, 1e-9)
+        assert all(part.shape[1] <= 2 * _CHUNK for part in seen)
+        want = bound_rhs(coeff_rows(rows).swapaxes(0, 1)).reshape(13, -1)
+        assert np.concatenate(seen, axis=1).tobytes() == want.tobytes()
+
     def test_sweep_report_matches_the_channel_checks(self):
         # the sweep reduces once per block: over one channel, part of a
-        # block, and blocks ending in a short chunk or in one channel, its
+        # block, and blocks ending in a short _reach pass or in one channel, its
         # report is what the channels checked one at a time give
         for samples in (1, 50, _BLOCK + 17, 2 * _BLOCK + 1):
             report = run_gap_sweep(SweepConfig(samples=samples, seed=42))
