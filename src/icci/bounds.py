@@ -76,7 +76,8 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _COEFF_FIELDS = ("a1", "a2", "d1", "d2", "e1", "e2", "g1", "g2", "g1p", "g2p")
-_COEFF_KEYS = ("A1", "A2", "D1", "D2", "E1", "E2", "G1", "G2", "G1p", "G2p")
+# the keys of as_dict: each field name with its first letter upper case
+_COEFF_KEYS = tuple(name[0].upper() + name[1:] for name in _COEFF_FIELDS)
 _SIDES = ("inner", "outer", "delta", "gdof")
 # gap budget of each coefficient, in _COEFF_FIELDS order, as a column
 _DELTA_BUDGETS = np.array([[1.0]] * 8 + [[2.0]] * 2)

@@ -16,7 +16,7 @@ import time
 from .bounds import BoundCoeffs, coeff_deltas, inner_coeffs, outer_coeffs
 from .channel import ChannelGains, _nonneg_finite
 from .gaussian_mi import CovarianceError, mi_discrepancy, successive_decode_chain
-from .gdof import _curve_grid, _curve_passes, _write_curve_rows
+from .gdof import _curve_grid, write_curve_csv
 from .region import MEMBERSHIP_TOL, build_inner, build_outer, region_as_dict, within_bits_slack
 from .sweep import SweepConfig, _sampled_blocks, run_gap_sweep
 
@@ -111,12 +111,13 @@ def _cmd_gap(args: argparse.Namespace) -> int:
 def _cmd_gdof_curve(args: argparse.Namespace) -> int:
     # the grid is checked here, so a bad grid exits before --out is opened;
     # the rows are computed pass by pass as they are written
-    passes = _curve_passes(*_curve_grid(args.alpha_min, args.alpha_max, args.step))
+    grid = args.alpha_min, args.alpha_max, args.step
+    _curve_grid(*grid)
     if args.out == "-":
-        _write_curve_rows(sys.stdout, passes)
+        write_curve_csv(sys.stdout, *grid)
     else:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            _write_curve_rows(handle, passes)
+            write_curve_csv(handle, *grid)
     return 0
 
 

@@ -325,12 +325,7 @@ def write_curve_csv(
     back to the exact values computed.  Each pass of rows is written as
     it is computed, so no more than one pass is held.
     """
-    return _write_curve_rows(stream, _curve_passes(*_curve_grid(alpha_min, alpha_max, step)))
-
-
-def _write_curve_rows(stream, passes) -> int:
-    """The CSV of ``write_curve_csv`` for the passes of ``_curve_passes``,
-    each written as it is computed."""
+    passes = _curve_passes(*_curve_grid(alpha_min, alpha_max, step))
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CURVE_CSV_HEADER)
     count = 0

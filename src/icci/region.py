@@ -26,23 +26,24 @@ transmitters send the common codeword at full power.
 Only the right-hand sides depend on the channel, so a ``RateRegion`` is
 its label, the side of the family it came from, and one read-only (13,)
 array of them, summed once when ``region_from_coeffs`` makes the region.
-Whatever depends on the coefficients is computed once, at import, over
-the 10 distinct patterns (rows 4-6 and rows 7-8 share one), each taken
-at its least rhs: a row whose parallel twin has a smaller rhs never
-binds.  With the 3 coordinate planes that gives 286 plane triples, 216
-of them nonsingular, and the implication rule above becomes 29 pairs
-(q, p) of distinct patterns with q >= p componentwise (``_DOMINANCE``):
-p is implied when q's least rhs is no larger than p's.  With
-coefficients in {0, 1, 2} each triple's
-adjugate and determinant are small integers that float64 holds exactly,
-so a triple is singular exactly when its determinant is 0, with no pivot
-threshold.
+Whatever depends on the coefficients is computed once, at import
+(``_shape_tables``), over 13 planes: the 10 distinct patterns (rows 4-6
+and rows 7-8 share one), each taken at its least rhs, since a row whose
+parallel twin has a smaller rhs never binds, then r0 = 0, r1 = 0 and
+r2 = 0.  Of their 286 triples 216 are nonsingular.  With coefficients in
+{0, 1, 2} each triple's adjugate and determinant are small integers that
+float64 holds exactly, so a triple is singular exactly when its
+determinant is 0, with no pivot threshold, and the adjugates spread over
+the 13 planes are one exact table, the spread, from which the solve map
+and the dual table below are both read.  The implication rule above
+becomes 29 pairs (q, p) of distinct patterns with q >= p componentwise
+(``_DOMINANCE``): p is implied when q's least rhs is no larger than p's.
 
 Certificates are maxima of linear objectives over regions, taken by LP
 duality with no vertices: the dual feasible set {y >= 0 : A^T y >= w}
 of an objective w depends on the patterns A alone, so its basic
-solutions, read off the adjugates, form one table (``_dual_table``) of
-232 multipliers over the 15 objectives certificates need, and a
+solutions, w . spread / det, form one table (``_DUAL_DENSE``) of 232
+multipliers over the 15 objectives certificates need, and a
 region's maximum of w . x is the least y . b over w's multipliers
 (``_reach``), all of them one product of the least rhs with the table,
 one dense (10, 232) matrix.  ``within_bits_slack`` and
@@ -51,9 +52,9 @@ N = 1, and the sweep of ``icci.sweep`` runs the same path over a block
 of channels at once, ``_reach`` on slices of its columns, so both give
 the same bits.  Only the display (``vertices``,
 ``region_as_dict``) and a certificate's witness vertex, once read, solve
-a region's triples (``_candidates``), all in one product with the one
-solve map of adjugate entries fixed at import, and drop the triples on
-a plane the rule finds implied.
+a region's triples (``_candidates``), all in one product with the solve
+map, the spread's pattern columns, and drop the triples on a plane the
+rule finds implied.
 ``vertices`` merges the candidates greedily in triple order within
 2**-44 times the largest rhs, so two vertices closer than rounding can
 tell apart are shown as one: from one matrix of near pairs it keeps a
@@ -332,85 +333,10 @@ def contains(region: RateRegion, point, tol: float = MEMBERSHIP_TOL) -> bool:
     return bool(containment_slack(region, point).min() >= -tol)
 
 
-def _plane_solver(patterns: tuple[tuple[int, int, int], ...]):
-    """Fixed-shape solver for one tuple of constraint patterns.
-
-    Returns the read-only (n, 3) coefficient matrix, each row's index
-    into the distinct patterns (in order of first appearance), and, over
-    the planes of the distinct patterns followed by r0 = 0, r1 = 0,
-    r2 = 0, the nonsingular plane triples in ``itertools.combinations``
-    order with each triple's adjugate and determinant, both exact
-    integers (see the module docstring).
-    """
-    c = np.array(patterns, dtype=float).reshape(-1, 3)
-    distinct = list(dict.fromkeys(patterns))
-    row = np.array([distinct.index(p) for p in patterns], dtype=np.intp)
-    planes = np.vstack([np.array(distinct, dtype=float).reshape(-1, 3), np.eye(3)])
-    triples = np.array(list(itertools.combinations(range(len(planes)), 3)), dtype=np.intp)
-    m = planes[triples]
-    # M^-1 = adj / det, and the columns of adj are the cross products of row pairs
-    adj = np.stack([np.cross(m[:, 1], m[:, 2]), np.cross(m[:, 2], m[:, 0]),
-                    np.cross(m[:, 0], m[:, 1])], axis=2)
-    det = np.einsum("tk,tk->t", m[:, 0], adj[:, :, 0])
-    keep = det != 0
-    out = (c, row, triples[keep], adj[keep], det[keep])
-    for arr in out:
-        arr.flags.writeable = False
-    return out
-
-
-# the one solver: _BOUND_ROW maps each row to its pattern in _BOUND_DISTINCT
-_COEFFS, _BOUND_ROW, _TRIPLES, _ADJ, _DET = _plane_solver(BOUND_PATTERNS)
-# the first row of each distinct pattern: twin rows are adjacent, so
-# _BOUND_ROW is nondecreasing and each pattern's rows form one run
-_BOUND_STARTS = np.flatnonzero(np.diff(_BOUND_ROW, prepend=-1))
-_PLANES = np.eye(len(_BOUND_DISTINCT) + 3)[_TRIPLES]   # each triple's planes, one-hot
-# Row 3t + i of the solve map holds triple t's adjugate row i spread over
-# the patterns, exact integers, so (solve @ b) / det solves every triple
-# at the patterns' least rhs b; the coordinate planes have rhs 0, so
-# their columns are dropped.  The faces are the distinct patterns and the
-# negated coordinate planes, as rows.
-_SOLVE = (_ADJ @ _PLANES)[:, :, :len(_BOUND_DISTINCT)].reshape(-1, len(_BOUND_DISTINCT))
-_FACES = np.vstack([_COEFFS[_BOUND_STARTS], -np.eye(3)])
 # (q, p) for distinct patterns with q >= p componentwise: r >= 0 gives
 # p . r <= q . r, so p is implied when q's least rhs is no larger than p's
 _DOMINANCE = tuple((q, p) for q, cq in enumerate(_BOUND_DISTINCT) for p, cp in enumerate(_BOUND_DISTINCT)
                    if q != p and all(a >= b for a, b in zip(cq, cp)))
-# row m: the triples with no plane in the set of patterns whose bits make
-# up m, for every set of patterns that can be implied (0-7: no pattern
-# dominates r0 + 2 r1 + r2 or r0 + r1 + 2 r2), so 256 rows
-_KEPT = (np.arange(1 << (max(p for _, p in _DOMINANCE) + 1))[:, None] & (1 << _TRIPLES).sum(axis=1)) == 0
-_SOLVE.flags.writeable = _FACES.flags.writeable = _KEPT.flags.writeable = False
-
-
-def _dual_table(objectives: tuple[tuple[int, int, int], ...]):
-    """The basic solutions of the dual {y >= 0 : A^T y >= w} of max w . x
-    over a region, per objective w, A the distinct patterns.
-
-    Triple t gives y = w . adj / det on its planes (w . adj is an exact
-    integer, so y rounds once), dual feasible when y >= 0 on its pattern
-    planes and y <= 0 on its coordinate planes (-y is their slack).  For
-    rhs b >= 0 the least y . b over these is the maximum (the region is
-    bounded and holds the origin), and coordinate planes have rhs 0, so
-    a multiplier keeps its at most three pattern terms, once per
-    objective.  Returns the read-only (P, M) dense table, column m
-    multiplier m over the P distinct patterns, and the (O,) start of
-    each objective's run.
-    """
-    distinct = len(_BOUND_DISTINCT)
-    y = np.einsum("oi,tij->otj", np.array(objectives, dtype=float), _ADJ) / _DET[:, None]
-    feasible = np.where(_TRIPLES < distinct, y >= 0, y <= 0).all(axis=2)
-    onehot = _PLANES[:, :, :distinct]   # each triple's planes, over the patterns
-    columns, starts = [], []
-    for w_y, w_feasible in zip(y, feasible):
-        starts.append(len(columns))
-        spread = np.einsum("tj,tjp->tp", w_y[w_feasible], onehot[w_feasible]) + 0.0   # no -0.0
-        columns.extend(dict.fromkeys(map(tuple, spread.tolist())))
-    dense, starts = np.array(columns).T.copy(), np.array(starts)
-    dense.flags.writeable = starts.flags.writeable = False
-    return dense, starts
-
-
 # The 15 objectives of every certificate: the distinct patterns, whose
 # maxima are the rows' reach, then those restrictions c_S of a pattern to
 # a subset S of the rates that are not patterns themselves, which the
@@ -424,7 +350,65 @@ _RESTRICTION_LISTS = [[o for o, w in enumerate(_OBJECTIVES) if all(wk in (0, ck)
                       for c in _BOUND_DISTINCT]
 _RESTRICTIONS = np.concatenate(_RESTRICTION_LISTS)
 _RESTRICTION_STARTS = np.cumsum([0] + [len(r) for r in _RESTRICTION_LISTS[:-1]])
-_DUAL_DENSE, _DUAL_STARTS = _dual_table(_OBJECTIVES)
+
+
+def _shape_tables() -> tuple[np.ndarray, ...]:
+    """The fixed tables of the 13-row shape, each read-only, from one
+    exact spread of the plane triples' adjugates.
+
+    ``_COEFFS`` holds the rows and ``_BOUND_ROW`` each row's distinct
+    pattern; twin rows are adjacent, so ``_BOUND_STARTS``, each pattern's
+    first row, starts one run per pattern.  The 13 planes are the 10
+    distinct patterns and r0 = 0, r1 = 0, r2 = 0; ``_FACES`` negates the
+    last three.  Their 216 nonsingular triples, ``_TRIPLES`` in
+    ``itertools.combinations`` order, have M^-1 = ``_ADJ`` / ``_DET``,
+    integers (see the module docstring).  The spread puts adjugate row i
+    of triple t on the 13 planes, zero off the triple.  Its pattern
+    columns are row 3t + i of the solve map ``_SOLVE``: (_SOLVE @ b) / det
+    solves every triple at the patterns' least rhs b, the coordinate
+    planes having rhs 0.  And w . spread / det, one rounding of an
+    integer, is triple t's basic solution y of the dual
+    {y >= 0 : A^T y >= w} of max w . x, A the patterns, feasible when
+    y >= 0 on the pattern planes and y <= 0 on the coordinate planes (-y
+    is their slack).  For rhs b >= 0 the least y . b over these is the
+    maximum (the region is bounded and holds the origin), and a
+    multiplier keeps its at most three pattern terms, once per objective
+    of ``_OBJECTIVES``: ``_DUAL_DENSE`` column m is multiplier m, and
+    ``_DUAL_STARTS`` starts each objective's run.  ``_KEPT`` row m marks
+    the triples on no pattern of the set whose bits make up m, for every
+    set that can be implied (0-7: no pattern dominates r0 + 2 r1 + r2 or
+    r0 + r1 + 2 r2), so 256 rows.
+    """
+    distinct = len(_BOUND_DISTINCT)
+    coeffs = np.array(BOUND_PATTERNS, dtype=float)
+    row = np.array([_BOUND_DISTINCT.index(c) for c in BOUND_PATTERNS])
+    planes = np.vstack([_BOUND_DISTINCT, np.eye(3)])
+    triples = np.array(list(itertools.combinations(range(len(planes)), 3)))
+    m = planes[triples]
+    # the columns of adj are the cross products of row pairs
+    adj = np.stack([np.cross(m[:, 1], m[:, 2]), np.cross(m[:, 2], m[:, 0]), np.cross(m[:, 0], m[:, 1])], axis=2)
+    det = np.einsum("tk,tk->t", m[:, 0], adj[:, :, 0])
+    triples, adj, det = triples[det != 0], adj[det != 0], det[det != 0]
+    spread = np.zeros((len(triples), 3, len(planes)))
+    np.put_along_axis(spread, triples[:, None, :].repeat(3, axis=1), adj, axis=2)
+    y = np.einsum("oi,tip->otp", np.array(_OBJECTIVES, dtype=float), spread) / det[:, None]
+    feasible = (y[:, :, :distinct] >= 0).all(axis=2) & (y[:, :, distinct:] <= 0).all(axis=2)
+    columns, starts = [], []
+    for w_y, w_feasible in zip(y[:, :, :distinct] + 0.0, feasible):   # + 0.0: no -0.0
+        starts.append(len(columns))
+        columns.extend(dict.fromkeys(map(tuple, w_y[w_feasible].tolist())))
+    implied_sets = np.arange(1 << (max(p for _, p in _DOMINANCE) + 1))
+    kept = (implied_sets[:, None] & (1 << triples).sum(axis=1)) == 0
+    solve, faces = spread[:, :, :distinct].reshape(-1, distinct), np.vstack([_BOUND_DISTINCT, -np.eye(3)])
+    tables = (coeffs, row, np.flatnonzero(np.diff(row, prepend=-1)), triples, adj, det, solve, faces, kept,
+              np.array(columns).T.copy(), np.array(starts))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+(_COEFFS, _BOUND_ROW, _BOUND_STARTS, _TRIPLES, _ADJ, _DET, _SOLVE, _FACES, _KEPT,
+ _DUAL_DENSE, _DUAL_STARTS) = _shape_tables()
 
 
 def _least_rhs(rhs: np.ndarray) -> np.ndarray:
@@ -541,7 +525,10 @@ def _gap_rows(cover_rhs: np.ndarray, reach: np.ndarray, bits, clip: bool) -> np.
     c_S . v - bits * sum(c_S), so its largest value is the largest such
     difference over the restrictions of c, or 0 for the empty subset;
     each objective is shifted once, the patterns' own first."""
-    top = reach - bits * _OBJECTIVE_WEIGHT
+    # a finite bits near the largest float makes inf here, which only
+    # lowers a row's top: its clip is then 0 and its per-rate slack inf
+    with np.errstate(over="ignore"):
+        top = reach - bits * _OBJECTIVE_WEIGHT
     if clip:
         top = np.maximum(np.maximum.reduceat(top[_RESTRICTIONS], _RESTRICTION_STARTS), 0.0)
     return cover_rhs - top[_BOUND_ROW]

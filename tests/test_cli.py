@@ -141,6 +141,11 @@ class TestGap:
             assert (data["worst_slack"].hex(), data["constraint"]) == (check.gap_slack.hex(), check.gap_constraint), gains
             assert code == (0 if data["pass"] else 1)
 
+    def test_a_budget_near_the_largest_float_passes_with_an_empty_stderr(self):
+        result = run_module(["gap", "--m11", "10", "--m12", "3", "--m21", "2", "--m22", "5", "--bits", "1e308"])
+        assert (result.returncode, result.stderr) == (0, "")
+        assert " pass " in result.stdout and "worst_slack=3.7548875021634687 constraint=3" in result.stdout
+
     @pytest.mark.parametrize("command", [["gap", *UNIT], ["verify-mi", "--samples", "1"]])
     def test_bad_tolerance_is_invalid_input(self, capsys, command):
         for tol in ("nan", "-1", "inf"):
@@ -287,6 +292,11 @@ class TestSweep:
         assert code == 0
         assert "pass=10 fail=0" in out
         assert "elapsed" in err and "elapsed" not in out
+
+    def test_a_budget_near_the_largest_float_warns_nothing(self):
+        result = run_module(["sweep", "--samples", "100", "--seed", "3", "--bits", "1e308"])
+        assert result.returncode == 0 and "pass=100 fail=0" in result.stdout
+        assert [line for line in result.stderr.splitlines() if "elapsed" not in line] == []
 
     def test_failing_sweep_lists_indices(self, capsys):
         code, out, _ = run(capsys, ["sweep", "--samples", "10", "--seed", "3", "--bits", "0", "--json"])

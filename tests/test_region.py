@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import warnings
@@ -13,14 +14,19 @@ from icci.channel import ChannelGains, GdofExponents
 from icci.cli import dispatch
 from icci.gdof import build_gdof_region, gdof_coeffs, gdof_rows
 from icci.region import (
+    _ADJ,
     _BOUND_DISTINCT,
     _BOUND_ROW,
     _CANDIDATE_RTOL,
+    _COEFFS,
+    _DET,
     _DOMINANCE,
     _DUAL_DENSE,
     _DUAL_STARTS,
     _OBJECTIVE_WEIGHT,
     _OBJECTIVES,
+    _SOLVE,
+    _TRIPLES,
     BOUND_PATTERNS,
     MEMBERSHIP_TOL,
     RateRegion,
@@ -28,7 +34,6 @@ from icci.region import (
     _gap_rows,
     _implied,
     _least_rhs,
-    _plane_solver,
     _reach,
     bound_rhs,
     build_inner,
@@ -226,27 +231,66 @@ def test_inner_vertices_inside_outer(worked_channel):
     assert slack.min() >= -1e-9
 
 
-# the rows that can bind once rows 5, 6, 9 and 10 are implied
-NINE_ROWS = (0, 1, 2, 3, 4, 7, 8, 11, 12)
+# sha256 of each fixed table of the shape, as little-endian float64, int64
+# or bool bytes: every entry is a small exact integer or one correctly
+# rounded division of two, so any CPU gives these bytes
+SHAPE_TABLE_SHA256 = {
+    "_COEFFS": ((13, 3), "af0161928002d776b3b1ce9c90a0d8c04a9a7635dd673ee84dfbbaff5a438f55"),
+    "_BOUND_ROW": ((13,), "175e47388432b751ed3e6b132df2361867c9049a7bb98ecc3310cc52526df77c"),
+    "_BOUND_STARTS": ((10,), "21149359f311586f46ad4a44d5185be68ce002ecab8f8b00c7a8eb600ebb54aa"),
+    "_TRIPLES": ((216, 3), "4342315d7d4d900efb3f1f83977861eabd93695cca33763feb1956c48b060257"),
+    "_ADJ": ((216, 3, 3), "4fd21953c12c70b2b2a117bddf2b65d29c69885a705458044ccd5ea1fb9ef3cd"),
+    "_DET": ((216,), "aa93b15c617dabc89cef7b2f7622ad4498fdf896c7a2ddc5d390b625ffaf307b"),
+    "_SOLVE": ((648, 10), "0a0245ddb6298eb04de9d33f8dfc72c6828ed507b88a0c57867e92732869faa3"),
+    "_FACES": ((13, 3), "06d80ad708474ec385b32f1813aa0b456eede2420857b3c1cbde818580f70b19"),
+    "_KEPT": ((256, 216), "90755966434e0c15123715f8baf990c5039d80d6d97beae8617fce07f7ab72fd"),
+    "_DUAL_DENSE": ((10, 232), "71e66894f0602a80852f0b9f6eccc852c4e732cfce397c61396b10a14b944e1a"),
+    "_DUAL_STARTS": ((15,), "fe28a3d9fe6e90f7baa5cd7dc3967ffdd5a066e194e787121f27e3b2169a76d2"),
+}
 
 
-# the solver is order-free: the reversed rows give the same 10 planes in
-# another order; the nine rows have 8 distinct patterns
-@pytest.mark.parametrize("patterns", [BOUND_PATTERNS, BOUND_PATTERNS[::-1], _BOUND_DISTINCT,
-                                      tuple(BOUND_PATTERNS[k] for k in NINE_ROWS)])
-def test_solver_keeps_exactly_the_rank3_triples(patterns):
-    c, row, triples, adj, det = _plane_solver(patterns)
-    distinct = list(dict.fromkeys(patterns))
-    assert [distinct[k] for k in row] == list(patterns)
-    planes = np.vstack([np.array(distinct, dtype=float), np.eye(3)])
+def test_the_shape_tables_keep_their_bytes():
+    for name, (shape, digest) in SHAPE_TABLE_SHA256.items():
+        table = getattr(icci.region, name)
+        data = table.astype({"f": "<f8", "i": "<i8", "b": "?"}[table.dtype.kind]).tobytes()
+        assert (table.shape, hashlib.sha256(data).hexdigest()) == (shape, digest), name
+
+
+def _cross(a, b):
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
+@functools.cache
+def exact_triples() -> tuple:
+    """(triple, adjugate rows, determinant) of every nonsingular triple
+    of the 13 planes, the distinct patterns then r0 = 0, r1 = 0, r2 = 0,
+    in Python ints: the columns of the adjugate of M are the cross
+    products of M's row pairs, and det is row 0 times the first."""
+    planes = list(_BOUND_DISTINCT) + [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    found = []
+    for t in itertools.combinations(range(len(planes)), 3):
+        m = [planes[i] for i in t]
+        columns = [_cross(m[1], m[2]), _cross(m[2], m[0]), _cross(m[0], m[1])]
+        det = sum(a * b for a, b in zip(m[0], columns[0]))
+        if det:
+            found.append((t, [list(row) for row in zip(*columns)], det))
+    return tuple(found)
+
+
+def test_shape_tables_keep_exactly_the_rank3_triples():
+    assert _COEFFS.tolist() == [list(c) for c in BOUND_PATTERNS]
+    assert [_BOUND_DISTINCT[k] for k in _BOUND_ROW] == list(BOUND_PATTERNS)
+    planes = np.vstack([np.array(_BOUND_DISTINCT, dtype=float), np.eye(3)])
     combos = list(itertools.combinations(range(len(planes)), 3))
     rank3 = [t for t in combos if np.linalg.matrix_rank(planes[list(t)]) == 3]
-    assert [tuple(t) for t in triples] == rank3
-    assert (len(distinct), len(rank3), len(combos)) in ((10, 216, 286), (8, 122, 165))
+    assert (len(_BOUND_DISTINCT), len(rank3), len(combos)) == (10, 216, 286)
+    triples, adj, det = zip(*exact_triples())
+    assert [tuple(t) for t in _TRIPLES.tolist()] == list(triples) == rank3
+    assert _ADJ.tolist() == list(adj) and _DET.tolist() == list(det)
     # the adjugates and determinants are exact: adj . M = det * I with no rounding
-    m = planes[triples]
-    assert np.array_equal(adj @ m, det[:, None, None] * np.eye(3))
-    assert np.array_equal(c, np.array(patterns, dtype=float))
+    assert np.array_equal(_ADJ @ planes[_TRIPLES], _DET[:, None, None] * np.eye(3))
+    assert _SOLVE.tobytes() == solve_map()[2].tobytes()
+    assert not any(getattr(icci.region, name).flags.writeable for name in SHAPE_TABLE_SHA256)
 
 
 def merge_reference(candidates: np.ndarray, tol: float) -> np.ndarray:
@@ -402,11 +446,19 @@ def test_the_rule_is_the_componentwise_order_of_the_rows():
 @functools.cache
 def solve_map() -> tuple:
     """Each row's pattern index, the nonsingular triples, the solve map,
-    the determinants and the faces of all 13 rows."""
-    _, row, triples, adj, det = _plane_solver(BOUND_PATTERNS)
-    distinct = int(row.max()) + 1
-    solve = (adj @ np.eye(distinct + 3)[triples])[:, :, :distinct].reshape(-1, distinct)
-    return row, triples, solve, det, np.vstack([_BOUND_DISTINCT, -np.eye(3)])
+    the determinants and the faces of all 13 rows, from ``exact_triples``:
+    row 3t + i of the solve map holds triple t's adjugate row i at the
+    triple's patterns, so (solve @ b) / det solves every triple."""
+    distinct = len(_BOUND_DISTINCT)
+    triples, adj, det = zip(*exact_triples())
+    solve = np.zeros((3 * len(triples), distinct))
+    for t, (planes, rows) in enumerate(zip(triples, adj)):
+        for i, row in enumerate(rows):
+            for p, a in zip(planes, row):
+                if p < distinct:
+                    solve[3 * t + i, p] = a
+    row = np.array([_BOUND_DISTINCT.index(c) for c in BOUND_PATTERNS])
+    return row, np.array(triples), solve, np.array(det, dtype=float), np.vstack([_BOUND_DISTINCT, -np.eye(3)])
 
 
 def reference_candidates(rhs: np.ndarray, implied=None) -> tuple[np.ndarray, float]:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -19,6 +20,7 @@ from icci.channel import ChannelGains
 from icci.region import (
     _BOUND_DISTINCT,
     _CANDIDATE_RTOL,
+    _DUAL_DENSE,
     _DUAL_STARTS,
     _OBJECTIVES,
     BOUND_PATTERNS,
@@ -473,11 +475,12 @@ class TestCertificationCore:
     def test_dual_table_has_every_basic_solution(self):
         # the dual basic solutions {y >= 0 : A^T y >= w} of every objective
         # in exact arithmetic, over the 10 distinct patterns and the
-        # coordinate planes: the table keeps each distinct one once
+        # coordinate planes: the table keeps each distinct one once, in
+        # triple order, each entry the correctly rounded exact one
         planes = list(_BOUND_DISTINCT) + [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         counts = []
-        for w in _OBJECTIVES:
-            found = set()
+        for w, run in zip(_OBJECTIVES, np.split(_DUAL_DENSE, _DUAL_STARTS[1:], axis=1)):
+            found = {}
             for t in itertools.combinations(range(len(planes)), 3):
                 m = [planes[i] for i in t]
                 d = _det3(m)
@@ -488,8 +491,13 @@ class TestCertificationCore:
                 y = [Fraction(_det3([[w[i] if k == j else mt[i][k] for k in range(3)] for i in range(3)]), d)
                      for j in range(3)]
                 if all(yj >= 0 if p < len(_BOUND_DISTINCT) else yj <= 0 for p, yj in zip(t, y)):
-                    found.add(tuple((p, yj) for p, yj in zip(t, y) if p < len(_BOUND_DISTINCT) and yj))
+                    column = [0.0] * len(_BOUND_DISTINCT)
+                    for p, yj in zip(t, y):
+                        if p < len(_BOUND_DISTINCT):
+                            column[p] = float(yj)
+                    found[tuple(column)] = None
             counts.append(len(found))
+            assert run.T.tolist() == [list(c) for c in found], w
         assert counts == np.diff(list(_DUAL_STARTS) + [232]).tolist()
         assert sum(counts) == 232 and len(_OBJECTIVES) == 15
 
@@ -498,6 +506,32 @@ class TestCertificationCore:
             check_channels([ChannelGains(1, 1, 1, 1)], bits=-1.0)
         with pytest.raises(ValueError):
             check_channel(0, ChannelGains(1, 1, 1, 1), bits=float("nan"))
+
+
+@pytest.mark.parametrize("bits", [4.5e307, 1e308, sys.float_info.max])
+def test_a_finite_budget_near_the_largest_float_certifies(bits):
+    # bits * sum(c) overflows to inf on the heavier rows, which only lowers
+    # the shifted target: every entry passes with no warning, the clipped
+    # slack is the inner region's least rhs (row 3), as at any budget past
+    # every vertex, and the per-rate slack rounds to bits
+    g = ChannelGains(10, 3, 2, 5)
+    inner, outer = build_inner(inner_coeffs(g)), build_outer(outer_coeffs(g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check = check_channel(0, g, bits=bits)
+        checks = check_channels([g] * 3, bits=bits)
+        clipped = within_bits_slack(inner, outer, bits)
+        unclipped = within_bits_unclipped_slack(inner, outer, bits)
+        witnesses = clipped.vertex, unclipped.vertex
+        report = run_gap_sweep(SweepConfig(samples=60, seed=3, bits=bits))
+    far = check_channel(0, g, bits=1e4)
+    assert check.passed() and checks == [dataclasses.replace(check, index=i) for i in range(3)]
+    assert (check.gap_slack, check.gap_constraint) == (far.gap_slack, far.gap_constraint) == (3.7548875021634687, 3)
+    assert check.gap_slack == inner.rhs_vector().min() == inner.rhs_vector()[3]
+    assert (clipped.slack, clipped.halfspace_index) == (check.gap_slack, check.gap_constraint)
+    assert unclipped.slack == check.per_rate_gap_slack == bits
+    assert all(len(v) == 3 for v in witnesses)
+    assert (report.pass_count, report.fail_count) == (60, 0)
 
 
 @pytest.mark.parametrize("value", [math.nan, -1, math.inf, True, "1"])
