@@ -216,7 +216,7 @@ def coeff_rows(gains: np.ndarray) -> np.ndarray:
     is the scalar family's on every CPU: numpy picks SVML kernels on
     AVX-512 hosts at run time, whose log1p differs from libm's on 1.4 %
     of log-uniform arguments in [1e-12, 1e12], so the core asks numpy
-    for +, -, *, /, min, max and einsum only.
+    for +, -, *, /, min, max and takes only.
     """
     m = np.asarray(gains, dtype=float).T
     own, cross = m[::3], m[1:3]   # (m11, m22) and (m12, m21)

@@ -69,17 +69,16 @@ __all__ = [
 
 CURVE_CSV_HEADER = ("alpha", "d_ic", "d_icci", "d_uplift", "d_icci_lp")
 # A curve is for plotting; the default grid has 301 points.  On the
-# largest grid, 10**5 points, ``dof_curve_samples`` takes about 0.8 s and
-# peaks at about 58 MB RSS in process, each point a sample held in memory,
+# largest grid, 10**5 points, ``dof_curve_samples`` takes about 0.33 s and
+# peaks at about 56 MB RSS in process, each point a sample held in memory,
 # while ``icci gdof-curve``, which writes each pass of rows as it is
-# computed, takes about 1.3 s and peaks at 33 MB, against 31 MB on the
+# computed, takes about 0.8 s and peaks at 32 MB, against 31 MB on the
 # default grid (shared 2-vCPU Xeon).
 _MAX_CURVE_POINTS = 10**5
-# Alphas per pass of the batched optimizer.  A pass holds a few KB of
-# temporaries per alpha, mostly the (N, 232) product of _reach: passes of
-# 8192 peaked at 84 MB on the largest grid, and one pass would need about
-# 600 MB.  At 1024 the command's peak on the largest grid is 2 MB above
-# the default grid's.
+# Alphas per pass of the batched optimizer.  A pass holds about 0.7 KB of
+# temporaries per alpha (``_reach`` bounds its own in passes of its own):
+# on the largest grid the command peaked at 40 MB with passes of 8192 and
+# at 96 MB in one pass, for 0.1 s less than at 1024.
 _CURVE_PASS = 1024
 
 
@@ -167,8 +166,7 @@ def _symmetric_reach(alphas) -> np.ndarray:
     The scale is per column, so a small alpha in the same pass never
     goes subnormal.
     """
-    exponents = np.ones((len(alphas), 4))
-    exponents[:, 1] = exponents[:, 2] = alphas
+    exponents = np.array([(1.0, alpha, alpha, 1.0) for alpha in alphas])
     scale = None
     if max(alphas) > _FINITE_ALPHA:   # a scale costs numpy calls: only a pass that needs one builds it
         scale = np.where(exponents[:, 1] > _FINITE_ALPHA, 2.0 ** -4, 1.0)

@@ -45,16 +45,17 @@ of an objective w depends on the patterns A alone, so its basic
 solutions, w . spread / det, form one table (``_DUAL_DENSE``) of 232
 multipliers over the 15 objectives certificates need, and a
 region's maximum of w . x is the least y . b over w's multipliers
-(``_reach``), all of them one product of the least rhs with the table,
-one dense (10, 232) matrix.  ``within_bits_slack`` and
-``within_bits_unclipped_slack`` are ``_gap_rows`` on those maxima at
-N = 1, and the sweep of ``icci.sweep`` runs the same path over a block
-of channels at once, ``_reach`` on slices of its columns, so both give
-the same bits.  Only the display (``vertices``,
-``region_as_dict``) and a certificate's witness vertex, once read, solve
-a region's triples (``_candidates``), all in one product with the solve
-map, the spread's pattern columns, and drop the triples on a plane the
-rule finds implied.
+(``_reach``).  A multiplier has at most three nonzero terms y_j b_j,
+and the 232 share 48 distinct products, 82 pair sums and 19 triple
+sums, so ``_reach`` forms each once, in plane order, with takes, * and
++, and gathers every multiplier's sum from them.  ``within_bits_slack``
+and ``within_bits_unclipped_slack`` are ``_gap_rows`` on those maxima
+at N = 1, and the sweep of ``icci.sweep`` runs the same path over a
+block of channels at once, so both give the same bits.  Only the
+display (``vertices``, ``region_as_dict``) and a certificate's witness
+vertex, once read, solve a region's triples (``_candidates``), all in
+one product with the solve map, the spread's pattern columns, and drop
+the triples on a plane the rule finds implied.
 ``vertices`` merges the candidates greedily in triple order within
 2**-44 times the largest rhs, so two vertices closer than rounding can
 tell apart are shown as one: from one matrix of near pairs it keeps a
@@ -75,6 +76,7 @@ rate weight.  The docstrings of ``within_bits`` and
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -345,6 +347,8 @@ _OBJECTIVES = tuple(dict.fromkeys(_BOUND_DISTINCT + tuple(
     tuple(ck if k in s else 0 for k, ck in enumerate(c))
     for c in _BOUND_DISTINCT for n in (1, 2, 3) for s in itertools.combinations(np.flatnonzero(c).tolist(), n))))
 _OBJECTIVE_WEIGHT = np.sum(_OBJECTIVES, axis=1)[:, None]
+_TOP_WEIGHT = float(_OBJECTIVE_WEIGHT.max())   # 4, of r0 + 2 r1 + r2 and r0 + r1 + 2 r2
+_NO_ERRSTATE = contextlib.nullcontext()
 # the objectives c_S of each distinct pattern's nonempty restrictions, run after run
 _RESTRICTION_LISTS = [[o for o, w in enumerate(_OBJECTIVES) if all(wk in (0, ck) for wk, ck in zip(w, c))]
                       for c in _BOUND_DISTINCT]
@@ -378,6 +382,15 @@ def _shape_tables() -> tuple[np.ndarray, ...]:
     the triples on no pattern of the set whose bits make up m, for every
     set that can be implied (0-7: no pattern dominates r0 + 2 r1 + r2 or
     r0 + r1 + 2 r2), so 256 rows.
+
+    The term tables of ``_reach`` come from ``_DUAL_DENSE``'s columns:
+    each multiplier's nonzero terms y_j b_j in plane order, first the
+    distinct products y_j b_j (plane ``_TERM_PLANE``, factor
+    ``_TERM_Y``), then the distinct sums of a multiplier's first two,
+    then of all three, one term row each.  ``_PAIR_TERMS`` and
+    ``_TRIPLE_TERMS`` hold, per pair and per triple, the row of the sum
+    of its first terms and the row of its last, and ``_TERM_GATHER``
+    multiplier m's row.
     """
     distinct = len(_BOUND_DISTINCT)
     coeffs = np.array(BOUND_PATTERNS, dtype=float)
@@ -400,15 +413,35 @@ def _shape_tables() -> tuple[np.ndarray, ...]:
     implied_sets = np.arange(1 << (max(p for _, p in _DOMINANCE) + 1))
     kept = (implied_sets[:, None] & (1 << triples).sum(axis=1)) == 0
     solve, faces = spread[:, :, :distinct].reshape(-1, distinct), np.vstack([_BOUND_DISTINCT, -np.eye(3)])
+    # each multiplier's nonzero terms (j, y_j) in plane order; the term rows
+    # are the distinct products, then first pairs, then triples among them
+    sums = [tuple((j, y_j) for j, y_j in enumerate(y) if y_j) for y in columns]
+    rows = [*dict.fromkeys((t,) for s in sums for t in s), *dict.fromkeys(s[:2] for s in sums if len(s) > 1),
+            *dict.fromkeys(s for s in sums if len(s) > 2)]
+    term_row = {s: k for k, s in enumerate(rows)}
+    products = [s[0] for s in rows if len(s) == 1]
+    # a sum of n terms adds its last term to the sum of its first n - 1
+    adds = [np.array([(term_row[s[:-1]], term_row[s[-1:]]) for s in rows if len(s) == n]).T.copy() for n in (2, 3)]
     tables = (coeffs, row, np.flatnonzero(np.diff(row, prepend=-1)), triples, adj, det, solve, faces, kept,
-              np.array(columns).T.copy(), np.array(starts))
+              np.array(columns).T.copy(), np.array(starts), np.array([j for j, _ in products]),
+              np.array([[y_j] for _, y_j in products]), *adds, np.array([term_row[s] for s in sums]))
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
 (_COEFFS, _BOUND_ROW, _BOUND_STARTS, _TRIPLES, _ADJ, _DET, _SOLVE, _FACES, _KEPT,
- _DUAL_DENSE, _DUAL_STARTS) = _shape_tables()
+ _DUAL_DENSE, _DUAL_STARTS, _TERM_PLANE, _TERM_Y, _PAIR_TERMS, _TRIPLE_TERMS, _TERM_GATHER) = _shape_tables()
+# the term rows of _reach: the products, from _PAIRS_FROM the pairs, from _TRIPLES_FROM the triples
+_PAIRS_FROM = len(_TERM_PLANE)
+_TRIPLES_FROM = _PAIRS_FROM + _PAIR_TERMS.shape[1]
+_TERM_ROWS = _TRIPLES_FROM + _TRIPLE_TERMS.shape[1]
+# Columns per pass of _reach.  On a 1024-channel block's 2048 columns it
+# takes 1.71, 1.49 and 1.50 ms in passes of 64, 128 and 256 columns, and
+# 5.0 ms in one pass, whose 7 MB of temporaries miss the cache (timeit,
+# best of 15 interleaved rounds, shared 2-vCPU Xeon); a 50-channel sweep
+# is one pass.
+_REACH_PASS = 128
 
 
 def _least_rhs(rhs: np.ndarray) -> np.ndarray:
@@ -497,37 +530,52 @@ def vertices(region: RateRegion) -> np.ndarray:
 
 def _reach(rhs: np.ndarray) -> np.ndarray:
     """The largest w . x over each of N regions for the objectives w of
-    ``_OBJECTIVES``: (15, N) for rhs (13, N), every rhs finite.
+    ``_OBJECTIVES``: (15, N) for rhs (13, N).
 
     By LP duality each is the least y . b over w's multipliers in the
-    dual table, b each pattern's least rhs: one product of b with the
-    dense table ``_DUAL_DENSE``, then one minimum per objective's run
-    along the contiguous axis.  einsum sums each y . b over the patterns
-    in order, adding an exact 0.0 for every pattern the multiplier does
-    not use, so a value is its at most three nonzero terms summed in
-    plane order, bit for bit (a test pins that order, which numpy does
-    not document).  Every term y_j b_j is nonnegative, so a sum is
-    within about 4 u of itself.  Every operation is elementwise or
-    reduces within one column, so each region's results are bitwise the
-    same whatever N is.
+    dual table, b each pattern's least rhs.  A multiplier has at most
+    three nonzero terms y_j b_j, summed in plane order, and the 232 use
+    48 distinct products, 82 distinct pair sums and 19 triple sums, each
+    a pair sum plus a product (``_shape_tables``): a pass takes the
+    products, adds the pairs, then the triples, gathers every
+    multiplier's sum and takes one minimum per objective's run.  Each
+    step is a take or one correctly rounded * or + per value, so a value
+    is its terms summed in plane order, bit for bit on any numpy and
+    CPU; every term is nonnegative, so a sum is within about 4 u of
+    itself, and an infinite rhs gives inf terms, never NaN.  More than
+    ``_REACH_PASS`` columns are taken in passes of that many, which keep
+    the temporaries in cache.  Every operation is elementwise or reduces
+    within one column, so each region's results are bitwise the same
+    whatever N is.
     """
-    value = np.einsum("jn,jm->nm", _least_rhs(rhs), _DUAL_DENSE, optimize=False)
-    return np.minimum.reduceat(value, _DUAL_STARTS, axis=1).T
+    n = rhs.shape[1]
+    if n > _REACH_PASS:
+        return np.concatenate([_reach(rhs[:, s:s + _REACH_PASS]) for s in range(0, n, _REACH_PASS)], axis=1)
+    terms = np.empty((_TERM_ROWS, n))
+    np.multiply(_TERM_Y, _least_rhs(rhs).take(_TERM_PLANE, axis=0), terms[:_PAIRS_FROM])
+    # indexing the two halves costs less than unpacking them
+    halves = terms.take(_PAIR_TERMS, axis=0)
+    np.add(halves[0], halves[1], terms[_PAIRS_FROM:_TRIPLES_FROM])
+    halves = terms.take(_TRIPLE_TERMS, axis=0)
+    np.add(halves[0], halves[1], terms[_TRIPLES_FROM:])
+    return np.minimum.reduceat(terms.take(_TERM_GATHER, axis=0), _DUAL_STARTS, axis=0)
 
 
 def _gap_rows(cover_rhs: np.ndarray, reach: np.ndarray, bits, clip: bool) -> np.ndarray:
     """The (13, N) slack of each cover row against N target regions,
-    given as their ``_reach``, shifted down by bits (a number, or one
-    per target): clipped at zero, or per rate with no clip.  A row's
-    slack is rhs minus the largest c . shift(v) over the target.  The
-    per-rate shift lowers every c . v by bits * sum(c); the clipped one
-    has c . max(v - bits, 0) = max over subsets S of the rates of
+    given as their ``_reach``, shifted down by the float bits: clipped
+    at zero, or per rate with no clip.  A row's slack is rhs minus the
+    largest c . shift(v) over the target.  The per-rate shift lowers
+    every c . v by bits * sum(c); the clipped one has
+    c . max(v - bits, 0) = max over subsets S of the rates of
     c_S . v - bits * sum(c_S), so its largest value is the largest such
     difference over the restrictions of c, or 0 for the empty subset;
     each objective is shifted once, the patterns' own first."""
-    # a finite bits near the largest float makes inf here, which only
-    # lowers a row's top: its clip is then 0 and its per-rate slack inf
-    with np.errstate(over="ignore"):
+    # a finite bits past the largest float over _TOP_WEIGHT makes inf
+    # here, which only lowers a row's top: its clip is then 0 and its
+    # per-rate slack inf.  An errstate costs about 1 us a call, so only
+    # such a bits enters one.
+    with np.errstate(over="ignore") if bits * _TOP_WEIGHT == math.inf else _NO_ERRSTATE:
         top = reach - bits * _OBJECTIVE_WEIGHT
     if clip:
         top = np.maximum(np.maximum.reduceat(top[_RESTRICTIONS], _RESTRICTION_STARTS), 0.0)

@@ -20,19 +20,18 @@ stage computes both coefficient families as column expressions, the
 delta limits and both regions' right-hand sides.  The reach stage takes
 the maxima that every certificate needs, which ``icci.region`` takes by
 LP duality from one table of dual multipliers fixed at import, with no
-vertex enumeration; ``_reach`` runs on fixed-size slices of the
-block's right-hand sides, which bound its product with the table.  The
-row reduction turns the maxima into each channel's slacks and binding
-row.  The maxima and the row reduction are those of ``icci.region``,
-whose ``within_bits_slack`` and ``within_bits_unclipped_slack`` are the
-same path at N = 1, so a channel's certificates there and here are the
-same bits; only displayed vertices and a certificate's witness are
+vertex enumeration, in column passes of its own.  The row reduction
+turns the maxima into each channel's slacks and binding row.  The
+maxima and the row reduction are those of ``icci.region``, whose
+``within_bits_slack`` and ``within_bits_unclipped_slack`` are the same
+path at N = 1, so a channel's certificates there and here are the same
+bits; only displayed vertices and a certificate's witness are
 enumerated.  A sweep certifies block by block and reduces the blocks in
 sample-index order; ``check_channels`` runs the same blocks, and
 ``check_channel`` is the core at N = 1.  The core only computes
 elementwise or within one channel, so every channel's results are
-bit-identical whatever the block or slice size, and a config always
-gives the same report.
+bit-identical whatever the block size, and a config always gives the
+same report.
 """
 
 from __future__ import annotations
@@ -57,19 +56,8 @@ __all__ = [
 ]
 
 MAG_LIMIT = 1e6  # validated operating envelope for link magnitudes
-# Channels per ``_reach`` pass, the only part of the core that runs in
-# passes: its (2 * chunk, 232) float product with the dual table is 58
-# KiB at 16 channels, under glibc's default 128 KiB mmap threshold, so it
-# is recycled from the heap rather than mapped and faulted in again on
-# every pass.  A pass costs ~4.5 us plus ~1.1 us per column, two columns
-# a channel (6.8 us at 2 columns, 38.1 at 32, 77.3 at 64; timeit, best
-# of 40 interleaved rounds, on a shared 2-vCPU Xeon), so a larger pass
-# could save at most the ~12 % that is fixed at 32 columns, and at 64 it
-# saves nothing.
-_CHUNK = 16
-# Channels per pass of the sampler and of the core, 64 chunks: 32 KiB of
-# gains.
-_BLOCK = 64 * _CHUNK
+# Channels per pass of the sampler and of the core: 32 KiB of gains.
+_BLOCK = 1024
 
 
 def _key_word(name: str, value) -> int:
@@ -250,27 +238,26 @@ def _certify(gains: np.ndarray, bits: float, tol: float) -> tuple[np.ndarray, ..
 
     Returns (N,) arrays: deltas_ok, containment_slack, gap_slack,
     gap_constraint and per_rate_gap_slack, as in ``ChannelCheck``.  Every
-    stage runs once over all N channels but ``_reach``, which runs on
-    slices of ``2 * _CHUNK`` columns.  A region's slack against a row is
-    rhs - max over the region of c . v, the maximum taken by ``_reach``.
+    stage runs once over all N channels.  A region's slack against a row
+    is rhs - max over the region of c . v, the maximum taken by
+    ``_reach``.
     """
     n = len(gains)
     coeffs = coeff_rows(gains)
     deltas_ok = delta_rows_within_limits(coeffs[1] - coeffs[0], tol=tol)
     # both regions of every channel as columns: the inner ones, then the outer
     rhs = bound_rhs(coeffs.swapaxes(0, 1)).reshape(-1, 2 * n)
-    reach = np.concatenate([_reach(rhs[:, s:s + 2 * _CHUNK]) for s in range(0, 2 * n, 2 * _CHUNK)], axis=1)
+    reach = _reach(rhs)
     inner_rhs, outer_reach = rhs[:, :n], reach[:, n:]
 
-    # Unclipped, in one call: the inner region against the outer rows, an
-    # unshifted gap (the origin is an inner vertex, so the coordinate
-    # planes add exactly 0), then the outer region shifted down by bits
-    # against the inner rows.
-    cover = np.concatenate((rhs[:, n:], inner_rhs), axis=1)
-    unclipped = _gap_rows(cover, reach, np.repeat([0.0, bits], n), clip=False).min(axis=0)
-    # the outer region, shifted down by bits and clipped, against the inner rows
+    # the inner region against the outer rows, an unshifted gap (the origin
+    # is an inner vertex, so the coordinate planes add exactly 0)
+    containment = _gap_rows(rhs[:, n:], reach[:, :n], 0.0, clip=False).min(axis=0)
+    # the outer region, shifted down by bits, against the inner rows: per
+    # rate and clipped
+    per_rate = _gap_rows(inner_rhs, outer_reach, bits, clip=False).min(axis=0)
     rows = _gap_rows(inner_rhs, outer_reach, bits, clip=True)
-    return deltas_ok, np.minimum(unclipped[:n], 0.0), rows.min(axis=0), rows.argmin(axis=0), unclipped[n:]
+    return deltas_ok, np.minimum(containment, 0.0), rows.min(axis=0), rows.argmin(axis=0), per_rate
 
 
 def _gain_rows(gains: Sequence[ChannelGains]) -> np.ndarray:
@@ -320,7 +307,7 @@ def check_channel(
 def _sampled_blocks(config: SweepConfig):
     """The channels of a config, block by block: each block's index range
     and its (N, 4) gains, drawn in one pass of the sampler, which costs
-    far less per channel at a thousand channels than at a chunk's 16."""
+    far less per channel at a thousand channels than at 16."""
     for block in _blocks(config.samples):
         yield block, _sample_rows(config.seed, block.start, len(block), config.mag_min, config.mag_max)
 

@@ -37,7 +37,6 @@ from icci.gdof import (
 from icci.region import (
     _CANDIDATE_RTOL,
     _BOUND_DISTINCT,
-    _DUAL_DENSE,
     _RHS_TERMS,
     _implied,
     _least_rhs,
@@ -46,15 +45,16 @@ from icci.region import (
     contains,
     vertices,
 )
-from icci.sweep import _CHUNK
 
 from conftest import seeded_channels
-from test_region import reach_by_terms
+from test_region import REACH_SPLITS, reach_by_terms
 from test_sweep import EDGE_CHANNELS, assert_shows_its_exact_vertices
 
 exps = st.floats(min_value=0.0, max_value=3.0)
 GRID = [k / 100.0 for k in range(301)]
 MAX_FLOAT = sys.float_info.max
+# what _reach warns of where its products and sums pass the float range
+OVERFLOWS = {(RuntimeWarning, "overflow encountered in multiply"), (RuntimeWarning, "overflow encountered in add")}
 # exponents at the edges of the accepted range: zero, the least and the
 # largest float, and two ordinary values
 EDGE_EXPONENTS = [list(q) for q in itertools.product((0.0, 5e-324, 1.0, 2.0, MAX_FLOAT), repeat=4)]
@@ -253,10 +253,13 @@ class TestLpCrossCheck:
     def test_reach_at_the_top_of_the_float_range(self):
         # the alphas of `icci gdof-curve --alpha-min 1e300 --alpha-max 1.7e308
         # --step 1e304` and the largest float: above about 9e307 an unscaled
-        # least rhs is inf, where the dense product would give 0 * inf = NaN;
-        # the scaled columns of _symmetric_reach give the unscaled term
-        # form's bits with no floating-point exception, the finite ones the
-        # product's
+        # least rhs is inf, and below it some products y_j b_j overflow.
+        # _reach gives the term form's bits on the finite columns and on
+        # all of them, an infinite least rhs's products being inf, never
+        # NaN, and it warns of the overflow in its products and sums: the
+        # test asserts both warnings.
+        # The scaled columns of _symmetric_reach give the unscaled term
+        # form's bits with no floating-point exception.
         alphas = [1e300 + k * 1e304 for k in range(17000)] + [MAX_FLOAT]
         exponents = np.ones((len(alphas), 4))
         exponents[:, 1] = exponents[:, 2] = alphas
@@ -264,13 +267,16 @@ class TestLpCrossCheck:
             rhs = bound_rhs(gdof_rows(exponents))
             infinite = np.isinf(_least_rhs(rhs)).any(axis=0)
             assert 0 < infinite.sum() < len(alphas)
-            assert np.isnan(np.einsum("jn,jm->nm", _least_rhs(rhs[:, infinite]), _DUAL_DENSE)).any()
             want = reach_by_terms(_least_rhs(rhs))
         assert not np.isnan(want).any()
-        finite = rhs[:, ~infinite]
-        for size in (2 * _CHUNK, 1024, len(alphas)):
-            got = np.concatenate([_reach(finite[:, s:s + size]) for s in range(0, finite.shape[1], size)], axis=1)
-            assert got.tobytes() == want[:, ~infinite].tobytes(), size
+        for columns, expected in ((rhs[:, ~infinite], want[:, ~infinite]), (rhs, want)):
+            for size in REACH_SPLITS + (columns.shape[1],):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    got = np.concatenate([_reach(columns[:, s:s + size]) for s in range(0, columns.shape[1], size)],
+                                         axis=1)
+                assert got.tobytes() == expected.tobytes(), size
+                assert {(w.category, str(w.message)) for w in caught} == OVERFLOWS, size
         with np.errstate(all="raise"):
             for size in (1, 1024, len(alphas)):
                 got = np.concatenate([_symmetric_reach(alphas[s:s + size]) for s in range(0, len(alphas), size)], axis=1)

@@ -25,8 +25,17 @@ from icci.region import (
     _DUAL_STARTS,
     _OBJECTIVE_WEIGHT,
     _OBJECTIVES,
+    _PAIR_TERMS,
+    _PAIRS_FROM,
+    _REACH_PASS,
     _SOLVE,
+    _TERM_GATHER,
+    _TERM_PLANE,
+    _TERM_ROWS,
+    _TERM_Y,
+    _TRIPLE_TERMS,
     _TRIPLES,
+    _TRIPLES_FROM,
     BOUND_PATTERNS,
     MEMBERSHIP_TOL,
     RateRegion,
@@ -47,7 +56,7 @@ from icci.region import (
     within_bits_slack,
     within_bits_unclipped_slack,
 )
-from icci.sweep import _CHUNK, MAG_LIMIT, sample_gains
+from icci.sweep import MAG_LIMIT, sample_gains
 
 from conftest import seeded_channels
 from test_gaussian_mi import EDGES
@@ -246,6 +255,11 @@ SHAPE_TABLE_SHA256 = {
     "_KEPT": ((256, 216), "90755966434e0c15123715f8baf990c5039d80d6d97beae8617fce07f7ab72fd"),
     "_DUAL_DENSE": ((10, 232), "71e66894f0602a80852f0b9f6eccc852c4e732cfce397c61396b10a14b944e1a"),
     "_DUAL_STARTS": ((15,), "fe28a3d9fe6e90f7baa5cd7dc3967ffdd5a066e194e787121f27e3b2169a76d2"),
+    "_TERM_PLANE": ((48,), "b1c4ec84ad66062c98b85794b83efe3d585a6314b0f928d9bb154a6727c49163"),
+    "_TERM_Y": ((48, 1), "24b54f90b3a9a16dba4bf564405731233e272f310786c6d2beef37ee4872d8b7"),
+    "_PAIR_TERMS": ((2, 82), "d0c4a84b0bc6a58029a5ad1b8fe0cbaea4fa3678a5fe410cf2f595720faaa8c4"),
+    "_TRIPLE_TERMS": ((2, 19), "3606047e4e99c8bc9443027136e5465d80d05f7f5fd698d44ae5520a8bf90e2d"),
+    "_TERM_GATHER": ((232,), "cb26c5bc75f06557d841115efc826667c6b1de65f3bafccd4e951e947efb90d1"),
 }
 
 
@@ -690,16 +704,47 @@ def assert_reach_is_the_term_form(rhs, sizes):
         assert got.tobytes() == want.tobytes(), size
 
 
+# column counts around _reach's passes: one column short of a pass, one
+# pass, one column over, and two passes and a column
+REACH_SPLITS = (_REACH_PASS - 1, _REACH_PASS, _REACH_PASS + 1, 2 * _REACH_PASS + 1)
+
+
 def test_reach_sums_each_multiplier_in_plane_order():
-    # numpy does not document einsum's order of summation, and a sum of
-    # three multiplier terms (1/3, 2/3 and 3/4 among them) depends on it:
-    # the dense product has to be the term form, bit for bit, in the
-    # sweep's passes of 2 * _CHUNK columns, in larger ones and on a whole
-    # set at once
+    # a sum of three multiplier terms (1/3, 2/3 and 3/4 among them)
+    # depends on its order: _reach has to be the term form, bit for bit,
+    # on slices around its pass size and on a whole set at once, which it
+    # takes in passes of its own
     edges = np.array(list(itertools.product(EDGES, repeat=4)))
-    assert_reach_is_the_term_form(both_regions_rhs(edges), (2 * _CHUNK, 2048, len(edges) * 2))
+    assert_reach_is_the_term_form(both_regions_rhs(edges), REACH_SPLITS + (len(edges) * 2,))
     wide = 10.0 ** np.random.default_rng(17).uniform(-6.0, 6.0, (20000, 4))
-    assert_reach_is_the_term_form(both_regions_rhs(wide), (2 * _CHUNK, 2048, len(wide) * 2))
+    assert_reach_is_the_term_form(both_regions_rhs(wide), REACH_SPLITS + (len(wide) * 2,))
+
+
+def test_term_tables_are_the_dual_table():
+    # followed back through the term rows, each multiplier's sum is its
+    # nonzero entries of _DUAL_DENSE in plane order: a product is one
+    # (plane, y_j), a pair adds two products, and a triple adds a product
+    # to a pair, each from rows that come before it, so a pass fills the
+    # rows in order; and no two rows are the same sum
+    assert (_PAIRS_FROM, _TRIPLES_FROM - _PAIRS_FROM, _TERM_ROWS - _TRIPLES_FROM) == (48, 82, 19)
+    assert (_PAIR_TERMS < _PAIRS_FROM).all()
+    assert ((_PAIRS_FROM <= _TRIPLE_TERMS[0]) & (_TRIPLE_TERMS[0] < _TRIPLES_FROM)).all()
+    assert (_TRIPLE_TERMS[1] < _PAIRS_FROM).all()
+
+    def terms(row):
+        if row < _PAIRS_FROM:
+            return ((int(_TERM_PLANE[row]), float(_TERM_Y[row, 0])),)
+        if row < _TRIPLES_FROM:
+            first, last = _PAIR_TERMS[:, row - _PAIRS_FROM]
+        else:
+            first, last = _TRIPLE_TERMS[:, row - _TRIPLES_FROM]
+        return terms(first) + terms(last)
+
+    rows = [terms(row) for row in range(_TERM_ROWS)]
+    assert len(set(rows)) == _TERM_ROWS
+    for y, row in zip(_DUAL_DENSE.T, _TERM_GATHER):
+        used = np.flatnonzero(y)
+        assert rows[row] == tuple(zip(used.tolist(), y[used].tolist()))
 
 
 def test_unclipped_equals_clipped_without_clip():

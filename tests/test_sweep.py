@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from icci.region import (
     _DUAL_DENSE,
     _DUAL_STARTS,
     _OBJECTIVES,
+    _REACH_PASS,
     BOUND_PATTERNS,
     _reach,
     bound_rhs,
@@ -37,7 +39,6 @@ from icci.region import (
 )
 from icci.sweep import (
     _BLOCK,
-    _CHUNK,
     MAG_LIMIT,
     SweepConfig,
     _certify,
@@ -76,8 +77,8 @@ class TestSampling:
     @pytest.mark.parametrize("seed", [0, 42, 2**63, 2**64 - 1])
     def test_batch_is_the_keyed_generator_formula(self, seed):
         # numpy has no keyed multi-stream draw, so a generator per channel
-        # is the independent reference of the packed sampler: over chunk
-        # and block edges, in one pass and as a sweep draws its blocks
+        # is the independent reference of the packed sampler: over short
+        # runs and block edges, in one pass and as a sweep draws its blocks
         uniforms = {}
 
         def literal(i, lo, hi):
@@ -88,7 +89,7 @@ class TestSampling:
 
         blocks = (range(_BLOCK - 1), range(_BLOCK), range(_BLOCK + 1), range(2 * _BLOCK + 1))
         for lo, hi in ((1e-3, 1e3), (1e-6, 1e6), (2.0, 2.0)):
-            for indices in (range(1), range(_CHUNK), range(50), range(_CHUNK - 1, 2 * _CHUNK + 1),
+            for indices in (range(1), range(16), range(50), range(15, 33),
                             range(2**64 - 3, 2**64), *blocks):
                 want = np.array([literal(i, lo, hi) for i in indices])
                 got = _sample_rows(seed, indices.start, len(indices), lo, hi)
@@ -371,15 +372,15 @@ def assert_core_matches_region_api(gains: list, bits: float) -> None:
 class TestCertificationCore:
     def test_bitwise_the_same_at_every_chunk_split(self):
         # 1040 channels, past a block, the edge channels mixed in: a whole
-        # _certify runs every stage once over all of them but _reach, which
-        # runs on 2 * _CHUNK columns, so it is also compared with slices
+        # _certify runs every stage once over all of them, and _reach takes
+        # their 2080 columns in passes, so it is also compared with chunks
         # certified one by one, whose inner and outer columns _reach sees
         # at other offsets and in other passes
         seeded = seeded_channels(42, 1040 - len(EDGE_CHANNELS))
         gains = [g for pair in zip(seeded, EDGE_CHANNELS) for g in pair] + seeded[len(EDGE_CHANNELS):]
         rows = _gain_rows(gains)
         whole = _certify(rows, 1.0, 1e-9)
-        for size in (1, _CHUNK, _CHUNK + 1, 50, _BLOCK):
+        for size in (1, _REACH_PASS // 2, _REACH_PASS // 2 + 1, 50, _BLOCK):
             parts = [_certify(rows[s:s + size], 1.0, 1e-9) for s in range(0, len(rows), size)]
             for got, want in zip(map(np.concatenate, zip(*parts)), whole):
                 assert got.tobytes() == want.tobytes(), size
@@ -389,10 +390,10 @@ class TestCertificationCore:
             got = np.array([getattr(c, field) for c in singles], dtype=want.dtype)
             assert got.tobytes() == want.tobytes(), field
 
-    def test_reach_runs_on_chunks_of_the_block_in_column_order(self, monkeypatch):
-        # _reach is the only part of the core that runs in passes: the
-        # (13, 2N) rhs of 1041 channels, inner columns then outer, goes to
-        # it once, in order, at most 2 * _CHUNK columns at a time
+    def test_reach_takes_each_block_in_one_call_in_column_order(self, monkeypatch):
+        # the core hands _reach each block's whole (13, 2N) rhs, inner
+        # columns then outer, and _reach makes its own passes: 1041
+        # channels are a block of 1024 and one of 17
         rows = _gain_rows(seeded_channels(7, 1041))
         seen = []
 
@@ -401,10 +402,24 @@ class TestCertificationCore:
             return _reach(rhs)
 
         monkeypatch.setattr(icci.sweep, "_reach", recorder)
-        _certify(rows, 2.0, 1e-9)
-        assert all(part.shape[1] <= 2 * _CHUNK for part in seen)
-        want = bound_rhs(coeff_rows(rows).swapaxes(0, 1)).reshape(13, -1)
-        assert np.concatenate(seen, axis=1).tobytes() == want.tobytes()
+        for block in (rows[:_BLOCK], rows[_BLOCK:]):
+            _certify(block, 2.0, 1e-9)
+        assert [part.shape for part in seen] == [(13, 2 * _BLOCK), (13, 34)]
+        for part, block in zip(seen, (rows[:_BLOCK], rows[_BLOCK:])):
+            assert part.tobytes() == bound_rhs(coeff_rows(block).swapaxes(0, 1)).reshape(13, -1).tobytes()
+
+    def test_reach_passes_bound_its_temporaries(self):
+        # a pass holds a few (232, _REACH_PASS) arrays however many columns
+        # come in, so on a block's 2048 columns the peak, its input and
+        # output included, stays under half of one (232, 2048) array
+        rhs = bound_rhs(coeff_rows(_gain_rows(seeded_channels(7, _BLOCK))).swapaxes(0, 1)).reshape(13, -1)
+        tracemalloc.start()
+        try:
+            _reach(rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 232 * rhs.shape[1] * 8 / 2, peak
 
     def test_sweep_report_matches_the_channel_checks(self):
         # the sweep reduces once per block: over one channel, part of a
@@ -508,12 +523,14 @@ class TestCertificationCore:
             check_channel(0, ChannelGains(1, 1, 1, 1), bits=float("nan"))
 
 
-@pytest.mark.parametrize("bits", [4.5e307, 1e308, sys.float_info.max])
+@pytest.mark.parametrize("bits", [sys.float_info.max / 4, math.nextafter(sys.float_info.max / 4, math.inf),
+                                  4.5e307, 1e308, sys.float_info.max])
 def test_a_finite_budget_near_the_largest_float_certifies(bits):
-    # bits * sum(c) overflows to inf on the heavier rows, which only lowers
-    # the shifted target: every entry passes with no warning, the clipped
-    # slack is the inner region's least rhs (row 3), as at any budget past
-    # every vertex, and the per-rate slack rounds to bits
+    # bits * sum(c) overflows to inf on the heavier rows past a quarter of
+    # the largest float (sum(c) <= 4), which only lowers the shifted
+    # target: every entry passes with no warning, the clipped slack is the
+    # inner region's least rhs (row 3), as at any budget past every
+    # vertex, and the per-rate slack rounds to bits
     g = ChannelGains(10, 3, 2, 5)
     inner, outer = build_inner(inner_coeffs(g)), build_outer(outer_coeffs(g))
     with warnings.catch_warnings():
@@ -609,7 +626,7 @@ def certificate_digest(seed, mag_min, mag_max, bits) -> str:
 def test_certificates_are_pinned(seed, mag_min, mag_max, bits, digest):
     # every field of every check on 10000 channels, bit for bit, with
     # inner G' computed as G; like test_coefficient_bits_are_pinned, the
-    # pin also holds libm's pow and log1p and numpy's einsum order
+    # pin also holds libm's pow and log1p
     assert certificate_digest(seed, mag_min, mag_max, bits) == digest
 
 
