@@ -53,9 +53,10 @@ and ``within_bits_unclipped_slack`` are ``_gap_rows`` on those maxima
 at N = 1, and the sweep of ``icci.sweep`` runs the same path over a
 block of channels at once, so both give the same bits.  Only the
 display (``vertices``, ``region_as_dict``) and a certificate's witness
-vertex, once read, solve a region's triples (``_candidates``), all in
-one product with the solve map, the spread's pattern columns, and drop
-the triples on a plane the rule finds implied.
+vertex, once read, solve a region's triples (``_candidates``), and only
+those on no plane the rule finds implied: in one product with their
+rows of the solve map, the spread's pattern columns, which
+``_solve_table`` reads out once per implied set, when it is first met.
 ``vertices`` merges the candidates greedily in triple order within
 2**-44 times the largest rhs, so two vertices closer than rounding can
 tell apart are shown as one: from one matrix of near pairs it keeps a
@@ -80,7 +81,7 @@ import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -381,7 +382,8 @@ def _shape_tables() -> tuple[np.ndarray, ...]:
     ``_DUAL_STARTS`` starts each objective's run.  ``_KEPT`` row m marks
     the triples on no pattern of the set whose bits make up m, for every
     set that can be implied (0-7: no pattern dominates r0 + 2 r1 + r2 or
-    r0 + r1 + 2 r2), so 256 rows.
+    r0 + r1 + 2 r2), so 256 rows; ``_solve_table`` takes a row's triples
+    out of ``_SOLVE`` and ``_DET`` when the display first meets its set.
 
     The term tables of ``_reach`` come from ``_DUAL_DENSE``'s columns:
     each multiplier's nonzero terms y_j b_j in plane order, first the
@@ -464,18 +466,38 @@ def _implied(b: list) -> int:
     return implied
 
 
+@cache
+def _solve_table(implied: int) -> tuple[np.ndarray, np.ndarray]:
+    """The solve map and determinants of the triples that ``_KEPT[implied]``
+    keeps, in triple order, both read-only: the map's rows are
+    coordinate-major, all the kept triples' r0 rows, then r1, then r2, so
+    (solve @ b).reshape(3, -1) / det is the solutions as (3, K) columns.
+
+    Built on first use and kept, one per implied set met.  All 256 sets
+    hold 18240 triples, 4.5 MB of tables, about a tenth of the 40 MB a
+    display process peaks at, so none is built at import; a run over the
+    whole envelope meets about 20 sets, 0.4 MB."""
+    kept = _KEPT[implied]
+    solve = _SOLVE.reshape(-1, 3, len(_BOUND_DISTINCT))[kept].swapaxes(0, 1).reshape(-1, len(_BOUND_DISTINCT))
+    det = _DET[kept]
+    for table in (solve, det):
+        table.flags.writeable = False
+    return solve, det
+
+
 def _candidates(rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """The feasible plane-triple intersections of one region, in triple
-    order and not deduplicated, and the radius that admitted them.
+    order and not deduplicated, and the radius that admitted them, as a
+    (K, 3) transposed view of contiguous (3, K) columns.
 
-    Every nonsingular triple is solved by the solve map, each pattern at
-    its least rhs b, and kept when no plane of it is ``_implied`` and it
-    violates no pattern and no coordinate plane by more than
-    ``_CANDIDATE_RTOL`` times the largest rhs B.  The other planes bound
-    the same region, so each vertex is still a kept triple's solution,
-    and an implied plane only solves again the vertices it passes
-    through (on an inner region, the r0 = 0 face meets each twin plane
-    along its r0-twin's).  A coordinate adj . b / det is a sum of at
+    Only the triples on no ``_implied`` plane are solved, by their
+    ``_solve_table``, each pattern at its least rhs b, and a solution
+    is kept when it violates no pattern and no coordinate plane by more
+    than ``_CANDIDATE_RTOL`` times the largest rhs B.  The other planes
+    bound the same region, so each vertex is still a kept triple's
+    solution, and an implied plane only solves again the vertices it
+    passes through (on an inner region, the r0 = 0 face meets each twin
+    plane along its r0-twin's).  A coordinate adj . b / det is a sum of at
     most three products (|adj| <= 4; the map's other entries are exact
     zeros) divided by |det| >= 1, so within about 48 u B of its exact
     value (u = 2**-53), and c . x, sum(c) <= 4, within about
@@ -488,11 +510,12 @@ def _candidates(rhs: np.ndarray) -> tuple[np.ndarray, float]:
     """
     b = _least_rhs(rhs)
     tol = _CANDIDATE_RTOL * max(rhs.tolist())
+    solve, det = _solve_table(_implied(b.tolist()))
     # + 0.0 maps -0.0 to 0.0, so displayed vertices never read -0.0
-    x = (_SOLVE @ b).reshape(-1, 3) / _DET[:, None] + 0.0
+    columns = (solve @ b).reshape(3, -1) / det + 0.0
     # one row per face, so the test over faces reduces along the long axis
-    feasible = (_FACES @ x.T <= np.concatenate([b, np.zeros(3)])[:, None] + tol).all(axis=0)
-    return x.compress(feasible & _KEPT[_implied(b.tolist())], axis=0), tol
+    feasible = (_FACES @ columns <= np.concatenate([b, np.zeros(3)])[:, None] + tol).all(axis=0)
+    return columns.compress(feasible, axis=1).T, tol
 
 
 def vertices(region: RateRegion) -> np.ndarray:
@@ -512,7 +535,7 @@ def vertices(region: RateRegion) -> np.ndarray:
     fixpoint when each candidate's first near one (itself, if kept) is in
     it."""
     x, tol = _candidates(region._rhs)
-    columns = x.T.copy()   # contiguous: the broadcast below is 2.5-7x faster than on x.T
+    columns = x.T   # contiguous from _candidates: the broadcast below is 2.5-7x faster than on strided columns
     gaps = columns[:, :, None] - columns[:, None, :]
     near = (np.abs(gaps, out=gaps) <= tol).all(axis=0)
     # near[k, k] holds, so first[k] <= k; K >= 1, since the origin is always a candidate

@@ -1,8 +1,12 @@
 """The README's library quick start runs, and the claim in each of its
-comments holds."""
+comments holds; the sizes its Determinism section names are the code's."""
 
 import ast
+import re
 from pathlib import Path
+
+from icci.region import _REACH_PASS
+from icci.sweep import _BLOCK
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +39,12 @@ def test_quick_start_claims():
     assert value == (0.6, 0.7) and comment.startswith("(0.6, 0.7)")
     value, comment = claims["icci.mi_discrepancy(gains)"]
     assert value < 1e-12 and comment.startswith("~1e-14")
+
+
+def test_determinism_names_the_block_and_pass_sizes():
+    section = README.read_text(encoding="utf-8").split("### Determinism", 1)[1]
+    prose = section.split("```", 1)[0]
+    assert re.findall(r"blocks of up to (\d+)", prose) == [str(_BLOCK)]
+    assert re.findall(r"passes of a fixed size, (\d+) columns", prose) == [str(_REACH_PASS)]
+    # no other size, which could go stale unchecked
+    assert set(re.findall(r"\b\d+\b", prose)) == {str(_BLOCK), str(_REACH_PASS)}

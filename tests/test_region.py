@@ -23,6 +23,7 @@ from icci.region import (
     _DOMINANCE,
     _DUAL_DENSE,
     _DUAL_STARTS,
+    _KEPT,
     _OBJECTIVE_WEIGHT,
     _OBJECTIVES,
     _PAIR_TERMS,
@@ -44,6 +45,7 @@ from icci.region import (
     _implied,
     _least_rhs,
     _reach,
+    _solve_table,
     bound_rhs,
     build_inner,
     build_outer,
@@ -60,7 +62,8 @@ from icci.sweep import MAG_LIMIT, sample_gains
 
 from conftest import seeded_channels
 from test_gaussian_mi import EDGES
-from test_sweep import EDGE_CHANNELS, TIE_CHANNELS, TWIN_CHANNELS, assert_shows_its_exact_vertices, exact_vertices
+from test_sweep import (EDGE_CHANNELS, TIE_CHANNELS, TWIN_CHANNELS, assert_shows_its_exact_vertices, exact_vertices,
+                        fresh_modules)
 
 EXPECTED_PATTERNS = [
     (1, 1, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1),
@@ -523,6 +526,29 @@ def test_candidates_are_the_reference_minus_implied_planes():
         assert x.tobytes() == want.tobytes() and tol == want_tol, column
 
 
+def test_each_implied_set_has_its_solve_table():
+    # the kept triples' solve-map rows, r0 rows first, then r1, then r2,
+    # and their determinants, in triple order; all 256 together hold 18240
+    # triples, 4.5 MB, which is why each is built on first use
+    held = nbytes = 0
+    for implied in range(len(_KEPT)):
+        solve, det = _solve_table(implied)
+        triples = np.flatnonzero(_KEPT[implied])
+        want = np.concatenate([_SOLVE[3 * triples + i] for i in range(3)])
+        assert solve.tobytes() == want.tobytes() and det.tobytes() == _DET[triples].tobytes(), implied
+        assert solve.flags.c_contiguous and not solve.flags.writeable and not det.flags.writeable
+        held, nbytes = held + len(det), nbytes + solve.nbytes + det.nbytes
+    assert len(_KEPT) == 256 and (held, nbytes) == (18240, 4523520)
+    assert _solve_table.cache_info().currsize <= 256
+
+
+def test_no_solve_table_is_built_at_import():
+    code = ("import icci; from icci.region import _solve_table; n = _solve_table.cache_info().currsize; "
+            "icci.region_as_dict(icci.build_inner(icci.inner_coeffs(icci.ChannelGains(10, 3, 2, 5)))); "
+            "print(n, _solve_table.cache_info().currsize)")
+    assert fresh_modules(code).split() == ["0", "1"]
+
+
 def test_a_hand_built_inner_region_with_row_5_binding_keeps_its_plane(worked_channel):
     # the rule reads the rhs, not the label: lower row 5 below rows 4, 7
     # and 8, so it binds, and its pattern r1 + r2 is not implied
@@ -563,13 +589,15 @@ def test_hand_built_regions_show_their_exact_vertices(kind):
     # the rule on right-hand sides no family gives: every region shows
     # exactly its exact vertices, and its candidates are the reference's
     rng = np.random.default_rng(["uniform", "integers", "ties", "zeros"].index(kind))
-    implied = 0
+    implied, sets = 0, set()
     for _ in range(250):
         rhs = hand_built_rhs(rng, kind)
         assert _candidates(rhs)[0].tobytes() == reference_candidates(rhs)[0].tobytes(), rhs
         assert_shows_its_exact_vertices(RateRegion("outer", rhs))
         implied += implied_patterns(rhs[:, None]).any()
-    assert implied > 100
+        sets.add(_implied(_least_rhs(rhs).tolist()))
+    # the candidates come from at least 30 distinct solve tables (52 to 75)
+    assert implied > 100 and len(sets) >= 30
 
 
 def test_the_largest_r0_is_min_g1p_g2p():
