@@ -32,7 +32,7 @@ differences outer minus inner are bounded: below one bit for the A, D
 and E coefficients, at most one bit for G, and below two bits for G'.
 (The G bound is tight: outer minus inner for G_1 equals
 log2(1 + min(m12**2, 1)), which is exactly one bit whenever m12 >= 1,
-and for G_2 the same in m21.)
+and for G_2 the same in m21.)  ``delta_slack`` is the least margin.
 
 Each family's capacity arguments are written once, per receiver, in
 ``_inner_args`` and ``_outer_args``, every square a product: the scalar
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelGains, _nonneg_finite
+from .channel import ChannelGains
 
 __all__ = [
     "BoundCoeffs",
@@ -70,8 +70,7 @@ __all__ = [
     "coeff_rows",
     "coeff_deltas",
     "gap_deltas",
-    "deltas_within_limits",
-    "delta_rows_within_limits",
+    "delta_slack",
 ]
 
 _LN2 = math.log(2.0)
@@ -242,9 +241,11 @@ def gap_deltas(gains: ChannelGains) -> BoundCoeffs:
     return coeff_deltas(inner_coeffs(gains), outer_coeffs(gains))
 
 
-def deltas_within_limits(deltas: BoundCoeffs, tol: float = 1e-9) -> bool:
-    """Check the per-coefficient gap budgets: one bit for A, D, E and G,
-    two bits for the primed G pair, each within tol.
+def delta_slack(deltas):
+    """The delta limits as a slack: the least of budget minus delta over
+    the ten coefficients, the budget one bit for A, D, E and G and two
+    bits for the primed G pair.  A delta family gives a float, a (10, N)
+    array, rows in ``BoundCoeffs`` field order, an (N,) array.
 
     Every budget follows from the closed forms (each delta is at most
     log2 of a noise-floor factor that never exceeds 2, or a sum of two
@@ -252,15 +253,12 @@ def deltas_within_limits(deltas: BoundCoeffs, tol: float = 1e-9) -> bool:
     the plain G delta equals one bit exactly whenever the relevant cross
     gain is >= 1, and the E delta rounds to exactly one bit once the
     matching direct gain is small enough that its rescue term falls
-    below float resolution.  Comparing against budget + tol certifies
-    the real-arithmetic statement without manufacturing boundary
-    failures out of rounding.
+    below float resolution.  So the slack may read a few ulps below 0,
+    and judging it >= -tol certifies the real-arithmetic statement
+    without manufacturing boundary failures out of rounding.
     """
-    tol = _nonneg_finite("tol", tol)
-    return bool(delta_rows_within_limits(np.array(deltas.values)[:, None], tol)[0])
-
-
-def delta_rows_within_limits(deltas: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """``deltas_within_limits`` for a batch: deltas is (10, N), rows in
-    ``BoundCoeffs`` field order; returns an (N,) boolean array."""
-    return (deltas <= _DELTA_BUDGETS + tol).all(axis=0)
+    if isinstance(deltas, BoundCoeffs):
+        if deltas.side != "delta":
+            raise ValueError(f"expected a delta family, got side {deltas.side!r}")
+        return float(delta_slack(np.array(deltas.values)[:, None])[0])
+    return (_DELTA_BUDGETS - deltas).min(axis=0)

@@ -8,16 +8,16 @@ generators but without ``numpy.random`` and without shared state; a
 sweep draws blocks of up to 1024 channels in one pass each, and
 ``sample_gains`` is the same draw at N = 1.
 
-Each channel is checked three ways: the per-coefficient gap limits,
-containment of the achievable region in the converse region, and the
-clipped-shift bit-gap certificate.  The per-rate bit-gap certificate
-is computed alongside, from the same converse maxima, and carried in
-each channel's result without entering its verdict.
+Each channel is checked three ways, each a slack: the per-coefficient
+gap limits, containment of the achievable region in the converse region,
+and the clipped-shift bit-gap certificate; it passes at tol when the
+least is >= -tol.  The per-rate certificate is computed alongside, from
+the same converse maxima, and carried without entering the verdict.
 
 All of it runs in one array-first core over an (N, 4) gains array, in
 three stages, each once over a whole sampled block.  The coefficient
 stage computes both coefficient families as column expressions, the
-delta limits and both regions' right-hand sides.  The reach stage takes
+delta slack and both regions' right-hand sides.  The reach stage takes
 the maxima that every certificate needs, which ``icci.region`` takes by
 LP duality from one table of dual multipliers fixed at import, with no
 vertex enumeration, in column passes of its own.  The row reduction
@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import coeff_rows, delta_rows_within_limits, gap_deltas
+from .bounds import coeff_rows, delta_slack, gap_deltas
 from .channel import ChannelGains, _int, _nonneg_finite, _real
 from .region import MEMBERSHIP_TOL, _gap_rows, _reach, bound_rhs
 
@@ -103,35 +103,35 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class ChannelCheck:
-    """Outcome of the three checks for one sampled channel.
+    """Outcome of the three checks for one sampled channel, each a slack.
 
-    gap_slack and gap_constraint are the slack and ``halfspace_index``
-    of the clipped-shift certificate ``within_bits_slack`` of the outer
-    region against the inner one, and per_rate_gap_slack the slack of
-    the per-rate one, ``within_bits_unclipped_slack``, at the same
-    budget, bit for bit: both are the same core.  gap_constraint is the
-    lowest-numbered inner row attaining gap_slack.  ``passed(tol)`` uses
-    the clipped slack, as the sweep's verdicts always have (criterion 1
-    certifies the per-rate one), and re-judges only the slacks at tol;
-    deltas_ok keeps the check's own tol: made at tol=0, channel 2 of seed
-    42 at 2 bits fails ``passed(1e-9)`` (G2 is 3.6e-15 over budget).
+    delta_slack is ``delta_slack`` of its ``gap_deltas``, containment_slack
+    the inner region's least slack against the outer rows, capped at 0.
+    gap_slack and gap_constraint are the slack and ``halfspace_index`` of
+    the clipped-shift certificate ``within_bits_slack`` of the outer
+    region against the inner one, and per_rate_gap_slack the slack of the
+    per-rate one, ``within_bits_unclipped_slack``, at the same budget, bit
+    for bit: both are the same core.  gap_constraint is the lowest-numbered
+    inner row attaining gap_slack.  ``passed(tol)``, the sweep's one rule:
+    the least of delta_slack, containment_slack and the clipped gap_slack
+    (criterion 1 certifies the per-rate one) is >= -tol.
     """
 
     index: int
     gains: ChannelGains
-    deltas_ok: bool
+    delta_slack: float
     containment_slack: float
     gap_slack: float
     gap_constraint: int
     per_rate_gap_slack: float
 
     def passed(self, tol: float = MEMBERSHIP_TOL) -> bool:
-        return _passed(self.deltas_ok, self.containment_slack, self.gap_slack, _nonneg_finite("tol", tol))
+        return _passed(self.delta_slack, self.containment_slack, self.gap_slack, _nonneg_finite("tol", tol))
 
 
-def _passed(deltas_ok, containment_slack, gap_slack, tol):
-    """The sweep verdict, for one channel or elementwise for arrays."""
-    return deltas_ok & (containment_slack >= -tol) & (gap_slack >= -tol)
+def _passed(delta, containment, gap, tol):
+    """The sweep's one rule, for one channel or elementwise: every slack >= -tol."""
+    return (delta >= -tol) & (containment >= -tol) & (gap >= -tol)
 
 
 @dataclass(frozen=True)
@@ -232,19 +232,19 @@ def sample_gains(seed: int, index: int, mag_min: float = 1e-3, mag_max: float = 
     return ChannelGains(*row.tolist())
 
 
-def _certify(gains: np.ndarray, bits: float, tol: float) -> tuple[np.ndarray, ...]:
+def _certify(gains: np.ndarray, bits: float) -> tuple[np.ndarray, ...]:
     """The certification core for an (N, 4) array of gains (m11, m12,
     m21, m22), N >= 1.
 
-    Returns (N,) arrays: deltas_ok, containment_slack, gap_slack,
-    gap_constraint and per_rate_gap_slack, as in ``ChannelCheck``.  Every
-    stage runs once over all N channels.  A region's slack against a row
-    is rhs - max over the region of c . v, the maximum taken by
-    ``_reach``.
+    Returns (N,) arrays: delta_slack, containment_slack, gap_slack,
+    gap_constraint and per_rate_gap_slack, as in ``ChannelCheck``, none
+    judged.  Every stage runs once over all N channels.  A region's
+    slack against a row is rhs - max over the region of c . v, the
+    maximum taken by ``_reach``.
     """
     n = len(gains)
     coeffs = coeff_rows(gains)
-    deltas_ok = delta_rows_within_limits(coeffs[1] - coeffs[0], tol=tol)
+    deltas = delta_slack(coeffs[1] - coeffs[0])
     # both regions of every channel as columns: the inner ones, then the outer
     rhs = bound_rhs(coeffs.swapaxes(0, 1)).reshape(-1, 2 * n)
     reach = _reach(rhs)
@@ -257,7 +257,7 @@ def _certify(gains: np.ndarray, bits: float, tol: float) -> tuple[np.ndarray, ..
     # rate and clipped
     per_rate = _gap_rows(inner_rhs, outer_reach, bits, clip=False).min(axis=0)
     rows = _gap_rows(inner_rhs, outer_reach, bits, clip=True)
-    return deltas_ok, np.minimum(containment, 0.0), rows.min(axis=0), rows.argmin(axis=0), per_rate
+    return deltas, np.minimum(containment, 0.0), rows.min(axis=0), rows.argmin(axis=0), per_rate
 
 
 def _gain_rows(gains: Sequence[ChannelGains]) -> np.ndarray:
@@ -269,10 +269,10 @@ def _blocks(count: int):
     return (range(start, min(start + _BLOCK, count)) for start in range(0, count, _BLOCK))
 
 
-def _check_block(indices, gains: Sequence[ChannelGains], bits: float, tol: float) -> list[ChannelCheck]:
+def _check_block(indices, gains: Sequence[ChannelGains], bits: float) -> list[ChannelCheck]:
     try:  # finite gains make a coefficient infinite only through an overflow
         with np.errstate(over="raise"):
-            results = [r.tolist() for r in _certify(_gain_rows(gains), bits, tol)]
+            results = [r.tolist() for r in _certify(_gain_rows(gains), bits)]
     except FloatingPointError:   # refused as the scalar families refuse the first such entry
         for index, g in zip(indices, gains):
             try:
@@ -289,19 +289,20 @@ def check_channels(
     """``check_channel`` on every channel, indexed by position, in passes
     of the certification core over blocks of up to ``_BLOCK`` channels,
     as a sweep certifies them; the first entry that overflows is refused
-    by index, in the scalar families' words."""
-    bits, tol = _nonneg_finite("bits", bits), _nonneg_finite("tol", tol)
+    by index, in the scalar families' words; tol as in ``check_channel``."""
+    bits, _ = _nonneg_finite("bits", bits), _nonneg_finite("tol", tol)
     return [check for block in _blocks(len(gains))
-            for check in _check_block(block, gains[block.start:block.stop], bits, tol)]
+            for check in _check_block(block, gains[block.start:block.stop], bits)]
 
 
 def check_channel(
     index: int, gains: ChannelGains, bits: float = 1.0, tol: float = MEMBERSHIP_TOL
 ) -> ChannelCheck:
     """Run all three certifications on one channel, plus the per-rate
-    gap certificate: the certification core at N = 1."""
-    bits, tol = _nonneg_finite("bits", bits), _nonneg_finite("tol", tol)
-    return _check_block([index], [gains], bits, tol)[0]
+    gap certificate: the certification core at N = 1.  tol is checked
+    but not read: a check is slacks, judged by ``passed(tol)``."""
+    bits, _ = _nonneg_finite("bits", bits), _nonneg_finite("tol", tol)
+    return _check_block([index], [gains], bits)[0]
 
 
 def _sampled_blocks(config: SweepConfig):
@@ -317,8 +318,8 @@ def run_gap_sweep(config: SweepConfig) -> SweepReport:
     failed: list[int] = []
     worst = None   # (slack, index, constraint, gains row), the first channel of least slack
     for block, gains in _sampled_blocks(config):
-        deltas_ok, containment, gap, constraint, _ = _certify(gains, config.bits, config.tol)
-        passed = _passed(deltas_ok, containment, gap, config.tol)
+        deltas, containment, gap, constraint, _ = _certify(gains, config.bits)
+        passed = _passed(deltas, containment, gap, config.tol)
         failed.extend((block.start + np.flatnonzero(~passed)).tolist())
         k = int(gap.argmin())
         if worst is None or gap[k] < worst[0]:

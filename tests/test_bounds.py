@@ -18,7 +18,7 @@ from icci.bounds import (
     cap,
     coeff_deltas,
     coeff_rows,
-    deltas_within_limits,
+    delta_slack,
     gap_deltas,
     inner_coeffs,
     outer_coeffs,
@@ -122,7 +122,7 @@ class TestDeltas:
         d = gap_deltas(unit_channel)
         assert d.g1p == pytest.approx(LOG2_5_OVER_15, abs=1e-12)
         assert d.g1 == pytest.approx(1.0, abs=1e-12)  # attains the non-strict bound
-        assert deltas_within_limits(d)
+        assert delta_slack(d) == 1.0 - d.g1 >= -1e-9
 
     def test_zero_channel_deltas_vanish(self):
         d = gap_deltas(ChannelGains(0, 0, 0, 0))
@@ -143,7 +143,20 @@ class TestDeltas:
 
     @given(gains_st)
     def test_delta_limits_fuzz(self, gains):
-        assert deltas_within_limits(gap_deltas(gains))
+        assert delta_slack(gap_deltas(gains)) >= -1e-9
+
+    def test_delta_slack_is_the_least_budget_minus_delta(self):
+        # a family's slack is its column's in the (10, N) form, which
+        # takes each column alone; only a delta family has one
+        families = [gap_deltas(g) for g in seeded_channels(42, 50) + [ChannelGains(0, 0, 0, 0)]]
+        slacks = [delta_slack(d) for d in families]
+        budgets = [1.0] * 8 + [2.0] * 2
+        assert slacks == delta_slack(np.array([d.values for d in families]).T).tolist()
+        assert slacks == [min(b - v for b, v in zip(budgets, d.values)) for d in families]
+        assert slacks[-1] == 1.0
+        for family in (inner_coeffs, outer_coeffs):
+            with pytest.raises(ValueError, match="expected a delta family"):
+                delta_slack(family(ChannelGains(1, 1, 1, 1)))
 
     @given(st.builds(ChannelGains, envelope, envelope, envelope, envelope))
     def test_g_delta_is_the_cross_gain_closed_form(self, gains):

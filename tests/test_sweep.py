@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import icci
-from icci.bounds import coeff_rows, deltas_within_limits, gap_deltas, inner_coeffs, outer_coeffs
+from icci.bounds import coeff_rows, delta_slack, gap_deltas, inner_coeffs, outer_coeffs
 from icci.channel import ChannelGains
 from icci.region import (
     _BOUND_DISTINCT,
@@ -53,6 +53,7 @@ from icci.sweep import (
 
 from conftest import seeded_channels
 from test_bounds import PINNED_BITS
+from test_gaussian_mi import EDGES
 
 # The batched core's slacks agree with the region API, and with exact
 # rational arithmetic, within this bound.
@@ -157,7 +158,7 @@ class TestSampling:
 class TestCheckChannel:
     def test_zero_channel_passes(self):
         check = check_channel(0, ChannelGains(0, 0, 0, 0), bits=1.0)
-        assert check.deltas_ok
+        assert check.delta_slack == 1.0   # every delta is 0: the least budget
         assert check.containment_slack >= -1e-9
         assert check.gap_slack >= -1e-9
         assert check.passed(1e-9)
@@ -168,13 +169,20 @@ class TestCheckChannel:
         assert check.gap_slack < 0
         assert 0 <= check.gap_constraint < 13
 
-    def test_passed_judges_the_deltas_at_the_check_tol(self):
-        # as the ChannelCheck docstring and the README say: the G2 delta of
-        # this channel is 3.6e-15 over its budget, judged when the check is made
+    def test_passed_judges_every_slack_at_the_given_tol(self):
+        # the G2 delta of this channel is 3.6e-15 over its budget: a check
+        # carries that as a slack, whatever tol it was made with, and
+        # passed(tol) and a sweep judge it as they judge the other two
         gains = sample_gains(42, 2)
         assert gap_deltas(gains).g2 - 1.0 == pytest.approx(3.6e-15, rel=0.02)
-        loose, strict = (check_channel(2, gains, bits=2.0, tol=tol) for tol in (1e-9, 0.0))
-        assert loose.passed(1e-9) and not strict.passed(1e-9)
+        strict, loose = (check_channel(2, gains, bits=2.0, tol=tol) for tol in (0.0, 1e-9))
+        assert dataclasses.astuple(strict) == dataclasses.astuple(loose)
+        assert strict.delta_slack == 1.0 - gap_deltas(gains).g2 < 0
+        for check in (strict, loose):
+            assert check.passed(1e-9) and not check.passed(0.0)
+        sweep = dict(samples=3, seed=42, bits=2.0)
+        assert run_gap_sweep(SweepConfig(**sweep, tol=0.0)).failed_indices == (2,)
+        assert run_gap_sweep(SweepConfig(**sweep, tol=1e-9)).failed_indices == ()
 
     @pytest.mark.parametrize("gains", [ChannelGains(1e200, 1, 1, 1), ChannelGains(1, 1e160, 1, 1),
                                        ChannelGains(1e154, 1e154, 1, 1)])
@@ -359,7 +367,7 @@ def assert_core_matches_region_api(gains: list, bits: float) -> None:
         per_rate = (rhs - (outer_pts - bits) @ c.T).min(axis=0)
         expected = (float(containment_slack(outer, vertices(inner)).min()), clipped.min(), per_rate.min())
         got = (check.containment_slack, check.gap_slack, check.per_rate_gap_slack)
-        assert check.deltas_ok == deltas_within_limits(gap_deltas(g)), g
+        assert check.delta_slack == delta_slack(gap_deltas(g)), g
         assert got == pytest.approx(expected, abs=SLACK_BOUND), g
         # the binding row is the reference's, or ties with it
         assert clipped[check.gap_constraint] - clipped.min() <= SLACK_BOUND, g
@@ -379,16 +387,23 @@ class TestCertificationCore:
         seeded = seeded_channels(42, 1040 - len(EDGE_CHANNELS))
         gains = [g for pair in zip(seeded, EDGE_CHANNELS) for g in pair] + seeded[len(EDGE_CHANNELS):]
         rows = _gain_rows(gains)
-        whole = _certify(rows, 1.0, 1e-9)
+        whole = _certify(rows, 1.0)
         for size in (1, _REACH_PASS // 2, _REACH_PASS // 2 + 1, 50, _BLOCK):
-            parts = [_certify(rows[s:s + size], 1.0, 1e-9) for s in range(0, len(rows), size)]
+            parts = [_certify(rows[s:s + size], 1.0) for s in range(0, len(rows), size)]
             for got, want in zip(map(np.concatenate, zip(*parts)), whole):
                 assert got.tobytes() == want.tobytes(), size
         singles = [check_channel(i, g, bits=1.0) for i, g in enumerate(gains)]
-        for field, want in zip(("deltas_ok", "containment_slack", "gap_slack", "gap_constraint",
+        for field, want in zip(("delta_slack", "containment_slack", "gap_slack", "gap_constraint",
                                 "per_rate_gap_slack"), whole):
             got = np.array([getattr(c, field) for c in singles], dtype=want.dtype)
             assert got.tobytes() == want.tobytes(), field
+
+    def test_delta_slack_is_the_scalar_families_bit_for_bit(self):
+        # the core's delta slack is delta_slack of gap_deltas, on the 1296
+        # channels of the MI oracle's edge grid and over the whole envelope
+        gains = [ChannelGains(*m) for m in itertools.product(EDGES, repeat=4)] + seeded_channels(3, 300, 1e-6, 1e6)
+        scalar = np.array([delta_slack(gap_deltas(g)) for g in gains])
+        assert scalar.tobytes() == _certify(_gain_rows(gains), 2.0)[0].tobytes()
 
     def test_reach_takes_each_block_in_one_call_in_column_order(self, monkeypatch):
         # the core hands _reach each block's whole (13, 2N) rhs, inner
@@ -403,7 +418,7 @@ class TestCertificationCore:
 
         monkeypatch.setattr(icci.sweep, "_reach", recorder)
         for block in (rows[:_BLOCK], rows[_BLOCK:]):
-            _certify(block, 2.0, 1e-9)
+            _certify(block, 2.0)
         assert [part.shape for part in seen] == [(13, 2 * _BLOCK), (13, 34)]
         for part, block in zip(seen, (rows[:_BLOCK], rows[_BLOCK:])):
             assert part.tobytes() == bound_rhs(coeff_rows(block).swapaxes(0, 1)).reshape(13, -1).tobytes()
@@ -567,7 +582,6 @@ def test_every_entry_rejects_a_bad_budget_or_tolerance(value):
         "within_bits_slack": lambda: within_bits_slack(inner, outer, value),
         "within_bits_unclipped_slack": lambda: within_bits_unclipped_slack(inner, outer, value),
         "contains": lambda: contains(inner, (0, 0, 0), tol=value),
-        "deltas_within_limits": lambda: deltas_within_limits(gap_deltas(g), tol=value),
         "SweepConfig bits": lambda: SweepConfig(bits=value),
         "SweepConfig tol": lambda: SweepConfig(tol=value),
     }
@@ -617,7 +631,7 @@ def certificate_digest(seed, mag_min, mag_max, bits) -> str:
     """The sha256 prefix of every field of every check on 10000 channels."""
     checks = check_channels(seeded_channels(seed, 10000, mag_min, mag_max), bits=bits)
     lines = [f"{c.index} {c.gains.m11.hex()} {c.gains.m12.hex()} {c.gains.m21.hex()} {c.gains.m22.hex()}"
-             f" {int(c.deltas_ok)} {c.containment_slack.hex()} {c.gap_slack.hex()} {c.gap_constraint}"
+             f" {int(c.delta_slack >= -1e-9)} {c.containment_slack.hex()} {c.gap_slack.hex()} {c.gap_constraint}"
              f" {c.per_rate_gap_slack.hex()}" for c in checks]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
